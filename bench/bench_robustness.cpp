@@ -51,7 +51,7 @@ void distance_matched(double target_loss, double& floor, double& ceiling) {
 
 void print_loss_model_study() {
   bench::banner("Robustness", "loss-model sensitivity (full stack, N = 20)");
-  constexpr int kTrials = 8000;
+  const int trials = int(bench::options().trials_or(8000));
   std::printf("\n%-6s %14s %14s %14s %14s\n", "p", "analytic(iid)",
               "Bernoulli MC", "GilbertE MC", "Distance MC");
   for (double p : {0.3, 0.4, 0.5}) {
@@ -76,7 +76,7 @@ void print_loss_model_study() {
         };
       }
       SingleClusterExperiment experiment(config);
-      const auto estimate = experiment.run_false_detection(kTrials);
+      const auto estimate = experiment.run_false_detection(trials);
       std::printf(" %14s",
                   bench::mc_cell(estimate.estimate(), estimate.ci99()).c_str());
     }
@@ -110,7 +110,7 @@ void print_loss_model_study() {
         };
       }
       SingleClusterExperiment experiment(config);
-      const auto estimate = experiment.run_incompleteness(kTrials);
+      const auto estimate = experiment.run_incompleteness(trials);
       std::printf(" %14s",
                   bench::mc_cell(estimate.estimate(), estimate.ci99()).c_str());
     }

@@ -222,9 +222,6 @@ void StateFingerprinter::mix_agent(Hasher& h, const FdsAgent& a) {
   }
   h.mix(a.checkpoint_seq_);
   h.mix(std::uint64_t{a.restored_from_checkpoint_});
-  // FP-EXEMPT(epoch_clock_): scheduling-seam pointer, null in the checker's
-  // worlds (they drive agents per-node, never through FdsService's batched
-  // path); the value it exposes is the epoch counter, which is mixed above.
   // FP-EXEMPT(heartbeat_pool_) / FP-EXEMPT(digest_pool_) /
   // FP-EXEMPT(update_pool_) / FP-EXEMPT(expected_scratch_): send-side
   // buffers, fully overwritten before every emission and never read as

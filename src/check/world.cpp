@@ -8,6 +8,7 @@
 #include "common/expect.h"
 #include "common/geometry.h"
 #include "fds/messages.h"
+#include "fds/timetable.h"
 #include "radio/payload.h"
 #include "transport/reception.h"
 
@@ -440,28 +441,14 @@ void CheckWorld::fault_point(std::uint64_t epoch, std::uint32_t barrier) {
 }
 
 void CheckWorld::round_actions(std::uint64_t epoch, std::uint32_t barrier) {
-  // Ascending-NID order, matching FdsService's per-agent scheduling (ties
-  // at one instant execute in schedule order). Agents guard on their own
-  // liveness internally.
-  switch (barrier) {
-    case 0:
-      for (auto& a : agents_) a->begin_epoch(epoch);
-      for (auto& a : agents_) a->round1_heartbeat();
-      break;
-    case 1:
-      for (auto& a : agents_) a->round2_digest();
-      break;
-    case 2:
-      for (auto& a : agents_) a->round3_update();
-      break;
-    case 3:
-      for (auto& a : agents_) a->deputy_check();
-      break;
-    case 4:
-      for (auto& a : agents_) a->completeness_check();
-      break;
-    default:
-      break;  // barrier 5 only resolves deliveries (requests, forwards)
+  // Barrier b is b Thop into the execution, so it runs the timetable rows
+  // due then, over every agent in ascending NID order (agents guard on their
+  // own liveness). Barrier 5 only resolves deliveries (requests, forwards).
+  const auto all = [this](auto&& fn, bool /*everyone*/) {
+    for (auto& a : agents_) fn(*a);
+  };
+  for (const RoundRow& row : kRoundTimetable) {
+    if (row.hops == std::int64_t{barrier}) run_round_row(row, epoch, all);
   }
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/expect.h"
+#include "fds/timetable.h"
 
 namespace cfds {
 
@@ -64,11 +65,6 @@ void FdsAgent::on_lifecycle(bool alive) {
   // restarts unaffiliated and unmarked, so its next heartbeat is a fresh
   // membership subscription (F5) and the lowest-NID affiliation rules of
   // Section 3 re-run naturally through the admission path.
-  // Under batched scheduling this agent received no begin_epoch calls while
-  // dead; catch the epoch counter up first so post-recovery bookkeeping
-  // (last_unmarked_epoch_, revert diagnostics, log records) stamps the
-  // execution the node actually rejoined.
-  if (epoch_clock_) epoch_ = *epoch_clock_;
   view_.clear();
   node_.set_marked(false);
   log_.clear();
@@ -1024,14 +1020,6 @@ void FdsService::watch_lifecycle(Node& node, std::size_t idx) {
   });
 }
 
-void FdsService::install_epoch_clocks(bool install) {
-  if (epoch_clocks_installed_ == install) return;
-  epoch_clocks_installed_ = install;
-  for (auto& a : agents_) {
-    a->set_epoch_clock(install ? &current_epoch_ : nullptr);
-  }
-}
-
 std::vector<FdsAgent*> FdsService::agents() {
   std::vector<FdsAgent*> out;
   out.reserve(agents_.size());
@@ -1057,7 +1045,6 @@ FdsAgent& FdsService::adopt_node(Node& node, MembershipView& view) {
   agents_.push_back(std::make_unique<FdsAgent>(
       node, view, *transports_.back(), timers_,
       network_.channel().config().t_hop, config_, hooks_));
-  if (epoch_clocks_installed_) agents_.back()->set_epoch_clock(&current_epoch_);
   if (node.alive()) {
     active_.push_back(std::uint32_t(agents_.size() - 1));
   }
@@ -1066,39 +1053,26 @@ FdsAgent& FdsService::adopt_node(Node& node, MembershipView& view) {
 }
 
 void FdsService::schedule_epoch(std::uint64_t epoch, SimTime t) {
-  Simulator& sim = network_.simulator();
   const SimTime t_hop = network_.channel().config().t_hop;
   if (config_.max_clock_skew == SimTime::zero() && !skew_provider_) {
-    // Common case: one event per round sweeps the alive agents, in NID
-    // order — identical firing order to the historical sweep over all
-    // agents, because a dead agent's round actions are unconditional
-    // no-ops. Idle (dead) nodes therefore cost nothing per round, which is
-    // what keeps mostly-failed megascale worlds cheap. active_ is read at
-    // fire time, so a node recovering between rounds rejoins mid-epoch
-    // exactly as it did under the full sweep.
-    install_epoch_clocks(true);
-    auto all = [this](void (FdsAgent::*action)()) {
-      return [this, action] {
-        for (std::uint32_t idx : active_) (agents_[idx].get()->*action)();
-      };
-    };
-    sim.schedule_at(t, [this, epoch] {
-      current_epoch_ = epoch;
-      for (std::uint32_t idx : active_) agents_[idx]->begin_epoch(epoch);
-    });
-    sim.schedule_at(t, all(&FdsAgent::round1_heartbeat));
-    sim.schedule_at(t + t_hop, all(&FdsAgent::round2_digest));
-    sim.schedule_at(t + 2 * t_hop, all(&FdsAgent::round3_update));
-    sim.schedule_at(t + 3 * t_hop, all(&FdsAgent::deputy_check));
-    sim.schedule_at(t + 4 * t_hop, all(&FdsAgent::completeness_check));
+    // Common case: one shared schedule, one event per row, visiting agents
+    // in NID order. begin_epoch reaches dead agents too, so a node
+    // recovering later stamps the execution it actually rejoined. The round
+    // actions visit only active_, read at fire time: idle (dead) nodes cost
+    // nothing per round, which is what keeps mostly-failed megascale worlds
+    // cheap, and a node recovering between rounds rejoins mid-epoch.
+    schedule_execution(timers_, t, t_hop, epoch,
+                       [this](auto&& fn, bool everyone) {
+                         if (everyone) {
+                           for (auto& a : agents_) fn(*a);
+                           return;
+                         }
+                         for (std::uint32_t idx : active_) fn(*agents_[idx]);
+                       });
     return;
   }
-  // Per-agent scheduling below reaches dead agents too (begin_epoch keeps
-  // their epoch_ current), so the recovery-time epoch catch-up must not
-  // also fire.
-  install_epoch_clocks(false);
   // Skewed clocks: each agent runs its rounds shifted by its own fixed
-  // offset in [0, max_clock_skew] — derived from its NID so the offset is
+  // offset in [0, max_clock_skew) — derived from its NID so the offset is
   // stable across epochs, like a real mis-set clock. A skew provider (the
   // fault injector's ClockDriftRamp) adds a per-epoch offset on top.
   for (auto& agent : agents_) {
@@ -1113,13 +1087,7 @@ void FdsService::schedule_epoch(std::uint64_t epoch, SimTime t) {
       const SimTime extra = skew_provider_(agent->id(), epoch);
       if (extra.as_micros() > 0) skew = skew + extra;
     }
-    FdsAgent* a = agent.get();
-    sim.schedule_at(t + skew, [a, epoch] { a->begin_epoch(epoch); });
-    sim.schedule_at(t + skew, [a] { a->round1_heartbeat(); });
-    sim.schedule_at(t + skew + t_hop, [a] { a->round2_digest(); });
-    sim.schedule_at(t + skew + 2 * t_hop, [a] { a->round3_update(); });
-    sim.schedule_at(t + skew + 3 * t_hop, [a] { a->deputy_check(); });
-    sim.schedule_at(t + skew + 4 * t_hop, [a] { a->completeness_check(); });
+    schedule_execution(timers_, t + skew, t_hop, epoch, single_agent(*agent));
   }
 }
 

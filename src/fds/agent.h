@@ -2,19 +2,8 @@
 //
 // Executes the node's part of the three-round service (Section 4.2) every
 // heartbeat interval, under whatever role its MembershipView currently
-// assigns. Round offsets within an execution starting at epoch time T
-// (Thop is the one-hop bound of the channel):
-//
-//   T          fds.R-1  every alive node sends its heartbeat
-//   T + Thop   fds.R-2  members and the CH exchange digests
-//   T + 2Thop  fds.R-3  the CH runs the detection rule and broadcasts the
-//                       health-status update
-//   T + 3Thop           the highest-ranked DCH applies the CH-failure rule;
-//                       on detection it broadcasts a takeover update
-//   T + 4Thop           members missing the update broadcast forwarding
-//                       requests; holders answer after unique waiting
-//                       periods; the first success is acknowledged and the
-//                       other candidates stand down
+// assigns. The round actions below run on the schedule in fds/timetable.h,
+// the one place that pairs each with its offset in Thop.
 //
 // All frames are emitted onto the promiscuous channel, so digests reach
 // deputies, updates reach gateways, and forwarded updates are overheard by
@@ -170,7 +159,7 @@ class FdsAgent {
     return restored_from_checkpoint_;
   }
 
-  // --- Round actions, driven by FdsService -----------------------------
+  // --- Round actions, run on the timetable (fds/timetable.h) ------------
   void begin_epoch(std::uint64_t epoch);
   void round1_heartbeat();
   void round2_digest();
@@ -191,14 +180,6 @@ class FdsAgent {
   /// unmarked and acts as a fresh subscription (F5).
   void rejoin();
   [[nodiscard]] bool has_left() const { return left_; }
-
-  /// Installed by FdsService on its batched (no-skew) scheduling path, where
-  /// dead agents are skipped entirely: a crashed node no longer receives
-  /// begin_epoch calls, so on recovery the agent reads the service's epoch
-  /// counter through this pointer instead. nullptr (per-agent scheduling,
-  /// service mode) keeps the historical behaviour where begin_epoch reaches
-  /// every agent.
-  void set_epoch_clock(const std::uint64_t* clock) { epoch_clock_ = clock; }
 
   /// Announces a sleep window covering the next `epochs` executions and
   /// powers the radio down. The harness (or application) is responsible for
@@ -319,10 +300,6 @@ class FdsAgent {
   std::uint64_t checkpoint_seq_ = 0;
   bool restored_from_checkpoint_ = false;
 
-  /// See set_epoch_clock(). Points at FdsService::current_epoch_ on the
-  /// batched scheduling path; null otherwise.
-  const std::uint64_t* epoch_clock_ = nullptr;
-
   /// Send-side payload pools: each round's emission reuses the previous
   /// epoch's payload object when every receiver has released it
   /// (use_count() == 1 — receivers drop their references at the next
@@ -344,7 +321,7 @@ class FdsAgent {
 // is computed for; other platforms rely on the lint rule alone.
 #if defined(__x86_64__) && defined(__linux__) && defined(__GLIBCXX__) && \
     !defined(_GLIBCXX_DEBUG)
-static_assert(sizeof(FdsAgent) == 704,
+static_assert(sizeof(FdsAgent) == 696,
               "FdsAgent layout changed: update src/check/fingerprint.cpp "
               "(mix or FP-EXEMPT the new member), then this tripwire");
 #endif
@@ -363,8 +340,8 @@ class FdsService {
   [[nodiscard]] std::vector<FdsAgent*> agents();
   [[nodiscard]] FdsAgent& agent_for(NodeId id);
 
-  /// Number of agents currently swept by the batched scheduling path:
-  /// exactly the alive nodes. Exposed for the O(active) regression bench.
+  /// Number of agents the unskewed path's round actions visit: exactly the
+  /// alive nodes. Exposed for the O(active) regression bench.
   [[nodiscard]] std::size_t active_agents() const { return active_.size(); }
 
   /// Wires a node added after construction (replenishment, Section 2.1)
@@ -372,7 +349,9 @@ class FdsService {
   /// execution; if unmarked, its heartbeat subscribes it to a cluster (F5).
   FdsAgent& adopt_node(Node& node, MembershipView& view);
 
-  /// Schedules one FDS execution with epoch index `epoch` starting at `t`.
+  /// Schedules one FDS execution with epoch index `epoch` starting at `t`:
+  /// the timetable once for every agent, or once per agent at its own phase
+  /// when max_clock_skew or a skew provider skews the clocks.
   void schedule_epoch(std::uint64_t epoch, SimTime t);
 
   /// Schedules `count` executions phi apart starting at `start` and runs the
@@ -381,7 +360,7 @@ class FdsService {
 
   /// Per-node additional clock skew, queried once per (node, epoch) when
   /// scheduling that node's rounds. Used by the fault injector's
-  /// ClockDriftRamp; nullptr (the default) keeps the batched fast path, so
+  /// ClockDriftRamp; nullptr (the default) keeps the unskewed path, so
   /// fault-free runs schedule exactly as before.
   using SkewProvider = std::function<SimTime(NodeId, std::uint64_t epoch)>;
   void set_skew_provider(SkewProvider provider) {
@@ -392,10 +371,6 @@ class FdsService {
   /// Registers the lifecycle handler that keeps `active_` in sync for the
   /// agent at `idx` (slot order == NID order == agents_ order).
   void watch_lifecycle(Node& node, std::size_t idx);
-  /// Points every agent's epoch clock at current_epoch_ (batched path) or
-  /// detaches it (per-agent path). O(n), but runs only when the scheduling
-  /// mode actually changes.
-  void install_epoch_clocks(bool install);
 
   Network& network_;
   FdsConfig config_;
@@ -408,16 +383,13 @@ class FdsService {
   std::vector<std::unique_ptr<SimTransport>> transports_;
   std::vector<std::unique_ptr<FdsAgent>> agents_;
 
-  /// Batched path bookkeeping: the round sweeps visit only `active_`
+  /// Unskewed-path bookkeeping: the round actions visit only `active_`
   /// (agents_ indices of alive nodes, ascending = NID order), so a mostly
   /// idle world pays per round for its alive population, not its size.
   /// Dead agents' round actions are all no-ops (every one starts with an
-  /// alive check), so skipping them changes no observable behaviour; the
-  /// one exception — begin_epoch's epoch_ bookkeeping — is covered by the
-  /// epoch clock the recovery path reads (set_epoch_clock).
+  /// alive check), so skipping them changes no observable behaviour; only
+  /// begin_epoch, once per execution, reaches every agent.
   std::vector<std::uint32_t> active_;
-  std::uint64_t current_epoch_ = 0;
-  bool epoch_clocks_installed_ = false;
 };
 
 }  // namespace cfds

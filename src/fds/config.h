@@ -98,8 +98,8 @@ struct FdsConfig {
   /// it (feature F5). 0 disables re-affiliation.
   std::uint32_t reaffiliate_after_missed = 3;
 
-  /// Per-node clock skew bound: each node's round actions are offset by a
-  /// fixed draw from [-max_clock_skew, +max_clock_skew]. Zero models the
+  /// Per-node clock skew bound: each node's round actions are delayed by a
+  /// fixed NID-derived draw from [0, max_clock_skew). Zero models the
   /// paper's assumption that "the clock rate on each host is close to
   /// accurate"; raising it stress-tests that assumption.
   SimTime max_clock_skew = SimTime::zero();

@@ -5,6 +5,7 @@
 #include "common/expect.h"
 #include "common/rng.h"
 #include "fds/messages.h"
+#include "fds/timetable.h"
 #include "radio/payload.h"
 #include "service/directory.h"
 #include "transport/reception.h"
@@ -203,18 +204,9 @@ void ServiceAgent::start(SimTime start, const fault::FaultPlan* plan) {
                 static_cast<std::uint64_t>(spread_us)))
           : SimTime::zero();
   for (std::uint64_t k = 0; k < config_.epochs; ++k) {
-    const SimTime t =
-        start + phase + std::int64_t(k) * config_.phi + plan_.skew(k);
-    // Same-instant events fire in schedule order (the embedded simulator's
-    // stable sequence numbers), so begin_epoch always precedes round 1.
-    timers_.schedule_at(t, [this, k] { fds_.begin_epoch(k); });
-    timers_.schedule_at(t, [this] { fds_.round1_heartbeat(); });
-    timers_.schedule_at(t + config_.t_hop, [this] { fds_.round2_digest(); });
-    timers_.schedule_at(t + 2 * config_.t_hop,
-                        [this] { fds_.round3_update(); });
-    timers_.schedule_at(t + 3 * config_.t_hop, [this] { fds_.deputy_check(); });
-    timers_.schedule_at(t + 4 * config_.t_hop,
-                        [this] { fds_.completeness_check(); });
+    schedule_execution(
+        timers_, start + phase + std::int64_t(k) * config_.phi + plan_.skew(k),
+        config_.t_hop, k, single_agent(fds_));
   }
   timers_.schedule_at(start + std::int64_t(config_.epochs) * config_.phi,
                       [this] { done_ = true; });

@@ -4,11 +4,10 @@
 // ServiceAgent is the composition root cfds_serve (one per process) and the
 // loopback soak harness (one per thread) share. It owns the node, the
 // directory-installed membership view, the fault DropFilter with its
-// FilteredTransport wrapper, the FdsAgent, and the PlanRuntime, and it
-// replaces FdsService::schedule_epoch as the round driver: all rounds of
-// all configured epochs are scheduled up front on the endpoint's
-// TimerService, offset per-epoch by the plan's clock drift — mirroring the
-// simulated service's schedule exactly, one endpoint at a time.
+// FilteredTransport wrapper, the FdsAgent, and the PlanRuntime. It drives
+// the round timetable (fds/timetable.h) for its one agent: every configured
+// epoch is scheduled up front on the endpoint's TimerService at the
+// endpoint's own phase, offset per-epoch by the plan's clock drift.
 
 #pragma once
 

@@ -516,6 +516,58 @@ TEST_F(AdaptiveTuneFixture, TuneLevelRampsUpAndDownWithoutFalsePositives) {
 }
 
 // ---------------------------------------------------------------------------
+// Epoch bookkeeping across a crash: a node recovering mid-execution must
+// stamp the execution it rejoined, on the shared schedule (zero skew) and on
+// the per-agent one (skewed clocks) alike.
+
+class RecoveryEpochFixture : public FdsFixture,
+                             public ::testing::WithParamInterface<int> {
+ protected:
+  static FdsConfig config(int skew_ms) {
+    FdsConfig c = default_config();
+    c.recovery_enabled = true;
+    c.max_clock_skew = SimTime::millis(skew_ms);
+    return c;
+  }
+  RecoveryEpochFixture() : FdsFixture(config(GetParam())) {}
+
+  /// Runs execution `epoch`, which starts at epoch * phi, to its end.
+  void run_epoch_at(std::uint64_t epoch) {
+    const SimTime start = std::int64_t(epoch) * kPhi;
+    fds_->schedule_epoch(epoch, start);
+    network_->simulator().run_until(start + kPhi);
+  }
+
+  static constexpr SimTime kPhi = SimTime::millis(800);
+};
+
+TEST_P(RecoveryEpochFixture, RecoveredMemberStampsTheExecutionItRejoined) {
+  const NodeId victim{5};
+  const SimTime t_hop = network_->channel().config().t_hop;
+  run_epoch_at(0);
+  network_->schedule_crash(victim, kPhi + t_hop);  // dies inside epoch 1
+  run_epoch_at(1);
+  run_epoch_at(2);
+  // 1.5 Thop into epoch 3: after every agent's epoch-3 begin_epoch, since
+  // the skew stays below 50 ms.
+  const SimTime recover_at =
+      3 * kPhi + SimTime::micros(t_hop.as_micros() * 3 / 2);
+  network_->schedule_recover(victim, recover_at);
+  fds_->schedule_epoch(3, 3 * kPhi);
+  network_->simulator().run_until(recover_at);
+  FdsAgent& agent = fds_->agent_for(victim);
+  ASSERT_TRUE(network_->node(victim).alive());
+  EXPECT_EQ(agent.current_epoch(), 3u);
+  const std::uint64_t unmarked_before = agent.unmarked_heartbeats_sent();
+  run_epoch_at(4);  // also finishes epoch 3
+  EXPECT_EQ(agent.unmarked_heartbeats_sent(), unmarked_before + 1);
+  EXPECT_EQ(agent.last_unmarked_sent_epoch(), 4u);
+}
+
+INSTANTIATE_TEST_SUITE_P(SharedAndSkewedSchedules, RecoveryEpochFixture,
+                         ::testing::Values(0, 50));
+
+// ---------------------------------------------------------------------------
 // Checkpointed CH/DCH recovery (FdsConfig::checkpoint_enabled).
 
 class CheckpointFixture : public FdsFixture {

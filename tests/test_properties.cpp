@@ -5,6 +5,7 @@
 
 #include <set>
 #include <sstream>
+#include <string>
 
 #include "sim/scenario.h"
 
@@ -152,6 +153,96 @@ TEST(Determinism, IdenticalSeedsProduceIdenticalTraces) {
     return trace.str();
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+// One timetable, two schedules: a skew provider that returns zero for every
+// node takes FdsService's per-agent path (one schedule per agent), no
+// provider takes the shared path (one schedule for all agents). Both must
+// produce the same run — detections, failure logs and traffic — through a
+// crash and a recovery.
+class ScheduleEquivalence : public ::testing::TestWithParam<std::uint64_t> {
+ protected:
+  [[nodiscard]] std::string run(bool zero_skew_provider) const {
+    ScenarioConfig config;
+    config.width = 500.0;
+    config.height = 350.0;
+    config.node_count = 200;
+    config.loss_p = 0.2;
+    config.seed = GetParam();
+    config.fds.recovery_enabled = true;
+    Scenario scenario(config);
+    scenario.setup();
+    if (zero_skew_provider) {
+      scenario.fds().set_skew_provider(
+          [](NodeId, std::uint64_t) { return SimTime::zero(); });
+    }
+    scenario.run_epochs(1);
+    NodeId victim = NodeId::invalid();
+    for (MembershipView* view : scenario.views()) {
+      if (view->role() == Role::kOrdinaryMember) {
+        victim = view->self();
+        break;
+      }
+    }
+    scenario.network().crash(victim);
+    scenario.run_epochs(2);
+    scenario.network().recover(victim);
+    scenario.run_epochs(2);
+    std::ostringstream trace;
+    for (const DetectionEvent& e : scenario.metrics().detections()) {
+      trace << e.decider << ':' << e.suspect << ':' << e.epoch << ':'
+            << e.when << ';';
+    }
+    for (FdsAgent* agent : scenario.fds().agents()) {
+      trace << '|' << agent->id() << ':' << agent->current_epoch();
+      for (NodeId f : agent->log().known_failed()) trace << ',' << f;
+    }
+    const TrafficTotals traffic = traffic_totals(scenario.network());
+    trace << '|' << traffic.frames << ':' << traffic.bytes;
+    return trace.str();
+  }
+};
+
+TEST_P(ScheduleEquivalence, ZeroSkewProviderMatchesTheSharedSchedule) {
+  const std::string shared = run(false);
+  EXPECT_NE(shared.find(';'), std::string::npos);  // the crash was detected
+  EXPECT_EQ(run(true), shared);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ScheduleEquivalence,
+                         ::testing::Values(std::uint64_t{3}, std::uint64_t{19},
+                                           std::uint64_t{77},
+                                           std::uint64_t{1234}));
+
+// Pins bench_robustness's clock-skew study: offsets at and past Thop push
+// heartbeats into the wrong round, and the false-detection counts of that
+// table must not move when the round schedule is refactored.
+TEST(SkewStudy, FalseDetectionsAtAndPastThop) {
+  auto false_detections = [](std::int64_t skew_ms) {
+    ScenarioConfig config;
+    config.width = 550.0;
+    config.height = 400.0;
+    config.node_count = 300;
+    config.loss_p = 0.1;
+    config.seed = 83;
+    config.fds.max_clock_skew = SimTime::millis(skew_ms);
+    Scenario scenario(config);
+    scenario.setup();
+    scenario.run_epochs(3);
+    NodeId victim = NodeId::invalid();
+    for (MembershipView* view : scenario.views()) {
+      if (view->role() == Role::kOrdinaryMember) {
+        victim = view->self();
+        break;
+      }
+    }
+    scenario.network().crash(victim);
+    scenario.run_epochs(3);
+    EXPECT_TRUE(scenario.metrics().first_detection(victim).has_value());
+    return scenario.metrics().false_detections();
+  };
+  EXPECT_EQ(false_detections(100), 3u);
+  EXPECT_EQ(false_detections(200), 57u);
 }
 
 TEST(Determinism, DifferentSeedsDiverge) {
