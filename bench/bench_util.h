@@ -1,16 +1,18 @@
 // Shared helpers for the benchmark binaries.
 //
-// Every bench binary regenerates one of the paper's evaluation artifacts: it
-// first prints the figure's data series (analytic sweep plus Monte-Carlo
-// cross-checks where the probabilities are sampleable), then runs its
-// google-benchmark timings. Output is aligned plain text so the series can
-// be diffed against EXPERIMENTS.md or piped into a plotting script.
+// Every bench binary regenerates one or more of the paper's evaluation
+// artifacts (bench_figures holds all of Figures 5-7): it first prints the
+// data series (analytic sweep plus Monte-Carlo cross-checks where the
+// probabilities are sampleable), then runs its google-benchmark timings.
+// Output is aligned plain text so the series can be diffed against
+// EXPERIMENTS.md or piped into a plotting script.
 //
 // All benches accept the uniform runner flags — --trials, --threads, --seed,
-// --out, --no-wall-time — parsed by runner/cli_args before google-benchmark
-// sees argv. The sweeps ported onto the parallel runner honor all of them;
-// the remaining benches accept them so the invocation syntax is uniform
-// across binaries (docs/RUNNER.md documents which benches use which).
+// --out, --no-wall-time, --no-calendar — parsed by runner/cli_args before
+// google-benchmark sees argv. bench_figures and the other sweeps on the
+// parallel runner honor all of them; the remaining benches accept them so
+// the invocation syntax is uniform across binaries (docs/RUNNER.md documents
+// which benches use which).
 
 #pragma once
 

@@ -160,22 +160,4 @@ void add_runner_flags(FlagSet& flags, RunnerOptions& options) {
                   "label stamped on BenchRecord JSONL rows (baselines)");
 }
 
-bool parse_int_list(const std::string& text, std::vector<int>* values) {
-  values->clear();
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    const std::size_t comma = std::min(text.find(',', pos), text.size());
-    const std::string item = text.substr(pos, comma - pos);
-    int value = 0;
-    if (!parse_number(item.c_str(), &value, [](const char* s, char** e) {
-          return std::strtol(s, e, 10);
-        })) {
-      return false;
-    }
-    values->push_back(value);
-    pos = comma + 1;
-  }
-  return !values->empty();
-}
-
 }  // namespace cfds::runner

@@ -97,8 +97,4 @@ struct RunnerOptions {
 /// Registers --threads/--trials/--seed/--out/--no-wall-time on the set.
 void add_runner_flags(FlagSet& flags, RunnerOptions& options);
 
-/// Splits "50,75,100" into integers. Returns false on any malformed item.
-[[nodiscard]] bool parse_int_list(const std::string& text,
-                                  std::vector<int>* values);
-
 }  // namespace cfds::runner

@@ -26,17 +26,6 @@ bool is_full_stack(EstimatorKind kind) {
   }
 }
 
-bool parse_estimator_kind(const std::string& text, EstimatorKind* kind) {
-  if (text == "fig5") *kind = EstimatorKind::kMcFalseDetection;
-  else if (text == "fig6") *kind = EstimatorKind::kMcFalseDetectionOnCh;
-  else if (text == "fig7") *kind = EstimatorKind::kMcIncompleteness;
-  else if (text == "fig5-stack") *kind = EstimatorKind::kStackFalseDetection;
-  else if (text == "fig6-stack") *kind = EstimatorKind::kStackFalseDetectionOnCh;
-  else if (text == "fig7-stack") *kind = EstimatorKind::kStackIncompleteness;
-  else return false;
-  return true;
-}
-
 ExperimentSpec ExperimentSpec::for_kind(EstimatorKind kind) {
   ExperimentSpec spec;
   spec.kind = kind;

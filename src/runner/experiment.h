@@ -4,8 +4,7 @@
 // sim/fast_mc.h or a full protocol-stack measure from sim/single_cluster.h),
 // a grid of (N, p, R) points, a trial budget per point, and a base seed. The
 // executor (runner/executor.h) shards the trials across a thread pool; the
-// spec itself is pure data, so benches, the CLI, and tests all build sweeps
-// the same way.
+// spec itself is pure data, so benches and tests build sweeps the same way.
 
 #pragma once
 
@@ -32,11 +31,6 @@ enum class EstimatorKind {
 
 [[nodiscard]] const char* estimator_kind_name(EstimatorKind kind);
 [[nodiscard]] bool is_full_stack(EstimatorKind kind);
-
-/// Maps the CLI spellings "fig5"/"fig6"/"fig7" (semantic MC) and
-/// "fig5-stack"/"fig6-stack"/"fig7-stack" (full protocol stack) to a kind.
-[[nodiscard]] bool parse_estimator_kind(const std::string& text,
-                                        EstimatorKind* kind);
 
 /// One point of the parameter grid: cluster population N, loss probability
 /// p, transmission range R.

@@ -1,26 +1,17 @@
 // cfds_cli — command-line driver for the cluster-based FDS simulator.
 //
-// Two modes:
-//
-// Scenario mode (default) runs a full deployment (placement, clustering,
-// FDS, inter-cluster forwarding) with a Poisson crash process and prints
-// per-epoch health telemetry, optionally as CSV for plotting.
+// Runs a full deployment (placement, clustering, FDS, inter-cluster
+// forwarding) with a Poisson crash process and prints per-epoch health
+// telemetry, optionally as CSV for plotting.
 //
 //   cfds_cli [--nodes N] [--width W] [--height H] [--range R]
 //            [--loss P] [--epochs K] [--seed S] [--interval-ms MS]
 //            [--crash-rate LAMBDA] [--distributed-formation]
 //            [--mobility SPEED_MPS] [--csv] [--trace]
 //
-// Monte-Carlo mode (--mc) sweeps one of the paper's per-cluster measures
-// over the (N, p) grid on the parallel experiment runner and emits JSONL:
-//
-//   cfds_cli --mc fig5|fig6|fig7[-stack] [--cluster-n 50,75,100]
-//            [--trials T] [--threads W] [--seed S] [--out F] [--no-wall-time]
-//
 // Examples:
 //   cfds_cli --nodes 500 --loss 0.2 --epochs 20 --crash-rate 1.5
 //   cfds_cli --nodes 300 --mobility 2.0 --epochs 30 --csv > run.csv
-//   cfds_cli --mc fig5 --trials 400000 --threads 8 --out fig5.jsonl
 
 #include <cstdio>
 #include <cstdlib>
@@ -28,12 +19,10 @@
 #include <string>
 #include <vector>
 
-#include "analysis/figures.h"
 #include "event/simulator.h"
 #include "net/mobility.h"
 #include "radio/tracer.h"
 #include "runner/cli_args.h"
-#include "runner/executor.h"
 #include "sim/scenario.h"
 
 namespace {
@@ -47,10 +36,6 @@ struct CliOptions {
   double mobility_mps = 0.0;
   bool csv = false;
   bool trace = false;
-
-  // Monte-Carlo mode.
-  std::string mc_figure;             // empty = scenario mode
-  std::string cluster_ns = "50,75,100";
   runner::RunnerOptions runner;
 };
 
@@ -73,10 +58,6 @@ void register_flags(runner::FlagSet& flags, CliOptions& options,
                   "random-waypoint speed, m/s (0 = static)");
   flags.add_flag("--csv", &options.csv, "machine-readable output");
   flags.add_flag("--trace", &options.trace, "print the frame-kind mix");
-  flags.add_value("--mc", &options.mc_figure,
-                  "Monte-Carlo sweep: fig5|fig6|fig7[-stack]");
-  flags.add_value("--cluster-n", &options.cluster_ns,
-                  "cluster populations for --mc (comma list)");
   runner::add_runner_flags(flags, options.runner);
 }
 
@@ -102,50 +83,11 @@ CliOptions parse(int argc, char** argv) {
     options.scenario.heartbeat_interval = SimTime::millis(interval_ms);
   }
   options.scenario.seed = options.runner.seed_or(options.scenario.seed);
-  // Before any trial thread constructs a Simulator (the pool spins up in
-  // run_monte_carlo, after parsing).
+  // Before the scenario constructs its Simulator.
   if (options.runner.no_calendar) {
     Simulator::set_default_queue_mode(QueueMode::kHeap);
   }
   return options;
-}
-
-/// --mc: sweep the requested measure over (cluster-n × the paper's p sweep)
-/// on the thread pool and emit one JSONL record per grid point.
-int run_monte_carlo(const CliOptions& options) {
-  runner::EstimatorKind kind;
-  if (!runner::parse_estimator_kind(options.mc_figure, &kind)) {
-    std::fprintf(stderr, "unknown --mc figure %s (want fig5|fig6|fig7, "
-                 "optionally with -stack)\n", options.mc_figure.c_str());
-    return 2;
-  }
-  std::vector<int> populations;
-  if (!runner::parse_int_list(options.cluster_ns, &populations)) {
-    std::fprintf(stderr, "bad --cluster-n list %s\n",
-                 options.cluster_ns.c_str());
-    return 2;
-  }
-
-  auto spec = runner::ExperimentSpec::for_kind(kind);
-  std::vector<double> ps;
-  for (int i = 0; i < analysis::sweep_points(); ++i) {
-    ps.push_back(analysis::sweep_p(i));
-  }
-  spec.grid = runner::make_grid(populations, ps, options.scenario.range);
-  spec.trials = options.runner.trials_or(
-      runner::is_full_stack(kind) ? 2000 : 100000);
-  spec.seed = options.runner.seed_or(1);
-
-  const std::string out =
-      options.runner.out.empty() ? std::string("-") : options.runner.out;
-  runner::JsonlResultSink sink(out, !options.runner.no_wall_time);
-  if (!sink.ok()) {
-    std::fprintf(stderr, "cannot open --out %s\n", out.c_str());
-    return 2;
-  }
-  runner::ThreadPool pool(unsigned(options.runner.threads));
-  runner::run_experiment(spec, pool, &sink);
-  return 0;
 }
 
 /// Poisson sample by inversion (rates here are small).
@@ -166,7 +108,6 @@ std::uint64_t poisson(double lambda, Rng& rng) {
 
 int main(int argc, char** argv) {
   CliOptions options = parse(argc, argv);
-  if (!options.mc_figure.empty()) return run_monte_carlo(options);
 
   Scenario scenario(options.scenario);
   FrameTracer tracer;

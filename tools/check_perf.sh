@@ -3,11 +3,12 @@
 #
 # Builds a Release tree and a ThreadSanitizer tree, runs the smoke-sized
 # bench_kernel study under both (catching crashes, CFDS_EXPECT aborts, and
-# data races on the schedule/cancel/fire paths), then checks that the fig5
-# Monte-Carlo JSONL is byte-identical across thread counts AND across event
-# queue implementations (calendar queue vs the --no-calendar binary heap),
-# and finally gates the megascale n=10^5 decade (events/s floor, bytes/node
-# ceiling) against the committed BENCH_megascale.json baseline.
+# data races on the schedule/cancel/fire paths), then checks that Figure 5's
+# JSONL, whose full-stack spot checks run on the event queue, matches the
+# committed golden at --threads 8 on the calendar queue AND on the
+# --no-calendar binary heap, and finally gates the megascale n=10^5 decade
+# (events/s floor, bytes/node ceiling) against the committed
+# BENCH_megascale.json baseline.
 #
 # Usage: tools/check_perf.sh [build-dir-prefix]
 #   Build trees land in <prefix>-release/ and <prefix>-tsan/
@@ -23,7 +24,7 @@ build() {
   shift
   echo "== configure + build $dir"
   cmake -B "$dir" -S . "$@" >/dev/null
-  cmake --build "$dir" -j "$(nproc)" --target bench_kernel cfds_cli >/dev/null
+  cmake --build "$dir" -j "$(nproc)" --target bench_kernel bench_figures >/dev/null
 }
 
 build "$prefix-release" -DCMAKE_BUILD_TYPE=Release
@@ -38,34 +39,25 @@ echo "== smoke bench (ThreadSanitizer)"
 "./$prefix-tsan/bench/bench_kernel" --trials 10 \
     --benchmark_filter=SKIPALL >/dev/null
 
-echo "== determinism: fig5 JSONL at --threads 1 vs --threads 8"
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
-for threads in 1 8; do
-  "./$prefix-release/tools/cfds_cli" --mc fig5 --cluster-n 20,30 \
-      --trials 4000 --threads "$threads" --seed 7 --no-wall-time \
-      --out "$tmp/fig5.t$threads.jsonl"
+golden=tests/golden/figures/fig5.jsonl
+for queue in "" --no-calendar; do
+  echo "== determinism: fig5 JSONL at --threads 8 $queue vs $golden"
+  "./$prefix-release/bench/bench_figures" fig5 --trials 4000 --seed 7 \
+      --threads 8 --no-wall-time $queue --benchmark_filter=SKIPALL \
+      --out "$tmp/fig5.jsonl" >/dev/null
+  if ! cmp -s "$golden" "$tmp/fig5.jsonl"; then
+    echo "FAIL: fig5 JSONL $queue differs from the golden" >&2
+    diff "$golden" "$tmp/fig5.jsonl" >&2 || true
+    exit 1
+  fi
 done
-if ! cmp -s "$tmp/fig5.t1.jsonl" "$tmp/fig5.t8.jsonl"; then
-  echo "FAIL: fig5 JSONL differs between thread counts" >&2
-  diff "$tmp/fig5.t1.jsonl" "$tmp/fig5.t8.jsonl" >&2 || true
-  exit 1
-fi
-
-echo "== determinism: fig5 JSONL calendar queue vs --no-calendar heap"
-"./$prefix-release/tools/cfds_cli" --mc fig5 --cluster-n 20,30 \
-    --trials 4000 --threads 8 --seed 7 --no-wall-time --no-calendar \
-    --out "$tmp/fig5.heap.jsonl"
-if ! cmp -s "$tmp/fig5.t8.jsonl" "$tmp/fig5.heap.jsonl"; then
-  echo "FAIL: fig5 JSONL differs between calendar and heap queues" >&2
-  diff "$tmp/fig5.t8.jsonl" "$tmp/fig5.heap.jsonl" >&2 || true
-  exit 1
-fi
 
 echo "== megascale: n=10^5 decade vs committed BENCH_megascale.json"
 "./$prefix-release/bench/bench_megascale" --max-nodes 100000 \
     --threads 1 --out "$tmp/megascale.jsonl" --no-wall-time
 python3 tools/check_megascale.py --fresh "$tmp/megascale.jsonl"
 
-echo "OK: smoke benches passed, fig5 JSONL byte-identical across threads" \
-     "and queue implementations, megascale within floor/ceiling"
+echo "OK: smoke benches passed, fig5 JSONL matches the golden on both" \
+     "queue implementations, megascale within floor/ceiling"

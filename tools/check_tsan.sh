@@ -5,25 +5,24 @@
 # crosses threads — the runner/executor/thread-pool tests, the event-kernel
 # and fault/chaos suites they drive, the transport-seam tests plus a
 # 16-thread loopback soak (concurrent senders vs. draining owners, the
-# threading contract in src/transport/loopback.h), and a multi-threaded
-# bench_fig5 smoke — then checks that the fig5 JSONL stays byte-identical
-# across thread counts. Any reported race fails the script (halt_on_error).
+# threading contract in src/transport/loopback.h), and Figure 5 (semantic
+# sweep plus full-stack spot checks) at --threads 8, whose JSONL must match
+# the committed golden byte for byte. Any reported race fails the script
+# (halt_on_error).
 #
-# Usage: tools/check_tsan.sh [build-dir] [trials]
-#   (defaults: build-tsan, 4000)
+# Usage: tools/check_tsan.sh [build-dir]   (default: build-tsan)
 
 set -eu
 
 cd "$(dirname "$0")/.."
 dir="${1:-build-tsan}"
-trials="${2:-4000}"
 
 echo "== configure + build $dir (ThreadSanitizer)"
 cmake -B "$dir" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCFDS_SANITIZE=thread >/dev/null
 cmake --build "$dir" -j "$(nproc)" \
-    --target test_runner test_simulator test_fault test_transport cfds_cli \
-             soak_harness bench_fig5_false_detection >/dev/null
+    --target test_runner test_simulator test_fault test_transport \
+             soak_harness bench_figures >/dev/null
 
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 
@@ -45,22 +44,16 @@ echo "== loopback soak under TSan (adaptive + checkpointed recovery)"
     --phi-ms 400 --warmup 2 --quiesce 5 --seed 11 --chaos full \
     --loss-p 0.05 --adaptive --checkpoint
 
-echo "== multi-threaded bench_fig5 smoke (--threads 8)"
+echo "== Figure 5 at --threads 8 vs tests/golden/figures/fig5.jsonl"
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
-"$dir/bench/bench_fig5_false_detection" --trials "$trials" --threads 8 \
-    --seed 7 --no-wall-time --out "$tmp/fig5.bench.jsonl" >/dev/null
-
-echo "== determinism under TSan: fig5 JSONL at --threads 1 vs 8"
-for threads in 1 8; do
-  "$dir/tools/cfds_cli" --mc fig5 --cluster-n 20,30 \
-      --trials "$trials" --threads "$threads" --seed 7 --no-wall-time \
-      --out "$tmp/fig5.t$threads.jsonl" >/dev/null
-done
-if ! cmp -s "$tmp/fig5.t1.jsonl" "$tmp/fig5.t8.jsonl"; then
-  echo "FAIL: fig5 JSONL differs between thread counts" >&2
-  diff "$tmp/fig5.t1.jsonl" "$tmp/fig5.t8.jsonl" >&2 || true
+"$dir/bench/bench_figures" fig5 --trials 4000 --seed 7 --threads 8 \
+    --no-wall-time --benchmark_filter=SKIPALL --out "$tmp/fig5.jsonl" \
+    >/dev/null
+if ! cmp -s tests/golden/figures/fig5.jsonl "$tmp/fig5.jsonl"; then
+  echo "FAIL: fig5 JSONL differs from the golden" >&2
+  diff tests/golden/figures/fig5.jsonl "$tmp/fig5.jsonl" >&2 || true
   exit 1
 fi
 
-echo "OK: no races reported, fig5 JSONL byte-identical across threads"
+echo "OK: no races reported, fig5 JSONL matches the golden"
