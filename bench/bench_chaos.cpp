@@ -2,9 +2,10 @@
 //
 // Each trial generates a random FaultPlan from its seed, drives a ~10-cluster
 // deployment through warmup / fault / quiescence phases (fault/chaos.h), and
-// checks the eventual-consistency invariants I1-I5 (fault/oracle.h). The
-// campaign fans trials across the thread pool but emits results in trial
-// order, so the JSONL stream is byte-identical for any --threads value.
+// checks the invariants I1-I5 and I-V1/I-V6/I-V7 (fault/oracle.h; the table
+// is in docs/FAULTS.md). The campaign fans trials across the thread pool but
+// emits results in trial order, so the JSONL stream is byte-identical for any
+// --threads value.
 //
 // Modes (on top of the uniform runner flags):
 //
@@ -29,7 +30,9 @@
 //
 // Failing trials always get their plan written to plan_<seed>.fail.jsonl
 // (under --dump-plans DIR if given, else the working directory) so a
-// violation found in CI replays locally byte for byte.
+// violation found in CI replays locally byte for byte, and the snapshots the
+// oracle judged — one Snapshot JSON line per node, with its position — to
+// snapshots_<seed>.fail.jsonl next to it.
 
 #include <benchmark/benchmark.h>
 
@@ -56,27 +59,36 @@ FILE* open_lines_out(const std::string& path) {
   return file;
 }
 
-void write_plan_file(const std::string& dir, const fault::FaultPlan& plan,
-                     std::uint64_t seed, bool failing) {
+/// Writes `text` to DIR/<prefix>_<seed>[.fail].jsonl.
+void write_trial_file(const std::string& dir, const char* prefix,
+                      std::uint64_t seed, bool failing,
+                      const std::string& text) {
   char name[128];
-  std::snprintf(name, sizeof name, "plan_%llu%s.jsonl",
+  std::snprintf(name, sizeof name, "%s_%llu%s.jsonl", prefix,
                 static_cast<unsigned long long>(seed), failing ? ".fail" : "");
   const std::string path = (dir.empty() ? std::string(".") : dir) + "/" + name;
   FILE* file = std::fopen(path.c_str(), "w");
   if (file == nullptr) {
-    std::fprintf(stderr, "cannot write plan to %s\n", path.c_str());
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
     return;
   }
-  const std::string text = plan.to_jsonl();
   std::fwrite(text.data(), 1, text.size(), file);
   std::fclose(file);
 }
 
+void print_violations(const fault::ChaosResult& result,
+                      const char* arm = "") {
+  for (const InvariantViolation& v : result.violations) {
+    std::fprintf(stderr, "%s%sseed %llu VIOLATION %s: %s\n", arm,
+                 *arm != '\0' ? " " : "",
+                 static_cast<unsigned long long>(result.seed), v.invariant,
+                 v.detail.c_str());
+  }
+}
+
 int report_single(const fault::ChaosResult& result) {
   std::printf("%s\n", result.summary_json().c_str());
-  for (const std::string& v : result.violations) {
-    std::fprintf(stderr, "VIOLATION %s\n", v.c_str());
-  }
+  print_violations(result);
   return result.passed() ? 0 : 1;
 }
 
@@ -134,10 +146,7 @@ int run_rejoin_compare(fault::ChaosConfig config, long trials,
     for (const fault::ChaosResult& r : results) {
       if (!r.passed()) {
         ++violated;
-        for (const std::string& v : r.violations) {
-          std::fprintf(stderr, "%s seed %llu VIOLATION %s\n", arm,
-                       static_cast<unsigned long long>(r.seed), v.c_str());
-        }
+        print_violations(r, arm);
       }
       rejoins += r.rejoins;
       pending += r.rejoin_pending;
@@ -185,13 +194,14 @@ int run_campaign(const fault::ChaosConfig& config, long trials,
     std::fprintf(out, "%s\n", result.summary_json().c_str());
     if (!result.passed()) {
       ++failed;
-      for (const std::string& v : result.violations) {
-        std::fprintf(stderr, "seed %llu VIOLATION %s\n",
-                     static_cast<unsigned long long>(result.seed), v.c_str());
-      }
+      print_violations(result);
+      std::string lines;
+      for (const Snapshot& s : result.snapshots) lines += s.to_json() + "\n";
+      write_trial_file(dump_dir, "snapshots", result.seed, true, lines);
     }
     if (dump_all || !result.passed()) {
-      write_plan_file(dump_dir, result.plan, result.seed, !result.passed());
+      write_trial_file(dump_dir, "plan", result.seed, !result.passed(),
+                       result.plan.to_jsonl());
     }
   }
   if (out != stdout) std::fclose(out);

@@ -198,7 +198,7 @@ bool CheckWorld::crossing(std::uint64_t epoch, std::uint32_t barrier) {
   if (violation_) return false;
   round_actions(epoch, barrier);
   if (violation_) return false;
-  check_invariants(epoch, barrier);
+  check_invariants();
   if (violation_) return false;
   if (!forced_ && !sink_.note_state(fingerprint(epoch, barrier))) {
     pruned_ = true;
@@ -452,55 +452,17 @@ void CheckWorld::round_actions(std::uint64_t epoch, std::uint32_t barrier) {
   }
 }
 
-void CheckWorld::check_invariants(std::uint64_t epoch, std::uint32_t barrier) {
-  (void)epoch;
-  (void)barrier;
+void CheckWorld::check_invariants() {
+  // Sized at the first crossing, not in the constructor (most explored runs
+  // are pruned early); the snapshots' vectors are reused after that.
+  snapshots_.resize(opts_.nodes);
   for (std::uint32_t i = 0; i < opts_.nodes; ++i) {
     if (!nodes_[i]->alive()) continue;
-    const FdsAgent& a = *agents_[i];
-    const std::string who = "node " + std::to_string(i);
-
-    if (a.log().knows(NodeId{i})) {
-      flag("I-V7", who + " lists itself in its own failure log");
-    }
-
-    const ClusterRef cl = a.view().cluster();
-    if (!cl) {
-      if (nodes_[i]->marked()) flag("I-V1", who + ": marked but unaffiliated");
-      continue;
-    }
-    const ClusterView& c = *cl;
-    if (a.view().is_clusterhead() && !nodes_[i]->marked()) {
-      flag("I-V1", who + ": acting clusterhead but unmarked");
-    }
-    if (contains(c.members, c.clusterhead)) {
-      flag("I-V1", who + ": clusterhead listed as a member");
-    }
-    if (contains(c.deputies, c.clusterhead)) {
-      flag("I-V1", who + ": clusterhead listed as a deputy");
-    }
-    for (NodeId d : c.deputies) {
-      if (!contains(c.members, d)) {
-        flag("I-V1", who + ": deputy " + nid(d) + " is not a member");
-      }
-    }
-    for (std::size_t x = 0; x < c.members.size(); ++x) {
-      for (std::size_t y = x + 1; y < c.members.size(); ++y) {
-        if (c.members[x] == c.members[y]) {
-          flag("I-V1", who + ": duplicate member " + nid(c.members[x]));
-        }
-      }
-    }
-    if (c.clusterhead != NodeId{i} && !contains(c.members, NodeId{i})) {
-      flag("I-V1", who + ": affiliated but missing from its own roster");
-    }
-    if (a.view().is_clusterhead()) {
-      for (NodeId m : c.members) {
-        if (a.log().knows(m)) {
-          flag("I-V6", who + ": expects member " + nid(m) +
-                           " it also records as failed");
-        }
-      }
+    fill_snapshot(*agents_[i], *nodes_[i], snapshots_[i]);
+    std::vector<InvariantViolation> found = check_view(snapshots_[i]);
+    if (!found.empty()) {
+      flag(found.front().invariant, std::move(found.front().detail));
+      return;
     }
   }
 }

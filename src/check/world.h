@@ -15,9 +15,9 @@
 // Between choices the world checks safety properties:
 //
 //   I-V1  structural sanity of every alive agent's view (marked implies
-//         affiliated, CH not in its own member/deputy lists, deputies are
-//         members, no duplicate members, an affiliated node appears in its
-//         own roster)
+//         affiliated, an acting CH is marked, CH not in its own
+//         member/deputy lists, deputies are members, no duplicate members,
+//         an affiliated node appears in its own roster)
 //   I-V2  rival-head arbitration: an acting head that hears a direct
 //         same-cluster update from a lower-NID head must not still be head
 //         afterwards (delivery obligation)
@@ -30,6 +30,10 @@
 //         regresses the holder's stored (epoch, seq) (delivery obligation)
 //   I-V6  an acting CH's roster and failure log are disjoint
 //   I-V7  no node's failure log lists the node itself
+//
+// I-V1, I-V6 and I-V7 are check_view (fds/snapshot.h), the view-local part of
+// the invariant library the chaos oracle and the soak harness also run; the
+// table is in docs/FAULTS.md.
 //
 // plus, at the end of the bounded schedule, a quiescence probe: with all
 // nondeterminism forced benign (no faults, no drops, canonical order) the
@@ -65,6 +69,7 @@
 #include "event/simulator.h"
 #include "fds/agent.h"
 #include "fds/config.h"
+#include "fds/snapshot.h"
 #include "net/node.h"
 #include "transport/transport.h"
 
@@ -264,7 +269,8 @@ class CheckWorld {
   void resolve_pool(std::uint64_t epoch, std::uint32_t barrier);
   void fault_point(std::uint64_t epoch, std::uint32_t barrier);
   void round_actions(std::uint64_t epoch, std::uint32_t barrier);
-  void check_invariants(std::uint64_t epoch, std::uint32_t barrier);
+  /// The view checks I-V7/I-V1/I-V6 (fds/snapshot.h) on every alive agent.
+  void check_invariants();
   [[nodiscard]] std::uint64_t fingerprint(std::uint64_t epoch,
                                           std::uint32_t barrier);
 
@@ -316,6 +322,8 @@ class CheckWorld {
   /// update delivered to receiver — the deputy-rule side of the I-V3
   /// oracle (a deputy that heard its CH's update must not declare it).
   std::vector<std::uint64_t> sched_upd_;
+  /// Per-node snapshots for the view checks, reused across crossings.
+  std::vector<Snapshot> snapshots_;
 
   std::uint32_t drops_left_ = 0;
   std::uint32_t crashes_left_ = 0;

@@ -122,7 +122,9 @@ ChaosResult replay_chaos_trial(const ChaosConfig& config, std::uint64_t seed,
   ChaosResult result;
   result.seed = seed;
   result.plan = plan;
-  result.violations = ChaosOracle::check(scenario);
+  std::vector<Snapshot> snapshots;
+  result.violations = ChaosOracle::check(scenario, snapshots);
+  if (!result.passed()) result.snapshots = std::move(snapshots);
   result.alive = scenario.network().alive_count();
   result.clusters = scenario.cluster_count();
   result.affiliation = scenario.affiliation_rate();

@@ -9,10 +9,12 @@
 //               perfect links; the protocol gets several executions to
 //               reconverge
 //
-// After quiescence the ChaosOracle checks the eventual-consistency
-// invariants (oracle.h). Everything is derived from the trial seed, so a
-// failing (seed, plan) pair replays byte for byte: log the plan, reload it,
-// re-run, debug.
+// After quiescence the ChaosOracle snapshots every node and checks the
+// eventual-consistency invariants I1-I5 and I-V1/I-V6/I-V7 under geometric
+// reach (oracle.h, fds/snapshot.h). Everything is derived from the trial
+// seed, so a failing (seed, plan) pair replays byte for byte: log the plan,
+// reload it, re-run, debug — a failing trial also keeps the snapshots the
+// oracle judged.
 
 #pragma once
 
@@ -22,6 +24,7 @@
 #include <vector>
 
 #include "fault/fault_plan.h"
+#include "fds/snapshot.h"
 #include "radio/loss_model.h"
 
 namespace cfds::fault {
@@ -84,7 +87,10 @@ struct ChaosConfig {
 struct ChaosResult {
   std::uint64_t seed = 0;
   FaultPlan plan;
-  std::vector<std::string> violations;
+  std::vector<InvariantViolation> violations;
+  /// The snapshots the oracle judged, one per node with its position; kept
+  /// only when the trial failed.
+  std::vector<Snapshot> snapshots;
   std::size_t alive = 0;
   std::size_t clusters = 0;
   double affiliation = 0.0;

@@ -1,178 +1,23 @@
 #include "fault/oracle.h"
 
-#include <algorithm>
-#include <cstdio>
-#include <map>
-
-#include "common/flat.h"
 #include "common/geometry.h"
 
 namespace cfds::fault {
 
-namespace {
-
-// fmt is always a literal at the call sites in this file; the variadic
-// template hides that from -Wformat-nonliteral.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wformat-nonliteral"
-void report(std::vector<std::string>& out, const char* fmt, auto... args) {
-  char buffer[256];
-  std::snprintf(buffer, sizeof buffer, fmt, args...);
-  out.emplace_back(buffer);
-}
-#pragma GCC diagnostic pop
-
-}  // namespace
-
-std::vector<std::string> ChaosOracle::check(Scenario& scenario) {
-  std::vector<std::string> violations;
+std::vector<InvariantViolation> ChaosOracle::check(
+    Scenario& scenario, std::vector<Snapshot>& snapshots) {
   Network& net = scenario.network();
-  const auto views = scenario.views();
+  snapshots.clear();
+  for (Node* node : net.nodes()) {
+    Snapshot& s = snapshots.emplace_back();
+    fill_snapshot(scenario.fds().agent_for(node->id()), *node, s);
+    s.position = node->position();
+  }
   const double range = net.config().channel.range;
-
-  const auto alive = [&](NodeId id) {
-    return net.has_node(id) && net.node(id).alive();
-  };
-  // Participating = alive and not voluntarily departed; only these nodes owe
-  // the group any consistency.
-  const auto participating = [&](NodeId id) {
-    return alive(id) && !scenario.fds().agent_for(id).has_left();
-  };
-
-  // Acting clusterheads per referenced cluster. Ordered map: I4 below
-  // iterates it, and violation report order must be replay-stable.
-  std::map<std::uint32_t, std::vector<NodeId>> acting_chs;
-  FlatSet<std::uint32_t> referenced;
-  for (Node* node : net.nodes()) {
-    if (!participating(node->id())) continue;
-    const MembershipView& view = *views[node->id().value()];
-    if (!view.affiliated()) continue;
-    referenced.insert(view.cluster()->id.value());
-    if (view.is_clusterhead()) {
-      acting_chs[view.cluster()->id.value()].push_back(node->id());
-    }
-  }
-
-  // I1: exactly one acting CH per referenced cluster. A cluster split into
-  // disconnected radio components by failures can legitimately end with one
-  // head per component — two heads are a violation only if they are within
-  // range of each other (in contact, they must have resolved the conflict).
-  for (std::uint32_t cid : referenced) {
-    const auto it = acting_chs.find(cid);
-    if (it == acting_chs.end()) {
-      report(violations, "I1: cluster %u has 0 acting clusterheads", cid);
-      continue;
-    }
-    const auto& heads = it->second;
-    for (std::size_t a = 0; a < heads.size(); ++a) {
-      for (std::size_t b = a + 1; b < heads.size(); ++b) {
-        if (distance(net.node(heads[a]).position(),
-                     net.node(heads[b]).position()) <= range) {
-          report(violations,
-                 "I1: cluster %u has acting clusterheads %u and %u in "
-                 "mutual range",
-                 cid, heads[a].value(), heads[b].value());
-        }
-      }
-    }
-  }
-
-  for (Node* node : net.nodes()) {
-    const NodeId id = node->id();
-    if (!participating(id)) continue;
-    const MembershipView& view = *views[id.value()];
-
-    // I2: marked => affiliated, CH alive + acting, and CH lists us.
-    if (node->marked() && !view.affiliated()) {
-      report(violations, "I2: node %u is marked but unaffiliated", id.value());
-    }
-    if (view.affiliated() && !view.is_clusterhead()) {
-      const ClusterView& cluster = *view.cluster();
-      const NodeId head = cluster.clusterhead;
-      if (!alive(head)) {
-        report(violations, "I2: node %u follows dead clusterhead %u",
-               id.value(), head.value());
-      } else {
-        const MembershipView& head_view = *views[head.value()];
-        if (!head_view.is_clusterhead() ||
-            head_view.cluster()->id != cluster.id) {
-          report(violations,
-                 "I2: node %u follows node %u which is not acting "
-                 "clusterhead of cluster %u",
-                 id.value(), head.value(), cluster.id.value());
-        } else if (!head_view.cluster()->is_member(id)) {
-          report(violations,
-                 "I2: clusterhead %u does not list follower %u as a member",
-                 head.value(), id.value());
-        }
-      }
-    }
-
-    // I3: our failure log must not name an alive same-cluster node that our
-    // own clusterhead can hear — its heartbeat refutes the entry and the
-    // erase propagates through the CH's cumulative updates. An alive node in
-    // a disconnected component of a split cluster is beyond evidence's reach
-    // and exempt.
-    if (view.affiliated()) {
-      const NodeId my_head = view.cluster()->clusterhead;
-      const FailureLog& log = scenario.fds().agent_for(id).log();
-      for (NodeId failed : log.known_failed()) {
-        if (!participating(failed)) continue;
-        const MembershipView& failed_view = *views[failed.value()];
-        if (failed_view.affiliated() &&
-            failed_view.cluster()->id == view.cluster()->id &&
-            alive(my_head) &&
-            distance(net.node(failed).position(),
-                     net.node(my_head).position()) <= range) {
-          report(violations,
-                 "I3: node %u's failure log names alive cluster-mate %u "
-                 "within its clusterhead's range",
-                 id.value(), failed.value());
-        }
-      }
-    }
-
-    // I4: an unaffiliated node with an acting CH in range must have been
-    // re-admitted by now.
-    if (!view.affiliated() && !node->marked()) {
-      for (const auto& [cid, heads] : acting_chs) {
-        for (NodeId head : heads) {
-          if (distance(node->position(), net.node(head).position()) <=
-              range) {
-            report(violations,
-                   "I4: node %u is unaffiliated with acting clusterhead %u "
-                   "in range",
-                   id.value(), head.value());
-            goto next_node;  // one report per node is enough
-          }
-        }
-      }
-    next_node:;
-    }
-
-    // I5: dead nodes must have been purged from every view.
-    if (view.affiliated()) {
-      const ClusterView& cluster = *view.cluster();
-      if (!alive(cluster.clusterhead)) {
-        report(violations, "I5: node %u's view keeps dead clusterhead %u",
-               id.value(), cluster.clusterhead.value());
-      }
-      for (NodeId m : cluster.members) {
-        if (net.has_node(m) && !net.node(m).alive()) {
-          report(violations, "I5: node %u's view keeps dead member %u",
-                 id.value(), m.value());
-        }
-      }
-      for (NodeId d : cluster.deputies) {
-        if (net.has_node(d) && !net.node(d).alive()) {
-          report(violations, "I5: node %u's view keeps dead deputy %u",
-                 id.value(), d.value());
-        }
-      }
-    }
-  }
-
-  return violations;
+  return check_invariants(snapshots, [range](const Snapshot& a,
+                                             const Snapshot& b) {
+    return distance(*a.position, *b.position) <= range;
+  });
 }
 
 }  // namespace cfds::fault

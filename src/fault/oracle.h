@@ -1,47 +1,37 @@
 // Post-execution invariant oracle for chaos campaigns.
 //
 // After a chaos trial's quiescence phase (all fault windows closed, links
-// perfect for several executions) the deployment must have reconverged; the
-// oracle walks every node's state and checks the eventual-consistency
-// invariants below. Violations are returned as human-readable strings — an
-// empty vector means the trial passed.
-//
-//   I1  every cluster referenced by an alive affiliated node has an acting
-//       clusterhead, and no two acting clusterheads of the same cluster are
-//       within range of each other (a cluster split into disconnected radio
-//       components may keep one head per component; heads in contact must
-//       have resolved the conflict)
-//   I2  membership is consistent: an alive marked node is affiliated, its
-//       clusterhead is alive and acting for the same cluster, and that
-//       clusterhead lists the node as a member
-//   I3  no alive same-cluster node within the clusterhead's range appears in
-//       a node's failure log (no permanent zombies after crash-recovery;
-//       nodes in a disconnected component are beyond evidence's reach and
-//       exempt)
-//   I4  an alive unmarked node with an alive acting clusterhead in radio
-//       range is affiliated (F5 subscription must eventually succeed)
-//   I5  dead nodes appear in no alive node's view (clusterhead, members,
-//       or deputies)
-//
-// The oracle is scoped to what the protocol can actually guarantee: nodes
-// that voluntarily left (announce_leave) are exempt, and I4 only obliges
-// nodes that have an acting clusterhead within range — a node isolated by
-// geometry is allowed to stay unaffiliated.
+// perfect for several executions) the deployment must have reconverged. The
+// oracle snapshots every node with its position and runs the one invariant
+// library, check_invariants (fds/snapshot.h: I1-I5 plus the view checks
+// I-V1/I-V6/I-V7), with geometric reach: two nodes reach each other when
+// they are within channel range. That scopes the checks to what the protocol
+// can guarantee — a cluster split into disconnected components may keep one
+// head per component, and a node with no acting head in range may stay
+// unaffiliated. The table is in docs/FAULTS.md.
 
 #pragma once
 
-#include <string>
 #include <vector>
 
+#include "fds/snapshot.h"
 #include "sim/scenario.h"
 
 namespace cfds::fault {
 
 class ChaosOracle {
  public:
-  /// Checks invariants I1-I5 against the deployment's current state.
-  /// Returns one message per violation; empty means all invariants hold.
-  [[nodiscard]] static std::vector<std::string> check(Scenario& scenario);
+  /// Snapshots every node of the deployment into `snapshots` (one per
+  /// node, with its position) and checks the invariants against them. Empty
+  /// means all invariants hold.
+  [[nodiscard]] static std::vector<InvariantViolation> check(
+      Scenario& scenario, std::vector<Snapshot>& snapshots);
+
+  [[nodiscard]] static std::vector<InvariantViolation> check(
+      Scenario& scenario) {
+    std::vector<Snapshot> snapshots;
+    return check(scenario, snapshots);
+  }
 };
 
 }  // namespace cfds::fault

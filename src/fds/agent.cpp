@@ -474,7 +474,10 @@ void FdsAgent::deputy_check() {
 }
 
 void FdsAgent::evaluate_ch_failure() {
-  if (!node_.alive() || !view_.affiliated()) return;
+  // An unmarked deputy was itself declared failed: it is re-subscribing
+  // (F5), and taking over now would make an acting head that only ever
+  // sends unmarked heartbeats.
+  if (!node_.alive() || !view_.affiliated() || !node_.marked()) return;
 #ifndef CFDS_MUTATION_DEPUTY_IGNORES_CH_UPDATE
   if (got_scheduled_update_) return;  // the CH (or a higher deputy) spoke
   evidence_.ch_update_heard = got_scheduled_update_;

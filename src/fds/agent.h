@@ -104,7 +104,7 @@ class FdsAgent {
   [[nodiscard]] std::uint64_t current_epoch() const { return epoch_; }
 
   /// Lifetime send counters and the pending subscription set — diagnostics
-  /// for service-mode post-mortems (see service::AgentStatus), never
+  /// carried by the Snapshot (fds/snapshot.h) for soak post-mortems, never
   /// protocol inputs.
   [[nodiscard]] std::uint64_t heartbeats_sent() const {
     return heartbeats_sent_;

@@ -62,6 +62,15 @@ class FailureLog {
     return out;
   }
 
+  /// Appends the known-failed NIDs, ascending, to `out` as plain integers
+  /// (the Snapshot form). Allocation-free while `out` has the capacity.
+  void append_known_failed(std::vector<std::uint32_t>& out) const {
+    for (const auto& [nid, entry] : entries_) {
+      (void)entry;
+      out.push_back(nid.value());
+    }
+  }
+
  private:
   // LINT-FINGERPRINT: members below must be covered (mixed or FP-EXEMPT'd)
   // in src/check/fingerprint.cpp — rule state-outside-fingerprint.

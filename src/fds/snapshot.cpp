@@ -1,0 +1,412 @@
+#include "fds/snapshot.h"
+
+#include <algorithm>
+#include <charconv>
+#include <cstdio>
+#include <sstream>
+
+#include "fds/agent.h"
+#include "net/node.h"
+
+namespace cfds {
+
+namespace {
+
+/// Writes `,"key":[v0,v1,...]`.
+void append_list(std::ostringstream& os, const char* key,
+                 const std::vector<std::uint32_t>& values) {
+  os << ",\"" << key << "\":[";
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (i != 0) os << ",";
+    os << values[i];
+  }
+  os << "]";
+}
+
+void append_double(std::ostringstream& os, const char* key, double value) {
+  char buffer[32];
+  const auto [end, ec] = std::to_chars(buffer, buffer + sizeof buffer, value);
+  (void)ec;  // 32 bytes hold any shortest round-trip double
+  os << ",\"" << key << "\":"
+     << std::string_view(buffer, std::size_t(end - buffer));
+}
+
+/// Finds `"key":` in `line` and returns the offset just past the colon,
+/// or npos. Keys in this format are unique and never appear inside values
+/// (values are numbers, booleans, and integer arrays only).
+std::size_t value_offset(const std::string& line, const std::string& key) {
+  const std::string needle = "\"" + key + "\":";
+  const std::size_t at = line.find(needle);
+  if (at == std::string::npos) return std::string::npos;
+  return at + needle.size();
+}
+
+bool parse_bool(const std::string& line, const std::string& key, bool* out) {
+  const std::size_t at = value_offset(line, key);
+  if (at == std::string::npos) return false;
+  if (line.compare(at, 4, "true") == 0) {
+    *out = true;
+    return true;
+  }
+  if (line.compare(at, 5, "false") == 0) {
+    *out = false;
+    return true;
+  }
+  return false;
+}
+
+bool parse_u64(const std::string& line, const std::string& key,
+               std::uint64_t* out) {
+  const std::size_t at = value_offset(line, key);
+  if (at == std::string::npos) return false;
+  std::size_t end = at;
+  while (end < line.size() && line[end] >= '0' && line[end] <= '9') ++end;
+  if (end == at) return false;
+  *out = std::stoull(line.substr(at, end - at));
+  return true;
+}
+
+bool parse_u32(const std::string& line, const std::string& key,
+               std::uint32_t* out) {
+  std::uint64_t v = 0;
+  if (!parse_u64(line, key, &v) || v > 0xFFFFFFFFULL) return false;
+  *out = static_cast<std::uint32_t>(v);
+  return true;
+}
+
+bool parse_double(const std::string& line, const std::string& key,
+                  double* out) {
+  const std::size_t at = value_offset(line, key);
+  if (at == std::string::npos) return false;
+  const char* end = line.data() + line.size();
+  return std::from_chars(line.data() + at, end, *out).ec == std::errc{};
+}
+
+bool parse_list(const std::string& line, const std::string& key,
+                std::vector<std::uint32_t>* out) {
+  std::size_t at = value_offset(line, key);
+  if (at == std::string::npos || at >= line.size() || line[at] != '[') {
+    return false;
+  }
+  ++at;
+  out->clear();
+  while (at < line.size() && line[at] != ']') {
+    std::size_t end = at;
+    while (end < line.size() && line[end] >= '0' && line[end] <= '9') ++end;
+    if (end == at) return false;
+    out->push_back(
+        static_cast<std::uint32_t>(std::stoul(line.substr(at, end - at))));
+    at = end;
+    if (at < line.size() && line[at] == ',') ++at;
+  }
+  return at < line.size() && line[at] == ']';
+}
+
+[[nodiscard]] const char* json_bool(bool b) { return b ? "true" : "false"; }
+
+[[nodiscard]] bool contains(const std::vector<std::uint32_t>& v,
+                            std::uint32_t x) {
+  return std::find(v.begin(), v.end(), x) != v.end();
+}
+
+using Violations = std::vector<InvariantViolation>;
+
+// fmt is always a literal at the call sites in this file; the variadic
+// template hides that from -Wformat-nonliteral. The detail string is built
+// only here, so a passing check costs no allocation.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wformat-nonliteral"
+void report(Violations& out, const char* invariant, const char* fmt,
+            auto... args) {
+  char buffer[160];
+  std::snprintf(buffer, sizeof buffer, fmt, args...);
+  out.push_back({invariant, buffer});
+}
+#pragma GCC diagnostic pop
+
+void view_checks(const Snapshot& s, Violations& out) {
+  const std::uint32_t n = s.node;
+  if (contains(s.failed, n)) {
+    report(out, "I-V7", "node %u lists itself in its own failure log", n);
+  }
+  if (!s.affiliated) {
+    if (s.marked) report(out, "I-V1", "node %u: marked but unaffiliated", n);
+    return;
+  }
+  if (s.is_clusterhead && !s.marked) {
+    report(out, "I-V1", "node %u: acting clusterhead but unmarked", n);
+  }
+  if (contains(s.members, s.clusterhead)) {
+    report(out, "I-V1", "node %u: clusterhead listed as a member", n);
+  }
+  if (contains(s.deputies, s.clusterhead)) {
+    report(out, "I-V1", "node %u: clusterhead listed as a deputy", n);
+  }
+  for (std::uint32_t d : s.deputies) {
+    if (!contains(s.members, d)) {
+      report(out, "I-V1", "node %u: deputy %u is not a member", n, d);
+    }
+  }
+  for (std::size_t x = 0; x < s.members.size(); ++x) {
+    for (std::size_t y = x + 1; y < s.members.size(); ++y) {
+      if (s.members[x] == s.members[y]) {
+        report(out, "I-V1", "node %u: duplicate member %u", n, s.members[x]);
+      }
+    }
+  }
+  if (s.clusterhead != n && !contains(s.members, n)) {
+    report(out, "I-V1", "node %u: affiliated but missing from its own roster",
+           n);
+  }
+  if (s.is_clusterhead) {
+    for (std::uint32_t m : s.members) {
+      if (contains(s.failed, m)) {
+        report(out, "I-V6",
+               "node %u: expects member %u it also records as failed", n, m);
+      }
+    }
+  }
+}
+
+}  // namespace
+
+std::string Snapshot::to_json() const {
+  std::ostringstream os;
+  os << "{\"node\":" << node << ",\"alive\":" << json_bool(alive)
+     << ",\"marked\":" << json_bool(marked)
+     << ",\"affiliated\":" << json_bool(affiliated)
+     << ",\"ch\":" << json_bool(is_clusterhead)
+     << ",\"left\":" << json_bool(left) << ",\"cluster\":" << cluster
+     << ",\"clusterhead\":" << clusterhead << ",\"epoch\":" << epoch;
+  append_list(os, "members", members);
+  append_list(os, "deputies", deputies);
+  append_list(os, "failed", failed);
+  os << ",\"updates_overheard\":" << updates_overheard
+     << ",\"admit_offers\":" << admit_offers
+     << ",\"last_offer_epoch\":" << last_offer_epoch
+     << ",\"hb_sent\":" << hb_sent << ",\"unmarked_sent\":" << unmarked_sent
+     << ",\"last_unmarked_epoch\":" << last_unmarked_epoch;
+  append_list(os, "subscribers", subscribers);
+  append_list(os, "reverts", reverts);
+  os << ",\"last_revert_epoch\":" << last_revert_epoch
+     << ",\"last_revert_cause\":" << last_revert_cause;
+  append_list(os, "detect_node", detect_node);
+  append_list(os, "detect_ms", detect_ms);
+  if (position) {
+    append_double(os, "x", position->x);
+    append_double(os, "y", position->y);
+  }
+  os << "}";
+  return os.str();
+}
+
+std::optional<Snapshot> Snapshot::parse(const std::string& line) {
+  Snapshot s;
+  if (!parse_u32(line, "node", &s.node)) return std::nullopt;
+  if (!parse_bool(line, "alive", &s.alive)) return std::nullopt;
+  if (!parse_bool(line, "marked", &s.marked)) return std::nullopt;
+  if (!parse_bool(line, "affiliated", &s.affiliated)) return std::nullopt;
+  if (!parse_bool(line, "ch", &s.is_clusterhead)) return std::nullopt;
+  if (!parse_bool(line, "left", &s.left)) return std::nullopt;
+  if (!parse_u32(line, "cluster", &s.cluster)) return std::nullopt;
+  if (!parse_u32(line, "clusterhead", &s.clusterhead)) return std::nullopt;
+  if (!parse_u64(line, "epoch", &s.epoch)) return std::nullopt;
+  if (!parse_list(line, "members", &s.members)) return std::nullopt;
+  if (!parse_list(line, "deputies", &s.deputies)) return std::nullopt;
+  if (!parse_list(line, "failed", &s.failed)) return std::nullopt;
+  // Diagnostics are optional: a status line from an older endpoint still
+  // parses, with the counters left at zero.
+  (void)parse_u64(line, "updates_overheard", &s.updates_overheard);
+  (void)parse_u64(line, "admit_offers", &s.admit_offers);
+  (void)parse_u64(line, "last_offer_epoch", &s.last_offer_epoch);
+  (void)parse_u64(line, "hb_sent", &s.hb_sent);
+  (void)parse_u64(line, "unmarked_sent", &s.unmarked_sent);
+  (void)parse_u64(line, "last_unmarked_epoch", &s.last_unmarked_epoch);
+  (void)parse_list(line, "subscribers", &s.subscribers);
+  (void)parse_list(line, "reverts", &s.reverts);
+  (void)parse_u64(line, "last_revert_epoch", &s.last_revert_epoch);
+  (void)parse_u64(line, "last_revert_cause", &s.last_revert_cause);
+  (void)parse_list(line, "detect_node", &s.detect_node);
+  (void)parse_list(line, "detect_ms", &s.detect_ms);
+  Vec2 at;
+  if (parse_double(line, "x", &at.x)) {
+    if (!parse_double(line, "y", &at.y)) return std::nullopt;
+    s.position = at;
+  }
+  return s;
+}
+
+void fill_snapshot(const FdsAgent& agent, const Node& node, Snapshot& out) {
+  const MembershipView& view = agent.view();
+  out.node = node.id().value();
+  out.alive = node.alive();
+  out.marked = node.marked();
+  out.affiliated = view.affiliated();
+  out.is_clusterhead = view.is_clusterhead();
+  out.left = agent.has_left();
+  out.cluster = Snapshot::kNone;
+  out.clusterhead = Snapshot::kNone;
+  out.epoch = agent.current_epoch();
+  out.members.clear();
+  out.deputies.clear();
+  if (const ClusterRef cluster = view.cluster()) {
+    out.cluster = cluster->id.value();
+    out.clusterhead = cluster->clusterhead.value();
+    for (NodeId m : cluster->members) out.members.push_back(m.value());
+    for (NodeId d : cluster->deputies) out.deputies.push_back(d.value());
+  }
+  out.failed.clear();
+  agent.log().append_known_failed(out.failed);
+  out.hb_sent = agent.heartbeats_sent();
+  out.unmarked_sent = agent.unmarked_heartbeats_sent();
+  out.last_unmarked_epoch = agent.last_unmarked_sent_epoch();
+  out.subscribers.clear();
+  for (NodeId sub : agent.unmarked_heard()) {
+    out.subscribers.push_back(sub.value());
+  }
+  out.reverts.clear();
+  for (std::uint64_t count : agent.reverts()) {
+    out.reverts.push_back(static_cast<std::uint32_t>(count));
+  }
+  out.last_revert_epoch = agent.last_revert_epoch();
+  out.last_revert_cause = agent.last_revert_cause();
+}
+
+std::vector<InvariantViolation> check_view(const Snapshot& s) {
+  Violations out;
+  view_checks(s, out);
+  return out;
+}
+
+std::vector<InvariantViolation> check_invariants(
+    std::span<const Snapshot> snapshots, const Reach& reach) {
+  Violations out;
+  std::vector<const Snapshot*> by_node;
+  by_node.reserve(snapshots.size());
+  for (const Snapshot& s : snapshots) by_node.push_back(&s);
+  std::stable_sort(by_node.begin(), by_node.end(),
+                   [](const Snapshot* a, const Snapshot* b) {
+                     return a->node < b->node;
+                   });
+  const auto find = [&by_node](std::uint32_t nid) -> const Snapshot* {
+    const auto it = std::lower_bound(
+        by_node.begin(), by_node.end(), nid,
+        [](const Snapshot* s, std::uint32_t v) { return s->node < v; });
+    return it != by_node.end() && (*it)->node == nid ? *it : nullptr;
+  };
+  const auto participating = [](const Snapshot* s) {
+    return s != nullptr && s->alive && !s->left;
+  };
+  const auto dead = [&find](std::uint32_t nid) {
+    const Snapshot* s = find(nid);
+    return s != nullptr && !s->alive;
+  };
+  std::vector<std::uint32_t> headless;  // clusters reported under I1
+  std::vector<const Snapshot*> heads;   // acting heads, ascending NID
+  for (const Snapshot* s : by_node) {
+    if (participating(s) && s->affiliated && s->is_clusterhead) {
+      heads.push_back(s);
+    }
+  }
+
+  for (std::size_t i = 0; i < by_node.size(); ++i) {
+    const Snapshot& s = *by_node[i];
+    const std::uint32_t n = s.node;
+    if (i > 0 && by_node[i - 1]->node == n) {
+      // Parsed statuses come from outside the program.
+      report(out, "input", "duplicate snapshot for node %u", n);
+      continue;
+    }
+    if (!participating(&s)) continue;
+    view_checks(s, out);
+    const Snapshot* head = s.affiliated ? find(s.clusterhead) : nullptr;
+
+    if (s.affiliated) {
+      // I1: the cluster has an acting head; heads in contact have resolved
+      // the conflict (a cluster split into disconnected components may keep
+      // one head per component).
+      bool headed = false;
+      for (const Snapshot* h : heads) {
+        if (h->cluster != s.cluster) continue;
+        headed = true;
+        if (s.is_clusterhead && h->node > n && reach(s, *h)) {
+          report(out, "I1", "cluster %u has acting heads %u and %u in reach",
+                 s.cluster, n, h->node);
+        }
+      }
+      if (!headed && !contains(headless, s.cluster)) {
+        headless.push_back(s.cluster);  // reported once, by its lowest NID
+        report(out, "I1",
+               "cluster %u referenced by node %u has no acting clusterhead",
+               s.cluster, n);
+      }
+    }
+
+    // I2: marked => affiliated; a follower's head is alive, acts for the
+    // follower's cluster, and lists it.
+    if (s.marked && !s.affiliated) {
+      report(out, "I2", "node %u is marked but unaffiliated", n);
+    }
+    if (s.affiliated && !s.is_clusterhead) {
+      if (head == nullptr || !head->alive) {
+        report(out, "I2", "node %u follows dead clusterhead %u", n,
+               s.clusterhead);
+      } else if (!head->is_clusterhead || head->cluster != s.cluster) {
+        report(out, "I2", "node %u follows %u, not acting head of cluster %u",
+               n, s.clusterhead, s.cluster);
+      } else if (!contains(head->members, n)) {
+        report(out, "I2",
+               "clusterhead %u does not list follower %u as a member",
+               s.clusterhead, n);
+      }
+    }
+
+    // I3: no zombies. An alive cluster-mate's heartbeat refutes its entry
+    // and the erase propagates through the head's cumulative updates; only
+    // a node beyond my alive head's reach is exempt.
+    if (s.affiliated) {
+      for (std::uint32_t f : s.failed) {
+        const Snapshot* fs = find(f);
+        if (!participating(fs) || !fs->affiliated || fs->cluster != s.cluster) {
+          continue;
+        }
+        if (head != nullptr && head->alive && !reach(*fs, *head)) continue;
+        report(out, "I3", "node %u's failure log names alive cluster-mate %u",
+               n, f);
+      }
+    }
+
+    // I4: F5 subscription succeeds wherever an acting head can hear it.
+    if (!s.affiliated) {
+      for (const Snapshot* h : heads) {
+        if (reach(s, *h)) {
+          report(out, "I4",
+                 "node %u is unaffiliated with acting clusterhead %u in reach",
+                 n, h->node);
+          break;
+        }
+      }
+    }
+
+    // I5: dead nodes are purged from every view.
+    if (s.affiliated) {
+      if (head == nullptr || !head->alive) {
+        report(out, "I5", "node %u's view keeps dead clusterhead %u", n,
+               s.clusterhead);
+      }
+      for (std::uint32_t m : s.members) {
+        if (dead(m)) {
+          report(out, "I5", "node %u's view keeps dead member %u", n, m);
+        }
+      }
+      for (std::uint32_t d : s.deputies) {
+        if (dead(d)) {
+          report(out, "I5", "node %u's view keeps dead deputy %u", n, d);
+        }
+      }
+    }
+  }
+  return out;
+}
+
+}  // namespace cfds

@@ -212,34 +212,12 @@ void ServiceAgent::start(SimTime start, const fault::FaultPlan* plan) {
                       [this] { done_ = true; });
 }
 
-AgentStatus ServiceAgent::status() const {
-  AgentStatus s;
-  s.node = node_.id().value();
-  s.alive = node_.alive();
-  s.marked = node_.marked();
-  s.affiliated = view_.affiliated();
-  s.is_clusterhead = view_.is_clusterhead();
-  s.left = fds_.has_left();
-  s.epoch = fds_.current_epoch();
-  if (const auto& cluster = view_.cluster()) {
-    s.cluster = cluster->id.value();
-    s.clusterhead = cluster->clusterhead.value();
-    for (NodeId m : cluster->members) s.members.push_back(m.value());
-    for (NodeId d : cluster->deputies) s.deputies.push_back(d.value());
-  }
-  for (NodeId f : fds_.log().known_failed()) s.failed.push_back(f.value());
+Snapshot ServiceAgent::status() const {
+  Snapshot s;
+  fill_snapshot(fds_, node_, s);
   s.updates_overheard = updates_overheard_;
   s.admit_offers = admit_offers_;
   s.last_offer_epoch = last_offer_epoch_;
-  s.hb_sent = fds_.heartbeats_sent();
-  s.unmarked_sent = fds_.unmarked_heartbeats_sent();
-  s.last_unmarked_epoch = fds_.last_unmarked_sent_epoch();
-  for (NodeId sub : fds_.unmarked_heard()) s.subscribers.push_back(sub.value());
-  for (std::uint64_t count : fds_.reverts()) {
-    s.reverts.push_back(static_cast<std::uint32_t>(count));
-  }
-  s.last_revert_epoch = fds_.last_revert_epoch();
-  s.last_revert_cause = fds_.last_revert_cause();
   for (const auto& [victim, ms] : detect_ms_) {
     s.detect_node.push_back(victim);
     s.detect_ms.push_back(ms);

@@ -20,10 +20,10 @@
 #include "fault/fault_plan.h"
 #include "fds/agent.h"
 #include "fds/config.h"
+#include "fds/snapshot.h"
 #include "net/node.h"
 #include "service/config.h"
 #include "service/plan_runtime.h"
-#include "service/status.h"
 #include "transport/drop_filter.h"
 #include "transport/filtered_transport.h"
 #include "transport/transport.h"
@@ -51,8 +51,9 @@ class ServiceAgent {
   /// by a timer, so it is accurate after the owning loop's run_due()).
   [[nodiscard]] bool done() const { return done_; }
 
-  /// Snapshot of the protocol state, for the status JSONL.
-  [[nodiscard]] AgentStatus status() const;
+  /// The endpoint's Snapshot, service diagnostics included, for the status
+  /// JSONL.
+  [[nodiscard]] Snapshot status() const;
 
   [[nodiscard]] NodeId id() const { return node_.id(); }
   [[nodiscard]] FdsAgent& fds() { return fds_; }
@@ -95,7 +96,7 @@ class ServiceAgent {
   /// Per-subscriber {first, last} epoch of the current unbroken run of
   /// unmarked heartbeats — the home-head priority window behind adoption.
   std::map<std::uint32_t, std::pair<std::uint64_t, std::uint64_t>> sub_streak_;
-  /// Receive-side diagnostics for AgentStatus (see status.h).
+  /// Receive-side diagnostics for the status Snapshot (see fds/snapshot.h).
   std::uint64_t updates_overheard_ = 0;
   std::uint64_t admit_offers_ = 0;
   std::uint64_t last_offer_epoch_ = 0;

@@ -1,6 +1,7 @@
 // Tests for the fault-injection engine: FaultPlan serialization, the
 // injector's crash/recover/freeze semantics, crash-recovery rejoin, DCH
-// takeover arbitration when the old CH comes back, and the chaos oracle.
+// takeover arbitration when the old CH comes back, and the chaos oracle
+// (the invariant library itself is tested in test_snapshot.cpp).
 
 #include <gtest/gtest.h>
 
@@ -16,6 +17,16 @@
 
 namespace cfds::fault {
 namespace {
+
+/// The oracle's verdict as text, one violation per line: empty when every
+/// invariant holds, and readable in the failure message when one does not.
+std::string verdict(const std::vector<InvariantViolation>& violations) {
+  std::string out;
+  for (const InvariantViolation& v : violations) {
+    out += std::string(v.invariant) + ": " + v.detail + "\n";
+  }
+  return out;
+}
 
 ChaosProfile test_profile() {
   ChaosProfile profile;
@@ -273,7 +284,7 @@ TEST(FaultInjectorTest, CrashedNodeRecoversAndRejoins) {
   const MembershipView& view = *scenario.views()[victim.value()];
   EXPECT_TRUE(view.affiliated());
   EXPECT_TRUE(scenario.network().node(victim).marked());
-  EXPECT_TRUE(ChaosOracle::check(scenario).empty());
+  EXPECT_EQ(verdict(ChaosOracle::check(scenario)), "");
 }
 
 TEST(FaultInjectorTest, FrozenNodeThawsWithStaleStateAndReconciles) {
@@ -305,7 +316,7 @@ TEST(FaultInjectorTest, FrozenNodeThawsWithStaleStateAndReconciles) {
   injector.clear_channel_faults();
   scenario.run_epochs(8);
   EXPECT_TRUE(scenario.views()[victim.value()]->affiliated());
-  EXPECT_TRUE(ChaosOracle::check(scenario).empty());
+  EXPECT_EQ(verdict(ChaosOracle::check(scenario)), "");
 }
 
 // Regression: a node crashing mid-round used to leave its deputy-check and
@@ -341,7 +352,7 @@ TEST(FaultInjectorTest, CrashMidRoundCancelsPendingTimers) {
             sent_at_death);
   EXPECT_TRUE(scenario.metrics().first_detection(deputy).has_value());
   scenario.run_epochs(4);
-  EXPECT_TRUE(ChaosOracle::check(scenario).empty());
+  EXPECT_EQ(verdict(ChaosOracle::check(scenario)), "");
 }
 
 // Section 4.2 arbitration: the CH crashes, the highest-ranked deputy takes
@@ -376,7 +387,7 @@ TEST(ChRecoveryTest, DeputyKeepsClusterWhenOldChRejoins) {
     EXPECT_FALSE(scenario.views()[old_ch.value()]->is_clusterhead())
         << "round " << round;
   }
-  EXPECT_TRUE(ChaosOracle::check(scenario).empty());
+  EXPECT_EQ(verdict(ChaosOracle::check(scenario)), "");
 }
 
 TEST(ChaosTrialTest, SameSeedIsByteIdentical) {
@@ -402,7 +413,7 @@ TEST(ChaosCampaignTest, TwentySeedsPassTheOracle) {
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     const ChaosResult result = run_chaos_trial(config, seed);
     EXPECT_TRUE(result.passed())
-        << "seed " << seed << ": " << result.violations.front();
+        << "seed " << seed << ":\n" << verdict(result.violations);
   }
 }
 
@@ -419,7 +430,7 @@ TEST(ChaosOracleTest, FlagsDeadMemberThenClearsAfterConvergence) {
 
   // One detection cycle later the protocol has purged it everywhere.
   scenario.run_epochs(4);
-  EXPECT_TRUE(ChaosOracle::check(scenario).empty());
+  EXPECT_EQ(verdict(ChaosOracle::check(scenario)), "");
 }
 
 }  // namespace

@@ -425,6 +425,36 @@ TEST_F(FreshSelfNewsFixture, FreshSelfNewsForcesFullStepDownThenResubscribe) {
       fds_->agent_for(NodeId{0}).view().cluster()->is_member(NodeId{5}));
 }
 
+class FalselyDetectedDeputyFixture : public FdsFixture {
+ protected:
+  FalselyDetectedDeputyFixture()
+      : FdsFixture(default_config(), std::make_unique<MutedVictimsLoss>(
+                                         std::vector<NodeId>{NodeId{1}})) {}
+  MutedVictimsLoss& gate() {
+    return static_cast<MutedVictimsLoss&>(network_->loss_model());
+  }
+};
+
+TEST_F(FalselyDetectedDeputyFixture, UnmarkedDeputyDoesNotTakeOver) {
+  // The primary deputy is mute for one epoch: the CH declares it failed and
+  // the deputy hears that fresh news about itself, so it is unmarked but
+  // keeps its view (no tolerate_epoch_skew). If the CH then goes silent,
+  // the deputy must not take over: an unmarked acting head would send
+  // unmarked heartbeats forever.
+  run_epoch(0);
+  EXPECT_FALSE(network_->node(NodeId{1}).marked());
+  ASSERT_TRUE(fds_->agent_for(NodeId{1}).view().affiliated());
+  std::vector<NodeId> takeovers;
+  fds_->hooks().on_takeover = [&](NodeId deputy, NodeId, std::uint64_t) {
+    takeovers.push_back(deputy);
+  };
+  gate().muted = false;
+  network_->crash(NodeId{0});
+  run_epoch(1);
+  EXPECT_EQ(std::count(takeovers.begin(), takeovers.end(), NodeId{1}), 0);
+  EXPECT_FALSE(fds_->agent_for(NodeId{1}).view().is_clusterhead());
+}
+
 // ---------------------------------------------------------------------------
 // Adaptive detection (FdsConfig::adaptive_enabled).
 

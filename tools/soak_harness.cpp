@@ -1,5 +1,7 @@
-// soak_harness: drives a live service-mode deployment and checks the live
-// invariants L-I1..L-I5 when it settles.
+// soak_harness: drives a live service-mode deployment and, when it settles,
+// checks the cluster invariants I1-I5 and I-V1/I-V6/I-V7 (fds/snapshot.h,
+// docs/FAULTS.md) over every endpoint's status Snapshot. Service mode is one
+// broadcast domain, so every pair of endpoints is in reach.
 //
 //   --mode threads   N in-process endpoints, one thread each, exchanging
 //                    wire-encoded frames through LoopbackTransport queues.
@@ -13,7 +15,7 @@
 // In both modes the harness generates a seeded FaultPlan (crashes,
 // recoveries, freezes, link_down windows, jams, clock drift) whose windows
 // all close before a quiescence tail of fault-free epochs, then collects
-// every endpoint's status line and runs the live invariant checker. Exit
+// every endpoint's status line and runs the invariant checker. Exit
 // status: 0 clean, 1 invariant violations or endpoint failures, 64 usage,
 // 70 setup errors.
 
@@ -34,10 +36,10 @@
 #include <vector>
 
 #include "fault/fault_plan.h"
+#include "fds/snapshot.h"
 #include "service/agent.h"
 #include "service/config.h"
 #include "service/directory.h"
-#include "service/status.h"
 #include "transport/loopback.h"
 #include "transport/real_time.h"
 
@@ -45,7 +47,7 @@ namespace {
 
 using cfds::NodeId;
 using cfds::SimTime;
-using cfds::service::AgentStatus;
+using cfds::Snapshot;
 using cfds::service::ServiceConfig;
 
 struct SoakOptions {
@@ -180,9 +182,9 @@ std::optional<cfds::fault::FaultPlan> make_plan(const SoakOptions& opt) {
 /// first decider's sample is the deployment's detection time). Sorted
 /// ascending for the quantile cuts.
 std::vector<std::uint32_t> merge_detect_ms(
-    const std::vector<AgentStatus>& statuses) {
+    const std::vector<Snapshot>& statuses) {
   std::map<std::uint32_t, std::uint32_t> best;
-  for (const AgentStatus& s : statuses) {
+  for (const Snapshot& s : statuses) {
     const std::size_t n = std::min(s.detect_node.size(), s.detect_ms.size());
     for (std::size_t i = 0; i < n; ++i) {
       const auto [it, inserted] =
@@ -199,9 +201,9 @@ std::vector<std::uint32_t> merge_detect_ms(
   return samples;
 }
 
-int report(const std::vector<AgentStatus>& statuses, std::size_t expected) {
+int report(const std::vector<Snapshot>& statuses, std::size_t expected) {
   std::size_t alive = 0, heads = 0;
-  for (const AgentStatus& s : statuses) {
+  for (const Snapshot& s : statuses) {
     if (s.alive) ++alive;
     if (s.alive && s.is_clusterhead) ++heads;
   }
@@ -223,17 +225,18 @@ int report(const std::vector<AgentStatus>& statuses, std::size_t expected) {
     std::cout << "soak: FAIL missing statuses\n";
     rc = 1;
   }
-  const std::vector<std::string> violations =
-      cfds::service::check_live_invariants(statuses);
-  for (const std::string& v : violations) {
-    std::cout << "soak: VIOLATION " << v << "\n";
+  const std::vector<cfds::InvariantViolation> violations =
+      cfds::check_invariants(
+          statuses, [](const Snapshot&, const Snapshot&) { return true; });
+  for (const cfds::InvariantViolation& v : violations) {
+    std::cout << "soak: VIOLATION " << v.invariant << ": " << v.detail << "\n";
   }
   if (!violations.empty()) {
     rc = 1;
     // Post-mortem context: every acting head's roster and every stray
     // (alive, unaffiliated, not departed) endpoint's state, so a violation
     // is debuggable from the log alone.
-    for (const AgentStatus& s : statuses) {
+    for (const Snapshot& s : statuses) {
       if (!s.alive || !s.is_clusterhead) continue;
       std::cout << "soak:   head " << s.node << " cluster " << s.cluster
                 << " epoch " << s.epoch << " members";
@@ -242,7 +245,7 @@ int report(const std::vector<AgentStatus>& statuses, std::size_t expected) {
       for (std::uint32_t sub : s.subscribers) std::cout << ' ' << sub;
       std::cout << "\n";
     }
-    for (const AgentStatus& s : statuses) {
+    for (const Snapshot& s : statuses) {
       if (!s.alive || s.is_clusterhead || s.affiliated || s.left) continue;
       std::cout << "soak:   stray " << s.node << " epoch " << s.epoch
                 << " marked " << (s.marked ? 1 : 0) << " overheard "
@@ -253,7 +256,7 @@ int report(const std::vector<AgentStatus>& statuses, std::size_t expected) {
     }
     // Every endpoint's own detection verdicts, so a latency outlier or a
     // missing detection is attributable to a specific decider.
-    for (const AgentStatus& s : statuses) {
+    for (const Snapshot& s : statuses) {
       if (s.detect_node.empty()) continue;
       std::cout << "soak:   detections by " << s.node;
       const std::size_t n = std::min(s.detect_node.size(), s.detect_ms.size());
@@ -265,7 +268,7 @@ int report(const std::vector<AgentStatus>& statuses, std::size_t expected) {
     // Everyone who churned near the end of the run, with the per-cause
     // revert counters (missed/fresh/stale/roster/rival — see
     // FdsAgent::RevertCause) and the newest revert's epoch and cause.
-    for (const AgentStatus& s : statuses) {
+    for (const Snapshot& s : statuses) {
       if (!s.alive || s.reverts.empty()) continue;
       if (s.last_revert_epoch + 15 < s.epoch) continue;
       std::cout << "soak:   churn " << s.node << " reverts";
@@ -274,7 +277,7 @@ int report(const std::vector<AgentStatus>& statuses, std::size_t expected) {
                 << s.last_revert_cause << "\n";
     }
   }
-  if (rc == 0) std::cout << "soak: PASS invariants I1-I5 hold\n";
+  if (rc == 0) std::cout << "soak: PASS invariants I1-I5, I-V1/6/7 hold\n";
   return rc;
 }
 
@@ -324,7 +327,7 @@ int run_threads(const SoakOptions& opt,
   }
   for (std::thread& t : threads) t.join();
 
-  std::vector<AgentStatus> statuses;
+  std::vector<Snapshot> statuses;
   statuses.reserve(n);
   for (auto& ep : endpoints) statuses.push_back(ep->agent.status());
   return report(statuses, n);
@@ -430,13 +433,13 @@ int run_procs(const SoakOptions& opt,
               << " endpoints exited non-zero\n";
   }
 
-  std::vector<AgentStatus> statuses;
+  std::vector<Snapshot> statuses;
   statuses.reserve(n);
   for (std::uint32_t id = 0; id < n; ++id) {
     std::ifstream in(status_path(id));
     std::string line;
     if (in && std::getline(in, line)) {
-      if (auto parsed = AgentStatus::parse(line)) {
+      if (auto parsed = Snapshot::parse(line)) {
         statuses.push_back(*parsed);
       } else {
         std::cout << "soak: unparseable status from endpoint " << id << "\n";
