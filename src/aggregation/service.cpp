@@ -125,26 +125,23 @@ void AggregationAgent::handle_cluster_aggregate(
 
   // Gateway side: carry the frame across a link (one shot, no
   // acknowledgements — a lost epoch summary is superseded next epoch).
-  for (const MembershipView::LinkRole& role : view_.my_links()) {
-    if (role.rank != 0) continue;  // only the primary GW relays aggregates
-    const GatewayLink& link = *role.link;
+  view_.for_each_link_role([&](const GatewayLink& link, std::size_t rank) {
+    if (rank != 0) return;  // only the primary GW relays aggregates
     // The cluster the emitting CH belongs to, seen from this link's ends.
     const bool from_neighbor = payload->sender == link.neighbor_clusterhead;
     const bool from_home = payload->sender == view_.cluster()->clusterhead;
-    if (!from_neighbor && !from_home) continue;
+    if (!from_neighbor && !from_home) return;
     const ClusterId far_side = from_home ? link.neighbor_cluster : home;
     // Directed mode: only the link leading to `toward` carries the frame.
-    if (payload->directed && payload->toward != far_side) continue;
+    if (payload->directed && payload->toward != far_side) return;
     // One carry per (epoch, origin cluster, destination) through this node.
-    if (!gw_carried_.insert({key.first, key.second, far_side}).second) {
-      continue;
-    }
+    if (!gw_carried_.insert({key.first, key.second, far_side}).second) return;
     auto copy = std::make_shared<ClusterAggregatePayload>(*payload);
     copy->sender = node_.id();
     node_.radio().send(std::move(copy), from_neighbor
                                             ? view_.cluster()->clusterhead
                                             : link.neighbor_clusterhead);
-  }
+  });
 }
 
 AggregationService::AggregationService(Network& network, FdsService& fds,

@@ -82,12 +82,14 @@ void StateFingerprinter::mix_membership(Hasher& h, const MembershipView& view) {
 }
 
 void StateFingerprinter::mix_failure_log(Hasher& h, const FailureLog& log) {
-  // FailureLog: entries_ is mixed through known_failed()/entry().
+  // FailureLog: entries_ (a flat map, ascending by NID) is mixed through
+  // known_failed()/entry().
   // FP-EXEMPT(Entry::learned_at) / FP-EXEMPT(Entry::epoch): bookkeeping of
   // WHEN the news arrived; no protocol decision reads them back (reports
   // and refutations compare NIDs and incarnations, never log timestamps).
   h.mix(kTagLog);
-  const std::vector<NodeId> failed = log.known_failed();
+  std::vector<NodeId> failed;
+  log.known_failed(failed);
   h.mix(failed.size());
   for (NodeId n : failed) {
     h.mix(n.value());

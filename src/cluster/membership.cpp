@@ -35,40 +35,6 @@ void MembershipView::apply_takeover(NodeId deputy) {
   // The cluster keeps its identity: reports remain attributable.
 }
 
-void MembershipView::remove_members(const std::vector<NodeId>& failed) {
-  if (!cluster_) return;
-  // No-change fast path: most updates carry no (new) failures, and cloning
-  // a shared view to remove nobody would end the sharing for nothing.
-  const auto touches = [&](NodeId f) {
-    if (contains(cluster_->members, f) || contains(cluster_->deputies, f)) {
-      return true;
-    }
-    for (const GatewayLink& link : cluster_->links) {
-      if (link.gateway == f || contains(link.backups, f)) return true;
-    }
-    return false;
-  };
-  if (std::none_of(failed.begin(), failed.end(), touches)) return;
-  ClusterView& c = mutate();
-  for (NodeId f : failed) {
-    erase_value(c.members, f);
-    erase_value(c.deputies, f);
-    for (GatewayLink& link : c.links) {
-      if (link.gateway == f) {
-        // Highest-ranked surviving backup becomes the gateway.
-        if (!link.backups.empty()) {
-          link.gateway = link.backups.front();
-          link.backups.erase(link.backups.begin());
-        } else {
-          link.gateway = NodeId::invalid();
-        }
-      } else {
-        erase_value(link.backups, f);
-      }
-    }
-  }
-}
-
 void MembershipView::update_link_neighbor(ClusterId neighbor, NodeId new_ch) {
   if (!cluster_) return;
   const auto stale = [&](const GatewayLink& link) {

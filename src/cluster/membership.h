@@ -15,6 +15,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -94,24 +95,15 @@ class MembershipView {
     return false;
   }
 
-  /// Nodes the CH expects to hear from during an FDS execution: all non-CH
-  /// members of the cluster.
-  [[nodiscard]] std::vector<NodeId> expected_members() const {
-    return cluster_ ? cluster_->members : std::vector<NodeId>{};
-  }
-
-  /// Gateway links on which this node is the GW or a BGW, with its rank.
-  struct LinkRole {
-    const GatewayLink* link;
-    std::size_t rank;  ///< 0 = GW, k >= 1 = rank-k BGW
-  };
-  [[nodiscard]] std::vector<LinkRole> my_links() const {
-    std::vector<LinkRole> out;
-    if (!cluster_) return out;
+  /// Calls `visit(link, rank)` for each gateway link on which this node is
+  /// the GW (rank 0) or a rank-k BGW, in link order. Allocation-free: the
+  /// forwarder walks it for every overheard update.
+  template <typename Visit>
+  void for_each_link_role(Visit&& visit) const {
+    if (!cluster_) return;
     for (const GatewayLink& link : cluster_->links) {
-      if (auto rank = link.rank_of(self_)) out.push_back({&link, *rank});
+      if (auto rank = link.rank_of(self_)) visit(link, *rank);
     }
-    return out;
   }
 
   /// Applies a DCH takeover: `deputy` becomes the CH, the failed CH is
@@ -119,7 +111,18 @@ class MembershipView {
   void apply_takeover(NodeId deputy);
 
   /// Removes failed members from the view (after a health-status update).
-  void remove_members(const std::vector<NodeId>& failed);
+  void remove_members(const std::vector<NodeId>& failed) {
+    if (failed.empty()) return;
+    remove_members_if([&](NodeId n) {
+      return std::find(failed.begin(), failed.end(), n) != failed.end();
+    });
+  }
+
+  /// Removes every member, deputy and gateway `is_failed` holds for; a
+  /// failed GW hands its link to the highest-ranked surviving backup. One
+  /// walk over the view, however long the list behind `is_failed` is.
+  template <typename Pred>
+  void remove_members_if(Pred is_failed);
 
   /// Admits newly subscribed members (feature F5: unmarked heartbeats act as
   /// membership subscriptions).
@@ -148,6 +151,38 @@ class MembershipView {
   NodeId self_;
   ClusterViewPtr cluster_;
 };
+
+template <typename Pred>
+void MembershipView::remove_members_if(Pred is_failed) {
+  if (!cluster_) return;
+  // No-change fast path: most updates carry no (new) failures, and cloning
+  // a shared view to remove nobody would end the sharing for nothing.
+  const auto any = [&](const std::vector<NodeId>& v) {
+    return std::any_of(v.begin(), v.end(), is_failed);
+  };
+  const auto link_touched = [&](const GatewayLink& link) {
+    return is_failed(link.gateway) || any(link.backups);
+  };
+  if (!any(cluster_->members) && !any(cluster_->deputies) &&
+      std::none_of(cluster_->links.begin(), cluster_->links.end(),
+                   link_touched)) {
+    return;
+  }
+  ClusterView& c = mutate();
+  std::erase_if(c.members, is_failed);
+  std::erase_if(c.deputies, is_failed);
+  for (GatewayLink& link : c.links) {
+    std::erase_if(link.backups, is_failed);
+    if (!is_failed(link.gateway)) continue;
+    // Highest-ranked surviving backup becomes the gateway.
+    if (link.backups.empty()) {
+      link.gateway = NodeId::invalid();
+    } else {
+      link.gateway = link.backups.front();
+      link.backups.erase(link.backups.begin());
+    }
+  }
+}
 
 // Fingerprint tripwire (src/check/fingerprint.h): a layout change means
 // membership state was added — mix it in src/check/fingerprint.cpp (or

@@ -102,6 +102,15 @@ class FlatMap {
     return items_.insert(it, value_type{key, V{}})->second;
   }
 
+  /// Inserts {key, value} unless `key` is present (then its value is kept);
+  /// returns true if it inserted.
+  bool insert(const K& key, const V& value) {
+    const auto it = lower_bound(key);
+    if (it != items_.end() && it->first == key) return false;
+    items_.insert(it, value_type{key, value});
+    return true;
+  }
+
   [[nodiscard]] const V& at(const K& key) const {
     const auto it = find(key);
     CFDS_EXPECT(it != end(), "FlatMap::at: key not present");
@@ -128,6 +137,19 @@ class FlatMap {
     if (it == items_.end() || it->first != key) return false;
     items_.erase(it);
     return true;
+  }
+
+  /// Removes every entry `pred` holds for, in one pass that keeps the rest
+  /// in order.
+  template <typename Pred>
+  void erase_if(Pred pred) {
+    auto kept = items_.begin();
+    for (auto it = items_.begin(); it != items_.end(); ++it) {
+      if (pred(*it)) continue;
+      if (kept != it) *kept = std::move(*it);
+      ++kept;
+    }
+    items_.erase(kept, items_.end());
   }
 
   /// Drops all entries but keeps the entry buffer for the next round.

@@ -353,7 +353,7 @@ void FdsAgent::round3_update() {
   }
   // Cumulative knowledge is published after admissions, so a re-admitted
   // node is never simultaneously listed failed in the same update.
-  update.all_failed = log_.known_failed();
+  log_.known_failed(update.all_failed);
   if (config_.recovery_enabled) {
     // Under crash-recovery the scheduled update always carries the full
     // roster: members reconcile against it, so a lost admission or removal
@@ -410,7 +410,7 @@ void FdsAgent::emit_checkpoint() {
   cp->clusterhead = view_.cluster()->clusterhead;
   cp->members = view_.cluster()->members;
   cp->deputies = view_.cluster()->deputies;
-  cp->failed = log_.known_failed();
+  log_.known_failed(cp->failed);
   // The author's own copy IS its stable storage (its radio never hears its
   // own broadcast); the broadcast replicates it to the deputies.
   stable_checkpoint_ = cp;
@@ -512,7 +512,7 @@ void FdsAgent::evaluate_ch_failure() {
   update->sender = node_.id();
   update->epoch = epoch_;
   update->newly_failed = {ch};
-  update->all_failed = log_.known_failed();
+  log_.known_failed(update->all_failed);
   update->takeover = true;
   update->sender_heard.assign(evidence_.heartbeats.begin(),
                               evidence_.heartbeats.end());
@@ -549,17 +549,14 @@ void FdsAgent::broadcast_relay(const std::vector<NodeId>& reported_failed,
                                ReportId ack, ClusterId learned_from) {
   if (!node_.alive() || !view_.is_clusterhead()) return;
   std::vector<NodeId> news;
-  for (NodeId f : reported_failed) {
-    if (f != node_.id() && log_.record(f, {timers_.now(), epoch_, node_.id()})) {
-      news.push_back(f);
-    }
-  }
+  log_.record(reported_failed, {timers_.now(), epoch_, node_.id()}, node_.id(),
+              news);
   auto update = std::make_shared<HealthUpdatePayload>();
   update->cluster = view_.cluster()->id;
   update->sender = node_.id();
   update->epoch = epoch_;
   update->newly_failed = news;
-  update->all_failed = log_.known_failed();
+  log_.known_failed(update->all_failed);
   update->learned_from = learned_from;
   if (ack.is_valid()) update->acks.push_back(ack);
   if (!news.empty()) {
@@ -627,6 +624,8 @@ void FdsAgent::prune_evidence() {
 
 bool FdsAgent::apply_failures(const HealthUpdatePayload& update) {
   bool step_down = false;
+  const FailureLog::Entry entry{timers_.now(), update.epoch, update.sender};
+  // Stays empty (never allocates) unless the update carries news for us.
   std::vector<NodeId> to_remove;
   auto learn = [&](NodeId f, bool fresh_news) {
     if (f == node_.id()) {
@@ -654,9 +653,7 @@ bool FdsAgent::apply_failures(const HealthUpdatePayload& update) {
       }
       return;
     }
-    if (log_.record(f, {timers_.now(), update.epoch, update.sender})) {
-      to_remove.push_back(f);
-    }
+    if (log_.record(f, entry)) to_remove.push_back(f);
   };
   for (NodeId f : update.newly_failed) learn(f, true);
   for (NodeId f : update.all_failed) learn(f, false);
@@ -788,7 +785,7 @@ void FdsAgent::handle_update(
     view_.admit_members(update->admitted);
     // A snapshot from a CH with a staler failure log than ours could have
     // re-introduced members we already know to be gone.
-    view_.remove_members(log_.known_failed());
+    view_.remove_members_if([this](NodeId n) { return log_.knows(n); });
   }
 
   if (config_.recovery_enabled && scheduled && view_.affiliated() &&
@@ -796,12 +793,7 @@ void FdsAgent::handle_update(
     // The acting CH's cumulative failure list is authoritative for this
     // cluster: any entry of ours it no longer carries was refuted by a
     // re-admission whose update we missed.
-    for (NodeId f : log_.known_failed()) {
-      if (std::find(update->all_failed.begin(), update->all_failed.end(),
-                    f) == update->all_failed.end()) {
-        log_.erase(f);
-      }
-    }
+    log_.retain(update->all_failed);
     if (!update->members_snapshot.empty()) {
       const auto& roster = update->members_snapshot;
 #ifndef CFDS_MUTATION_DROP_SELF_RECONCILIATION

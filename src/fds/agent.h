@@ -321,7 +321,7 @@ class FdsAgent {
 // is computed for; other platforms rely on the lint rule alone.
 #if defined(__x86_64__) && defined(__linux__) && defined(__GLIBCXX__) && \
     !defined(_GLIBCXX_DEBUG)
-static_assert(sizeof(FdsAgent) == 696,
+static_assert(sizeof(FdsAgent) == 672,
               "FdsAgent layout changed: update src/check/fingerprint.cpp "
               "(mix or FP-EXEMPT the new member), then this tripwire");
 #endif

@@ -255,8 +255,7 @@ void fill_snapshot(const FdsAgent& agent, const Node& node, Snapshot& out) {
     for (NodeId m : cluster->members) out.members.push_back(m.value());
     for (NodeId d : cluster->deputies) out.deputies.push_back(d.value());
   }
-  out.failed.clear();
-  agent.log().append_known_failed(out.failed);
+  agent.log().known_failed(out.failed);
   out.hb_sent = agent.heartbeats_sent();
   out.unmarked_sent = agent.unmarked_heartbeats_sent();
   out.last_unmarked_epoch = agent.last_unmarked_sent_epoch();

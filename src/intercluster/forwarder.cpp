@@ -7,15 +7,17 @@
 namespace cfds {
 namespace {
 
-/// Failure set carried by a report: newly detected plus historical NIDs.
+/// Failure set carried by a report: the historical NIDs plus each newly
+/// detected one they lack, ascending.
 std::vector<NodeId> merged_failures(const HealthUpdatePayload& update) {
-  std::vector<NodeId> failed = update.all_failed;
-  for (NodeId f : update.newly_failed) {
-    if (std::find(failed.begin(), failed.end(), f) == failed.end()) {
-      failed.push_back(f);
-    }
-  }
+  std::vector<NodeId> failed;
+  failed.reserve(update.all_failed.size() + update.newly_failed.size());
+  failed.assign(update.all_failed.begin(), update.all_failed.end());
   std::sort(failed.begin(), failed.end());
+  for (NodeId f : update.newly_failed) {
+    const auto it = std::lower_bound(failed.begin(), failed.end(), f);
+    if (it == failed.end() || *it != f) failed.insert(it, f);
+  }
   return failed;
 }
 
@@ -83,7 +85,7 @@ void ForwarderAgent::consider_link(
     const std::shared_ptr<const HealthUpdatePayload>& update, std::size_t rank,
     std::size_t n_backups, ClusterId dest_cluster, NodeId dest_ch) {
   if (update->learned_from == dest_cluster) return;  // flood damping
-  if (!armed_.insert({update->report, dest_cluster}).second) return;
+  if (!armed_.insert({update->report, dest_cluster})) return;
 
   if (rank == 0) {
     // The GW "will forward m immediately after receiving the message and
@@ -172,18 +174,17 @@ void ForwarderAgent::on_update_overheard(
 
   if (!update->report.is_valid()) return;
 
-  for (const MembershipView::LinkRole& role : view_.my_links()) {
-    const GatewayLink& link = *role.link;
+  view_.for_each_link_role([&](const GatewayLink& link, std::size_t rank) {
     if (update->cluster == home) {
       // Our own CH detected something: carry it to the neighbour.
-      consider_link(update, role.rank, link.backups.size(),
-                    link.neighbor_cluster, link.neighbor_clusterhead);
+      consider_link(update, rank, link.backups.size(), link.neighbor_cluster,
+                    link.neighbor_clusterhead);
     } else if (update->cluster == link.neighbor_cluster) {
       // The neighbour's CH detected something: carry it home.
-      consider_link(update, role.rank, link.backups.size(), home,
+      consider_link(update, rank, link.backups.size(), home,
                     view_.cluster()->clusterhead);
     }
-  }
+  });
 }
 
 void ForwarderAgent::on_report(const FailureReportPayload& report) {

@@ -27,12 +27,12 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <set>
+#include <utility>
 #include <vector>
 
 #include "cluster/membership.h"
+#include "common/flat.h"
 #include "common/ids.h"
 #include "event/simulator.h"
 #include "fds/agent.h"
@@ -114,14 +114,16 @@ class ForwarderAgent {
   Transport& transport_;
   ForwarderService& service_;
 
-  /// (report, acking cluster) pairs collected from overheard emissions.
-  std::set<std::pair<ReportId, ClusterId>> acks_seen_;
+  // Membership queries only: no iteration order can reach a frame or event.
+  /// (report, acking cluster) pairs collected from overheard emissions,
+  /// whether or not this node ever armed for the report.
+  FlatSet<std::pair<ReportId, ClusterId>> acks_seen_;
   /// (report, destination cluster) pairs for which some forward was seen —
   /// the CH-side implicit acknowledgement of Figure 3.
-  std::set<std::pair<ReportId, ClusterId>> forwards_seen_;
+  FlatSet<std::pair<ReportId, ClusterId>> forwards_seen_;
   /// Reports this node already forwarded per destination (dedup for BGWs
   /// triggered by both the update and a retransmission).
-  std::set<std::pair<ReportId, ClusterId>> armed_;
+  FlatSet<std::pair<ReportId, ClusterId>> armed_;
 };
 
 /// Owns the per-node forwarder agents and the layer's counters.

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "fds/agent.h"
@@ -47,6 +48,31 @@ class DropAlways final : public LossModel {
  private:
   NodeId sender_;
   NodeId receiver_;
+};
+
+/// Drops the first `count` frames on each of several directed pairs.
+class DropFirstKEach final : public LossModel {
+ public:
+  struct Rule {
+    NodeId sender;
+    NodeId receiver;
+    int remaining;
+  };
+  explicit DropFirstKEach(std::vector<Rule> rules) : rules_(std::move(rules)) {}
+
+  bool lost(NodeId sender, Vec2, NodeId receiver, Vec2, Rng&) override {
+    for (Rule& rule : rules_) {
+      if (rule.sender == sender && rule.receiver == receiver &&
+          rule.remaining > 0) {
+        --rule.remaining;
+        return true;
+      }
+    }
+    return false;
+  }
+
+ private:
+  std::vector<Rule> rules_;
 };
 
 /// Two clusters bridged by one GW and (optionally) BGWs.
@@ -200,6 +226,28 @@ TEST(Forwarder, BackupGatewaysStandDownOnImplicitAck) {
   tc.network->crash(NodeId{4});
   tc.run_epochs(2);
   EXPECT_EQ(tc.forwarder->stats().bgw_assists, 0u);
+}
+
+TEST(Forwarder, BackupGatewayThatHeardTheAckFirstDoesNotForward) {
+  // The rank-1 BGW (node 8) loses CH A's first three frames (R-1 heartbeat,
+  // R-2 digest, R-3 update), so it hears CH B's relay — the implicit ack of
+  // the GW's forward — before it ever hears the update. CH A loses the GW's
+  // first three frames (heartbeat, digest, the forward itself), so it never
+  // sees the forward and retransmits the update, which is how the BGW first
+  // learns of the report. Its ack must already count: acks are kept whether
+  // or not this node had armed for the report. Peer forwarding is off so the
+  // retransmission is the BGW's only copy of the update.
+  TwoClusters tc(std::make_unique<DropFirstKEach>(
+      std::vector<DropFirstKEach::Rule>{{NodeId{0}, NodeId{8}, 3},
+                                        {NodeId{7}, NodeId{0}, 3}}));
+  tc.fds->config().peer_forwarding = false;
+  tc.network->crash(NodeId{4});
+  tc.run_epochs(2);
+  const ForwarderStats& stats = tc.forwarder->stats();
+  EXPECT_GE(stats.ch_retransmissions, 1u);
+  EXPECT_EQ(stats.bgw_assists, 0u);
+  EXPECT_EQ(stats.reports_received, 1u);
+  EXPECT_TRUE(tc.fds->agent_for(NodeId{8}).log().knows(NodeId{4}));
 }
 
 TEST(Forwarder, GwRetriesWithoutImplicitAck) {

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <vector>
+
+#include "common/rng.h"
 #include "fds/failure_log.h"
 #include "sim/scenario.h"
 
@@ -23,11 +28,121 @@ TEST(FailureLog, KnownFailedIsSorted) {
   log.record(NodeId{9}, {});
   log.record(NodeId{2}, {});
   log.record(NodeId{5}, {});
-  EXPECT_EQ(log.known_failed(),
-            (std::vector<NodeId>{NodeId{2}, NodeId{5}, NodeId{9}}));
+  std::vector<NodeId> known{NodeId{77}};  // overwritten, not appended to
+  log.known_failed(known);
+  EXPECT_EQ(known, (std::vector<NodeId>{NodeId{2}, NodeId{5}, NodeId{9}}));
+  std::vector<std::uint32_t> plain;
+  log.known_failed(plain);
+  EXPECT_EQ(plain, (std::vector<std::uint32_t>{2, 5, 9}));
   EXPECT_TRUE(log.knows(NodeId{2}));
   EXPECT_FALSE(log.knows(NodeId{3}));
   EXPECT_EQ(log.entry(NodeId{3}), nullptr);
+}
+
+// Random record / bulk record / erase / retain / clear sequences against a
+// std::map oracle that applies each operation one NID at a time — the
+// semantics the flat log must reproduce. Bulk lists come in four shapes:
+// strictly ascending, unsorted, sorted with duplicates, and any of them
+// containing the caller's own NID, which is never recorded.
+TEST(FailureLog, MatchesOrderedMapOracle) {
+  using Oracle = std::map<NodeId, FailureLog::Entry>;
+  const NodeId self{7};
+  Rng rng(20250611);
+  const auto nid = [&] { return NodeId{std::uint32_t(rng.below(40))}; };
+  const auto random_list = [&] {
+    std::vector<NodeId> list(rng.below(13));
+    for (NodeId& n : list) n = nid();
+    switch (rng.below(4)) {
+      case 0:  // strictly ascending
+        std::sort(list.begin(), list.end());
+        list.erase(std::unique(list.begin(), list.end()), list.end());
+        break;
+      case 1:  // sorted with duplicates
+        if (!list.empty()) list.push_back(list.front());
+        std::sort(list.begin(), list.end());
+        break;
+      case 2:  // sorted, containing self
+        list.push_back(self);
+        std::sort(list.begin(), list.end());
+        list.erase(std::unique(list.begin(), list.end()), list.end());
+        break;
+      default:  // unsorted as drawn
+        break;
+    }
+    return list;
+  };
+
+  for (int trial = 0; trial < 200; ++trial) {
+    FailureLog log;
+    Oracle oracle;
+    for (int step = 0; step < 60; ++step) {
+      const FailureLog::Entry entry{SimTime::micros(trial * 1000 + step),
+                                    std::uint64_t(step), nid()};
+      switch (rng.below(10)) {
+        case 0:
+        case 1: {
+          const NodeId n = nid();
+          ASSERT_EQ(log.record(n, entry), oracle.emplace(n, entry).second);
+          break;
+        }
+        case 2:
+        case 3:
+        case 4:
+        case 5: {
+          const std::vector<NodeId> list = random_list();
+          std::vector<NodeId> learned{NodeId{99}};  // appended to, not reset
+          log.record(list, entry, self, learned);
+          std::vector<NodeId> expected{NodeId{99}};
+          for (NodeId n : list) {
+            if (n != self && oracle.emplace(n, entry).second) {
+              expected.push_back(n);
+            }
+          }
+          ASSERT_EQ(learned, expected);
+          break;
+        }
+        case 6:
+        case 7: {
+          const NodeId n = nid();
+          ASSERT_EQ(log.erase(n), oracle.erase(n) > 0);
+          break;
+        }
+        case 8: {
+          const std::vector<NodeId> list = random_list();
+          log.retain(list);
+          std::erase_if(oracle, [&](const auto& kv) {
+            return std::find(list.begin(), list.end(), kv.first) ==
+                   list.end();
+          });
+          break;
+        }
+        default:
+          if (rng.below(4) == 0) {
+            log.clear();
+            oracle.clear();
+          }
+          break;
+      }
+      ASSERT_EQ(log.size(), oracle.size());
+      std::vector<NodeId> listed;
+      log.known_failed(listed);
+      std::vector<NodeId> expected;
+      for (const auto& [n, e] : oracle) expected.push_back(n);
+      ASSERT_EQ(listed, expected);
+      for (std::uint32_t v = 0; v < 40; ++v) {
+        const NodeId n{v};
+        const auto it = oracle.find(n);
+        ASSERT_EQ(log.knows(n), it != oracle.end());
+        const FailureLog::Entry* got = log.entry(n);
+        ASSERT_EQ(got != nullptr, it != oracle.end());
+        if (got != nullptr) {
+          ASSERT_EQ(got->learned_at, it->second.learned_at);
+          ASSERT_EQ(got->epoch, it->second.epoch);
+          ASSERT_EQ(got->reported_by, it->second.reported_by);
+        }
+      }
+    }
+  }
 }
 
 TEST(Metrics, DetectionEventsCarryGroundTruth) {

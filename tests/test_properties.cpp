@@ -91,9 +91,11 @@ TEST_P(LossSeedSweep, ViewsNeverExpectKnownFailedNodes) {
   for (NodeId v : victims) scenario.network().crash(v);
   scenario.run_epochs(3);
 
+  std::vector<NodeId> known;
   for (FdsAgent* agent : scenario.fds().agents()) {
     if (!agent->view().affiliated()) continue;
-    for (NodeId failed : agent->log().known_failed()) {
+    agent->log().known_failed(known);
+    for (NodeId failed : known) {
       if (scenario.network().node(failed).alive()) continue;  // re-admitted
       EXPECT_FALSE(agent->view().cluster()->is_member(failed))
           << "agent " << agent->id() << " still expects " << failed;
@@ -193,9 +195,11 @@ class ScheduleEquivalence : public ::testing::TestWithParam<std::uint64_t> {
       trace << e.decider << ':' << e.suspect << ':' << e.epoch << ':'
             << e.when << ';';
     }
+    std::vector<NodeId> known;
     for (FdsAgent* agent : scenario.fds().agents()) {
       trace << '|' << agent->id() << ':' << agent->current_epoch();
-      for (NodeId f : agent->log().known_failed()) trace << ',' << f;
+      agent->log().known_failed(known);
+      for (NodeId f : known) trace << ',' << f;
     }
     const TrafficTotals traffic = traffic_totals(scenario.network());
     trace << '|' << traffic.frames << ':' << traffic.bytes;

@@ -10,7 +10,9 @@
 // epoch-skew tolerance, no adaptive accrual, no checkpoints, no forwarder,
 // no hooks), a clean channel, and no failures — exactly the state an idle
 // deployed world sits in. The skew path's prune_evidence keeps a local
-// scratch vector and is exercised by service-mode tests instead.
+// scratch vector and is exercised by service-mode tests instead. A second
+// test pins the receive path of a health update that carries only known
+// failures, with the inter-cluster forwarder attached.
 
 #include <gtest/gtest.h>
 
@@ -25,6 +27,7 @@
 #include "cluster/directory.h"
 #include "cluster/membership.h"
 #include "fds/agent.h"
+#include "intercluster/forwarder.h"
 #include "net/network.h"
 #include "net/topology.h"
 
@@ -192,6 +195,113 @@ TEST(SteadyStateAlloc, EpochsAtTenThousandNodesAreAllocationFree) {
   // and every agent stayed in the sweep.
   EXPECT_GT(directory.clusters().size(), 100u);
   EXPECT_EQ(fds.active_agents(), kNodes);
+}
+
+// The receive path of a health update that tells its receivers nothing new:
+// every NID of its all_failed list is already in their logs, and the report
+// it acknowledges was already overheard. Every R-3 update and relay carries
+// its author's whole log, so this is the common case in the paper's regime;
+// it must cost no allocation in the FDS agent (log records, view update) or
+// the forwarder (ack and armed-report bookkeeping, link-role walk).
+//
+// World (range 100, perfect links): CH A = 0 with members 2, 3, 4 and the
+// A-B gateway 7 plus backups 8, 9 between the clusters; CH B = 1 with
+// members 5, 6. Node 4 crashes, CH A reports it, the GW carries the report
+// and CH B's relay acknowledges it. Both updates are then re-broadcast —
+// once to warm the channel's buffers, once counted.
+TEST(SteadyStateAlloc, KnownHealthUpdateReceiveIsAllocationFree) {
+  NetworkConfig net_config;
+  net_config.seed = 17;
+  Network network(net_config, std::make_unique<PerfectLinks>());
+  for (const Vec2 p : {Vec2{0.0, 0.0}, Vec2{160.0, 0.0}, Vec2{-30.0, 10.0},
+                       Vec2{20.0, -25.0}, Vec2{10.0, 30.0}, Vec2{175.0, 15.0},
+                       Vec2{140.0, -15.0}, Vec2{80.0, 0.0}, Vec2{80.0, 15.0},
+                       Vec2{80.0, -15.0}}) {
+    network.add_node(p);
+  }
+  ClusterView a;
+  a.id = ClusterId{0};
+  a.clusterhead = NodeId{0};
+  a.members = {NodeId{2}, NodeId{3}, NodeId{4},
+               NodeId{7}, NodeId{8}, NodeId{9}};
+  a.deputies = {NodeId{2}};
+  ClusterView b;
+  b.id = ClusterId{1};
+  b.clusterhead = NodeId{1};
+  b.members = {NodeId{5}, NodeId{6}};
+  b.deputies = {NodeId{5}};
+  GatewayLink ab;
+  ab.neighbor_cluster = b.id;
+  ab.neighbor_clusterhead = b.clusterhead;
+  ab.gateway = NodeId{7};
+  ab.backups = {NodeId{8}, NodeId{9}};
+  a.links.push_back(ab);
+  GatewayLink ba = ab;
+  ba.neighbor_cluster = a.id;
+  ba.neighbor_clusterhead = a.clusterhead;
+  b.links.push_back(ba);
+
+  std::vector<std::unique_ptr<MembershipView>> owned_views;
+  std::vector<MembershipView*> views;
+  for (std::uint32_t i = 0; i < 10; ++i) {
+    owned_views.push_back(std::make_unique<MembershipView>(NodeId{i}));
+    views.push_back(owned_views.back().get());
+  }
+  for (const ClusterView* c : {&a, &b}) {
+    views[c->clusterhead.value()]->set_cluster(*c);
+    network.node(c->clusterhead).set_marked(true);
+    for (NodeId m : c->members) {
+      views[m.value()]->set_cluster(*c);
+      network.node(m).set_marked(true);
+    }
+  }
+
+  FdsConfig config;
+  config.heartbeat_interval = SimTime::seconds(3);
+  FdsService fds(network, views, config);
+  std::shared_ptr<const HealthUpdatePayload> detection;
+  std::shared_ptr<const HealthUpdatePayload> relay;
+  fds.hooks().on_update_sent =
+      [&](NodeId sender,
+          const std::shared_ptr<const HealthUpdatePayload>& update) {
+        if (sender == NodeId{0} && update->report.is_valid()) {
+          detection = update;
+        }
+        if (sender == NodeId{1} && !update->acks.empty()) relay = update;
+      };
+  ForwarderService forwarder(network, fds, views, ForwarderConfig{});
+
+  network.crash(NodeId{4});
+  fds.schedule_epoch(0, SimTime::zero());
+  network.simulator().run_until(SimTime::seconds(3));
+  ASSERT_TRUE(detection != nullptr);
+  ASSERT_TRUE(relay != nullptr);
+  ASSERT_EQ(relay->all_failed, std::vector<NodeId>{NodeId{4}});
+  EXPECT_EQ(forwarder.stats().reports_received, 1u);
+
+  SimTime t = SimTime::seconds(3);
+  auto rebroadcast = [&] {
+    network.node(NodeId{0}).radio().send(detection);
+    network.node(NodeId{1}).radio().send(relay);
+    t += SimTime::seconds(1);
+    network.simulator().run_until(t);
+  };
+  // Each re-broadcast lands in other calendar buckets: spread capacity
+  // across the wheel first, as the test above does.
+  network.simulator().reserve(std::size_t{1} << 12);
+  rebroadcast();  // warm-up: transmission slab, event slots
+
+  g_allocations.store(0, std::memory_order_relaxed);
+  g_counting.store(true, std::memory_order_relaxed);
+  rebroadcast();
+  g_counting.store(false, std::memory_order_relaxed);
+  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed), 0u)
+      << "an update with nothing new must not allocate on receipt (see "
+         "FailureLog::record and the forwarder's flat sets)";
+
+  // Nothing new was learned and nothing was forwarded again.
+  EXPECT_EQ(forwarder.stats().reports_received, 1u);
+  EXPECT_TRUE(fds.agent_for(NodeId{6}).log().knows(NodeId{4}));
 }
 
 }  // namespace
