@@ -5,6 +5,20 @@
 #include "common/expect.h"
 
 namespace cfds {
+namespace {
+
+/// Membership test for one sender's row of Bad receivers. A row holds a
+/// handful of NIDs (about 7 at the stationary Bad fraction), so a scan
+/// without early exit beats FlatSet::contains, whose data-dependent
+/// branches mispredict on nearly every call (measured in docs/PERF.md,
+/// "Per-link loss state").
+bool row_contains(const FlatSet<NodeId>& row, NodeId id) {
+  bool found = false;
+  for (const NodeId r : row) found |= r == id;
+  return found;
+}
+
+}  // namespace
 
 BernoulliLoss::BernoulliLoss(double loss_probability) : p_(loss_probability) {
   CFDS_EXPECT(p_ >= 0.0 && p_ <= 1.0, "loss probability outside [0,1]");
@@ -15,17 +29,34 @@ bool BernoulliLoss::lost(NodeId, Vec2, NodeId, Vec2, Rng& rng) {
 }
 
 GilbertElliottLoss::GilbertElliottLoss(Params params) : params_(params) {
-  CFDS_EXPECT(params_.p_gb > 0.0 && params_.p_bg > 0.0,
-              "degenerate Gilbert-Elliott chain");
+  CFDS_EXPECT(params_.p_good >= 0.0 && params_.p_good <= 1.0 &&
+                  params_.p_bad >= 0.0 && params_.p_bad <= 1.0,
+              "Gilbert-Elliott loss probability outside [0,1]");
+  CFDS_EXPECT(params_.p_gb > 0.0 && params_.p_gb <= 1.0 &&
+                  params_.p_bg > 0.0 && params_.p_bg <= 1.0,
+              "degenerate Gilbert-Elliott chain: transition outside (0,1]");
 }
 
+// LINT-ROUND-PATH: per-candidate on every transmission (see docs/PERF.md).
 bool GilbertElliottLoss::lost(NodeId sender, Vec2, NodeId receiver, Vec2,
                               Rng& rng) {
-  const std::uint64_t key =
-      (std::uint64_t(sender.value()) << 32) | receiver.value();
-  bool& bad = link_bad_[key];
-  // Step the chain, then sample loss in the new state.
-  bad = bad ? !rng.bernoulli(params_.p_bg) : rng.bernoulli(params_.p_gb);
+  CFDS_EXPECT(sender.is_valid(), "Gilbert-Elliott sender id invalid");
+  if (sender.value() >= bad_receivers_.size()) {
+    bad_receivers_.resize(std::size_t(sender.value()) + 1);
+  }
+  FlatSet<NodeId>& bad_row = bad_receivers_[sender.value()];
+  // Step the chain, then sample loss in the new state. The row changes only
+  // when the link flips, and its buffer keeps its high-water capacity.
+  const bool was_bad = row_contains(bad_row, receiver);
+  const bool bad =
+      was_bad ? !rng.bernoulli(params_.p_bg) : rng.bernoulli(params_.p_gb);
+  if (bad != was_bad) {
+    if (bad) {
+      bad_row.insert(receiver);
+    } else {
+      bad_row.erase(receiver);
+    }
+  }
   return rng.bernoulli(bad ? params_.p_bad : params_.p_good);
 }
 

@@ -9,10 +9,10 @@
 
 #pragma once
 
-#include <cstdint>
 #include <memory>
-#include <unordered_map>
+#include <vector>
 
+#include "common/flat.h"
 #include "common/geometry.h"
 #include "common/ids.h"
 #include "common/rng.h"
@@ -59,7 +59,14 @@ class BernoulliLoss final : public LossModel {
 /// Two-state bursty link model. Each directed link is an independent
 /// Gilbert-Elliott chain stepped once per transmission over that link:
 /// in the Good state frames are lost with p_good, in the Bad state with
-/// p_bad; transitions occur with p_gb / p_bg.
+/// p_bad; transitions occur with p_gb / p_bg. Every link starts Good.
+///
+/// Link state is one flat row per sender, indexed by the sender's NID, that
+/// holds the receivers whose link is currently Bad; a receiver not in the
+/// row is Good. The channel asks about one sender's whole fan-out in a row,
+/// so that short row stays cache-resident across it. Sender NIDs must be
+/// valid and densely numbered (as FdsService and ForwarderService also
+/// assume): the outer vector grows to the largest sender NID seen.
 class GilbertElliottLoss final : public LossModel {
  public:
   struct Params {
@@ -69,6 +76,8 @@ class GilbertElliottLoss final : public LossModel {
     double p_bg = 0.3;     ///< Bad -> Good transition probability
   };
 
+  /// Aborts unless p_good and p_bad are in [0,1] and p_gb and p_bg are in
+  /// (0,1].
   explicit GilbertElliottLoss(Params params);
 
   [[nodiscard]] bool lost(NodeId sender, Vec2, NodeId receiver, Vec2,
@@ -80,7 +89,7 @@ class GilbertElliottLoss final : public LossModel {
 
  private:
   Params params_;
-  std::unordered_map<std::uint64_t, bool> link_bad_;  // keyed by (src,dst)
+  std::vector<FlatSet<NodeId>> bad_receivers_;  // [sender NID] -> Bad links
 };
 
 /// Loss grows with distance: p(d) = floor + (ceiling-floor) * (d/range)^gamma.

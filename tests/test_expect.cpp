@@ -49,6 +49,25 @@ TEST(ExpectDeath, CalendarInsertInThePastAborts) {
 TEST(ExpectDeath, InvalidLossProbabilityAborts) {
   EXPECT_DEATH(BernoulliLoss(-0.1), "loss probability");
   EXPECT_DEATH(BernoulliLoss(1.5), "loss probability");
+
+  // Rng::bernoulli would silently clamp these, so the constructor rejects
+  // them: state loss probabilities in [0,1], transitions in (0,1].
+  const auto ge = [](double p_good, double p_bad, double p_gb, double p_bg) {
+    GilbertElliottLoss::Params params;
+    params.p_good = p_good;
+    params.p_bad = p_bad;
+    params.p_gb = p_gb;
+    params.p_bg = p_bg;
+    return GilbertElliottLoss(params);
+  };
+  EXPECT_DEATH(ge(-0.2, 0.8, 0.05, 0.3), "loss probability outside");
+  EXPECT_DEATH(ge(0.01, 1.5, 0.05, 0.3), "loss probability outside");
+  EXPECT_DEATH(ge(0.01, 0.8, 0.0, 0.3), "transition outside");
+  EXPECT_DEATH(ge(0.01, 0.8, 1.5, 0.3), "transition outside");
+  EXPECT_DEATH(ge(0.01, 0.8, 0.05, 0.0), "transition outside");
+  EXPECT_DEATH(ge(0.01, 0.8, 0.05, -0.2), "transition outside");
+  // The boundaries themselves are valid.
+  (void)ge(0.0, 1.0, 1.0, 1.0);
 }
 
 TEST(ExpectDeath, UnknownNodeLookupAborts) {

@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
@@ -310,6 +311,90 @@ TEST(LossModels, GilbertElliottIsBursty) {
   }
   const double stationary = loss.stationary_loss();
   EXPECT_GT(double(both) / pairs, stationary * stationary * 1.5);
+}
+
+// Reference copy of the Gilbert-Elliott model as it was first written: one
+// hash-map entry per directed link, value-initialised to Good on first
+// touch. The shipped model must reproduce it draw for draw.
+class PerLinkMapGilbertElliott {
+ public:
+  explicit PerLinkMapGilbertElliott(GilbertElliottLoss::Params params)
+      : params_(params) {}
+
+  bool lost(NodeId sender, NodeId receiver, Rng& rng) {
+    const std::uint64_t key =
+        (std::uint64_t(sender.value()) << 32) | receiver.value();
+    bool& bad = link_bad_[key];
+    bad = bad ? !rng.bernoulli(params_.p_bg) : rng.bernoulli(params_.p_gb);
+    return rng.bernoulli(bad ? params_.p_bad : params_.p_good);
+  }
+
+ private:
+  GilbertElliottLoss::Params params_;
+  std::unordered_map<std::uint64_t, bool> link_bad_;
+};
+
+TEST(LossModels, GilbertElliottMatchesPerLinkMapOracle) {
+  GilbertElliottLoss::Params params;
+  params.p_good = 0.05;
+  params.p_bad = 0.8;
+  params.p_gb = 0.2;  // frequent flips: rows grow and shrink often
+  params.p_bg = 0.3;
+  GilbertElliottLoss model(params);
+  PerLinkMapGilbertElliott oracle(params);
+  Rng model_rng(23);
+  Rng oracle_rng(23);
+  Rng links(24);  // picks the links; shared by neither model
+
+  constexpr std::uint32_t kNodes = 64;
+  const NodeId far_receiver{5000};  // larger than any other NID
+  std::size_t calls = 0;
+  const auto step = [&](NodeId sender, NodeId receiver) {
+    ++calls;
+    ASSERT_EQ(model.lost(sender, {}, receiver, {}, model_rng),
+              oracle.lost(sender, receiver, oracle_rng))
+        << "call " << calls << ": " << sender << " -> " << receiver;
+  };
+
+  // First touch of every sender in descending NID order, so the rows are
+  // sized by the first call and filled in from the top down.
+  for (std::uint32_t s = kNodes; s-- > 0;) {
+    step(NodeId{s}, far_receiver);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  // Random directed links, both directions of each pair. In the second
+  // half the far receiver sends too, so the rows grow with state in them.
+  while (calls < 120000) {
+    const NodeId a{std::uint32_t(links.below(kNodes))};
+    const NodeId b{std::uint32_t(links.below(kNodes))};
+    if (a == b) continue;
+    step(a, b);
+    step(b, a);
+    if (links.below(16) == 0) {
+      step(a, far_receiver);
+      if (calls > 60000) step(far_receiver, a);
+    }
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  // Both generators consumed exactly the same draws.
+  EXPECT_EQ(model_rng(), oracle_rng());
+}
+
+TEST(LossModels, GilbertElliottLinksAreDirectedAndIndependent) {
+  // Deterministic chain: every step flips the state, Good never loses and
+  // Bad always does, so each call's result reveals the state it entered.
+  GilbertElliottLoss::Params params;
+  params.p_good = 0.0;
+  params.p_bad = 1.0;
+  params.p_gb = 1.0;
+  params.p_bg = 1.0;
+  GilbertElliottLoss loss(params);
+  Rng rng(3);
+  const NodeId a{7}, b{2}, c{40};
+  EXPECT_TRUE(loss.lost(a, {}, b, {}, rng));   // a->b: Good -> Bad
+  EXPECT_TRUE(loss.lost(b, {}, a, {}, rng));   // b->a was still Good
+  EXPECT_TRUE(loss.lost(a, {}, c, {}, rng));   // a->c was still Good
+  EXPECT_FALSE(loss.lost(a, {}, b, {}, rng));  // a->b was still Bad
 }
 
 TEST(LossModels, DistanceLossGrowsWithDistance) {
