@@ -40,6 +40,7 @@ enum Tag : std::uint64_t {
   kTagCluster = 0x0b,
   kTagPayload = 0x0c,
   kTagAbsent = 0x0d,
+  kTagAdaptive = 0x0e,
 };
 
 void mix_ids(Hasher& h, const std::vector<NodeId>& ids) {
@@ -185,17 +186,6 @@ void StateFingerprinter::mix_agent(Hasher& h, const FdsAgent& a) {
   // --- Round evidence and completeness state ----------------------------
   h.mix(kTagRoundState);
   mix_evidence(h, a.evidence_);
-  h.mix(kTagSeen);
-  h.mix(a.heartbeat_seen_.size());
-  for (const auto& [node, when] : a.heartbeat_seen_) {
-    h.mix(node.value());
-    h.mix(std::uint64_t(when.as_micros()));
-  }
-  h.mix(a.digest_seen_.size());
-  for (const auto& [node, when] : a.digest_seen_) {
-    h.mix(node.value());
-    h.mix(std::uint64_t(when.as_micros()));
-  }
   mix_id_set(h, a.unmarked_heard_);
   h.mix(std::uint64_t{a.got_scheduled_update_});
   if (a.scheduled_update_) {
@@ -213,17 +203,40 @@ void StateFingerprinter::mix_agent(Hasher& h, const FdsAgent& a) {
   h.mix(std::uint64_t{a.deputy_timer_.pending()});
   h.mix(std::uint64_t{a.sent_ack_});
 
-  // --- Extensions: self-tuning and checkpointed recovery ----------------
-  mix_estimator(h, a.estimator_);
-  h.mix(std::uint64_t{a.tune_level_});
-  h.mix(kTagCheckpoint);
-  if (a.stable_checkpoint_) {
-    mix_payload(h, *a.stable_checkpoint_);
+  // --- Opt-in blocks: each under its own tag, kTagAbsent when off -------
+  h.mix(kTagAdaptive);
+  if (a.adaptive_) {
+    mix_estimator(h, a.adaptive_->estimator_);
+    h.mix(std::uint64_t{a.adaptive_->tune_level_});
   } else {
     h.mix(kTagAbsent);
   }
-  h.mix(a.checkpoint_seq_);
-  h.mix(std::uint64_t{a.restored_from_checkpoint_});
+  h.mix(kTagCheckpoint);
+  if (a.checkpoints_) {
+    const auto& cp = *a.checkpoints_;
+    if (cp.stable_checkpoint_) {
+      mix_payload(h, *cp.stable_checkpoint_);
+    } else {
+      h.mix(kTagAbsent);
+    }
+    h.mix(cp.checkpoint_seq_);
+    h.mix(std::uint64_t{cp.restored_from_checkpoint_});
+  } else {
+    h.mix(kTagAbsent);
+  }
+  h.mix(kTagSeen);
+  if (a.skew_) {
+    for (const auto* seen : {&a.skew_->heartbeat_seen_,
+                             &a.skew_->digest_seen_}) {
+      h.mix(seen->size());
+      for (const auto& [node, when] : *seen) {
+        h.mix(node.value());
+        h.mix(std::uint64_t(when.as_micros()));
+      }
+    }
+  } else {
+    h.mix(kTagAbsent);
+  }
   // FP-EXEMPT(heartbeat_pool_) / FP-EXEMPT(digest_pool_) /
   // FP-EXEMPT(update_pool_) / FP-EXEMPT(expected_scratch_): send-side
   // buffers, fully overwritten before every emission and never read as

@@ -6,11 +6,12 @@
 // must behave identically under identical future choice sequences. The
 // conventions that keep that true as the protocol grows:
 //
-//   * Every member of a fingerprinted class (FdsAgent, LinkQualityEstimator,
-//     MembershipView, FailureLog — plus the aggregate structs RoundEvidence
-//     and ClusterView) is either mixed in fingerprint.cpp or explicitly
-//     exempted there with an `FP-EXEMPT(<member>): reason` comment arguing
-//     why it cannot influence future protocol behaviour.
+//   * Every member of a fingerprinted class (FdsAgent and its opt-in
+//     blocks, LinkQualityEstimator, MembershipView, FailureLog — plus the
+//     aggregate structs RoundEvidence and ClusterView) is either mixed in
+//     fingerprint.cpp or explicitly exempted there with an
+//     `FP-EXEMPT(<member>): reason` comment arguing why it cannot influence
+//     future protocol behaviour.
 //   * cfds-lint rule `state-outside-fingerprint` (tools/lint/lint.h)
 //     enforces the convention for private `name_` members of marked
 //     classes: a member neither referenced nor FP-EXEMPT'd in

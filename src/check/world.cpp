@@ -128,6 +128,7 @@ CheckWorld::CheckWorld(const CheckOptions& opts, ChoiceSink& sink)
     cluster.deputies.push_back(NodeId{i});
   }
 
+  store_.reserve(n);
   nodes_.reserve(n);
   views_.reserve(n);
   transports_.reserve(n);

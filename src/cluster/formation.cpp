@@ -261,9 +261,8 @@ void FormationAgent::on_frame(const Reception& reception) {
 FormationProtocol::FormationProtocol(Network& network, FormationConfig config)
     : network_(network), config_(config) {
   for (Node* node : network_.nodes()) {
-    transports_.push_back(std::make_unique<SimTransport>(*node));
-    agents_.push_back(
-        std::make_unique<FormationAgent>(*node, *transports_.back(), config_));
+    agents_.push_back(std::make_unique<FormationAgent>(
+        *node, network_.transport(node->id()), config_));
   }
 }
 
@@ -277,9 +276,8 @@ std::vector<FormationAgent*> FormationProtocol::agents() {
 void FormationProtocol::adopt_new_nodes() {
   const auto& nodes = network_.nodes();
   for (std::size_t i = agents_.size(); i < nodes.size(); ++i) {
-    transports_.push_back(std::make_unique<SimTransport>(*nodes[i]));
     agents_.push_back(std::make_unique<FormationAgent>(
-        *nodes[i], *transports_.back(), config_));
+        *nodes[i], network_.transport(nodes[i]->id()), config_));
   }
 }
 

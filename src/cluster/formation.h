@@ -43,7 +43,6 @@
 #include "common/flat.h"
 #include "common/sim_time.h"
 #include "net/network.h"
-#include "transport/sim_transport.h"
 #include "transport/transport.h"
 
 namespace cfds {
@@ -129,8 +128,6 @@ class FormationProtocol {
  private:
   Network& network_;
   FormationConfig config_;
-  /// One SimTransport per agent (pointer-stable; agents keep references).
-  std::vector<std::unique_ptr<SimTransport>> transports_;
   std::vector<std::unique_ptr<FormationAgent>> agents_;
 };
 

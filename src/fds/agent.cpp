@@ -42,6 +42,13 @@ FdsAgent::FdsAgent(Node& node, MembershipView& view, Transport& transport,
       t_hop_(t_hop),
       config_(config),
       hooks_(hooks) {
+  if (config_.adaptive_enabled) adaptive_ = std::make_unique<Adaptive>();
+  if (config_.checkpoint_enabled) {
+    checkpoints_ = std::make_unique<Checkpoints>();
+  }
+  if (config_.tolerate_epoch_skew) {
+    skew_ = std::make_unique<SkewTolerance>();
+  }
   transport_.add_receive_handler(
       [](void* self, const Reception& reception) {
         static_cast<FdsAgent*>(self)->on_frame(reception);
@@ -71,8 +78,7 @@ void FdsAgent::on_lifecycle(bool alive) {
   missed_updates_ = 0;
   left_ = false;
   evidence_.clear();
-  heartbeat_seen_.clear();
-  digest_seen_.clear();
+  if (skew_) *skew_ = {};
   unmarked_heard_.clear();
   leaves_heard_.clear();
   notices_heard_.clear();
@@ -81,40 +87,12 @@ void FdsAgent::on_lifecycle(bool alive) {
   scheduled_update_.reset();
   acked_requesters_.clear();
   sent_ack_ = false;
-  estimator_.clear();
-  tune_level_ = 0;
-  restored_from_checkpoint_ = false;
-  // stable_checkpoint_ deliberately survives: it models stable storage,
+  if (adaptive_) adaptive_->reset();
+  // The stored checkpoint deliberately survives: it models stable storage,
   // the one thing a minimum-process checkpointing scheme assumes outlives
   // the crash. If it names this node as CH or deputy, restore from it and
   // reconcile with the live cluster instead of cold-rejoining.
-  if (config_.checkpoint_enabled) restore_from_checkpoint();
-}
-
-void FdsAgent::restore_from_checkpoint() {
-  if (!stable_checkpoint_) return;
-  const CheckpointPayload& cp = *stable_checkpoint_;
-  const bool named_ch = cp.clusterhead == node_.id();
-  const bool named_dch =
-      std::find(cp.deputies.begin(), cp.deputies.end(), node_.id()) !=
-      cp.deputies.end();
-  if (!named_ch && !named_dch) return;
-  ClusterView fresh;
-  fresh.id = cp.cluster;
-  fresh.clusterhead = cp.clusterhead;
-  fresh.members = cp.members;
-  fresh.deputies = cp.deputies;
-  view_.set_cluster(std::move(fresh));
-  node_.set_marked(true);
-  // The checkpointed failure log may be stale (a member re-admitted after
-  // checkpoint time): the recovery_enabled reconciliation rules heal that —
-  // stale self-news steps the zombie entry's owner down, its re-subscription
-  // refutes the record everywhere the admission update lands.
-  for (NodeId f : cp.failed) {
-    if (f == node_.id()) continue;
-    log_.record(f, {timers_.now(), cp.epoch, cp.sender});
-  }
-  restored_from_checkpoint_ = true;
+  if (checkpoints_) restore_from_checkpoint();
 }
 
 double FdsAgent::energy_fraction() const {
@@ -134,46 +112,41 @@ void FdsAgent::begin_epoch(std::uint64_t epoch) {
   // Close out the previous execution's contact accounting before resetting.
   if (node_.alive() && view_.affiliated() && !view_.is_clusterhead() &&
       transport_.powered()) {
-    if (config_.adaptive_enabled) {
+    if (adaptive_) {
       // A member's only per-execution liveness signal from its CH is the
       // scheduled update; feed it to the estimator so the deputies' accrual
       // gate (evaluate_ch_failure) knows how flaky the CH's link is.
-      estimator_.observe(view_.cluster()->clusterhead, got_scheduled_update_);
+      adaptive_->estimator_.observe(view_.cluster()->clusterhead,
+                                    got_scheduled_update_);
     }
     missed_updates_ = got_scheduled_update_ ? 0 : missed_updates_ + 1;
     // Under adaptive detection the CH-announced tune level stretches the
     // re-affiliation patience: a congested cluster (high announced loss)
     // must not shed members over transient misses.
-    const std::uint32_t patience =
-        config_.reaffiliate_after_missed +
-        (config_.adaptive_enabled ? tune_level_ : 0U);
-    if (config_.reaffiliate_after_missed > 0 && missed_updates_ >= patience) {
+    if (missed_updates_ >= kReaffiliateAfterMissed + tune_level()) {
       // Lost contact with the cluster (drifted out of range, or the CH we
       // can hear changed): revert to unmarked and re-subscribe (F5).
-      view_.clear();
-      node_.set_marked(false);
-      missed_updates_ = 0;
-      count_revert(kRevertMissedUpdates);
-      estimator_.clear();
-      tune_level_ = 0;
+      step_down(kRevertMissedUpdates);
     }
   }
   epoch_ = epoch;
-  if (config_.tolerate_epoch_skew) {
+  if (skew_) {
     // Soft boundary: a neighbour running a few milliseconds ahead has
     // already delivered its R-1 heartbeat for this execution; wiping it
-    // here would fail that neighbour every single epoch. Age out the old
-    // evidence instead (see FdsConfig::tolerate_epoch_skew).
-    prune_evidence();
+    // here would fail that neighbour every single epoch. Age out evidence
+    // older than one execution plus Thop slack instead (see
+    // FdsConfig::tolerate_epoch_skew).
+    skew_->prune(evidence_,
+                 timers_.now() -
+                     SimTime::micros(config_.heartbeat_interval.as_micros() +
+                                     t_hop_.as_micros()));
   } else {
     evidence_.clear();
   }
   // An acting head under tolerate_epoch_skew keeps pending subscriptions
   // across the boundary (they are consumed at R-3); everyone else starts
   // the execution with a clean slate.
-  if (!config_.tolerate_epoch_skew || !view_.is_clusterhead()) {
-    unmarked_heard_.clear();
-  }
+  if (!skew_ || !view_.is_clusterhead()) unmarked_heard_.clear();
   notices_heard_.clear();
   // leaves_heard_ persists across the epoch boundary: a notice arriving
   // after this epoch's R-3 must still be honoured by the next one.
@@ -211,8 +184,7 @@ void FdsAgent::announce_leave() {
   transport_.send(std::move(notice));
   view_.clear();
   node_.set_marked(false);
-  estimator_.clear();
-  tune_level_ = 0;
+  if (adaptive_) adaptive_->reset();
   left_ = true;
 }
 
@@ -290,10 +262,10 @@ void FdsAgent::round3_update() {
   // the threshold — identical latency over clean links, extra consecutive
   // misses demanded over lossy ones (see fds/link_quality.h).
   const std::vector<NodeId> failed =
-      config_.adaptive_enabled
-          ? detect_failed_accrual(expected, evidence_, config_.rule_mode,
-                                  estimator_, config_.accrual_threshold_milli)
-          : detect_failed(expected, evidence_, config_.rule_mode);
+      adaptive_ ? detect_failed_accrual(expected, evidence_, config_.rule_mode,
+                                        adaptive_->estimator_,
+                                        config_.accrual_threshold_milli)
+                : detect_failed(expected, evidence_, config_.rule_mode);
 
   // Reset EVERY field of the pooled update: a recycled object still carries
   // the previous epoch's admissions, snapshot, report id and piggybacks.
@@ -315,42 +287,41 @@ void FdsAgent::round3_update() {
 
   for (NodeId f : failed) {
     log_.record(f, {timers_.now(), epoch_, node_.id()});
-    estimator_.forget(f);
   }
-  for (NodeId d : departed) estimator_.forget(d);
+  if (adaptive_) {
+    for (NodeId f : failed) adaptive_->estimator_.forget(f);
+    for (NodeId d : departed) adaptive_->estimator_.forget(d);
+  }
   view_.remove_members(failed);
 
-  if (config_.admit_unmarked) {
-    for (NodeId newcomer : unmarked_heard_) {
-      if (config_.admit_filter != nullptr &&
-          !config_.admit_filter(config_.admit_filter_ctx, newcomer)) {
-        continue;  // another clusterhead's responsibility
-      }
-      // Under crash-recovery, an unmarked heartbeat from a *current* member
-      // is a node that lost its view (recovered or reaffiliating): it keeps
-      // its membership slot but needs the snapshot to reinstall it.
-      if (config_.recovery_enabled || !view_.cluster()->is_member(newcomer)) {
-        update.admitted.push_back(newcomer);
-      }
+  // Unmarked heartbeats are membership subscriptions (feature F5).
+  for (NodeId newcomer : unmarked_heard_) {
+    if (config_.admit_filter != nullptr &&
+        !config_.admit_filter(config_.admit_filter_ctx, newcomer)) {
+      continue;  // another clusterhead's responsibility
     }
-    if (!update.admitted.empty()) {
-      if (config_.recovery_enabled) {
-        // Admission refutes stale failure records: a node subscribing with
-        // a live heartbeat is alive, whatever the log said.
-#ifndef CFDS_MUTATION_ADMIT_WITHOUT_REFUTE
-        for (NodeId n : update.admitted) log_.erase(n);
-#endif
-      }
-      view_.admit_members(update.admitted);
-      update.members_snapshot = view_.cluster()->members;
-    }
-    if (config_.tolerate_epoch_skew) {
-      // Consumed: each subscription is honoured (or delegated via the
-      // filter) exactly once, so stale entries cannot trigger a re-admission
-      // of a node that has long since died or joined elsewhere.
-      unmarked_heard_.clear();
+    // Under crash-recovery, an unmarked heartbeat from a *current* member
+    // is a node that lost its view (recovered or reaffiliating): it keeps
+    // its membership slot but needs the snapshot to reinstall it.
+    if (config_.recovery_enabled || !view_.cluster()->is_member(newcomer)) {
+      update.admitted.push_back(newcomer);
     }
   }
+  if (!update.admitted.empty()) {
+    if (config_.recovery_enabled) {
+      // Admission refutes stale failure records: a node subscribing with
+      // a live heartbeat is alive, whatever the log said.
+#ifndef CFDS_MUTATION_ADMIT_WITHOUT_REFUTE
+      for (NodeId n : update.admitted) log_.erase(n);
+#endif
+    }
+    view_.admit_members(update.admitted);
+    update.members_snapshot = view_.cluster()->members;
+  }
+  // Consumed under tolerate_epoch_skew: each subscription is honoured (or
+  // delegated via the filter) exactly once, so stale entries cannot trigger
+  // a re-admission of a node that has long since died or joined elsewhere.
+  if (skew_) unmarked_heard_.clear();
   // Cumulative knowledge is published after admissions, so a re-admitted
   // node is never simultaneously listed failed in the same update.
   log_.known_failed(update.all_failed);
@@ -367,80 +338,13 @@ void FdsAgent::round3_update() {
       hooks_.on_detection(node_.id(), epoch_, failed, /*by_deputy=*/false);
     }
   }
-  if (config_.adaptive_enabled) {
-    // Piggyback the self-tuning announcement: worst per-member loss estimate
-    // plus the tune level, ramped by at most one step per epoch so members
-    // (who adopt the announced level directly) and the CH never disagree by
-    // more than one level even across a lost update.
-    const std::uint32_t worst = estimator_.max_loss_pm();
-    std::uint8_t target = 4;
-    if (worst < 50) {
-      target = 0;
-    } else if (worst < 150) {
-      target = 1;
-    } else if (worst < 300) {
-      target = 2;
-    } else if (worst < 450) {
-      target = 3;
-    }
-    if (target > tune_level_) {
-      ++tune_level_;
-    } else if (target < tune_level_) {
-      --tune_level_;
-    }
-    update.cluster_loss_pm = static_cast<std::uint16_t>(worst);
-    update.tune_level = tune_level_;
-  }
+  if (adaptive_) adaptive_->announce(update);
   got_scheduled_update_ = true;  // the author trivially has the update
   scheduled_update_ = update_pool_;
   broadcast_update(update_pool_);
-  if (config_.checkpoint_enabled && config_.checkpoint_interval_epochs > 0 &&
-      epoch_ % config_.checkpoint_interval_epochs == 0) {
+  if (checkpoints_ && epoch_ % config_.checkpoint_interval_epochs == 0) {
     emit_checkpoint();
   }
-}
-
-void FdsAgent::emit_checkpoint() {
-  if (!node_.alive() || !view_.is_clusterhead()) return;
-  auto cp = std::make_shared<CheckpointPayload>();
-  cp->cluster = view_.cluster()->id;
-  cp->sender = node_.id();
-  cp->epoch = epoch_;
-  cp->seq = ++checkpoint_seq_;
-  cp->clusterhead = view_.cluster()->clusterhead;
-  cp->members = view_.cluster()->members;
-  cp->deputies = view_.cluster()->deputies;
-  log_.known_failed(cp->failed);
-  // The author's own copy IS its stable storage (its radio never hears its
-  // own broadcast); the broadcast replicates it to the deputies.
-  stable_checkpoint_ = cp;
-  transport_.send(std::move(cp));
-}
-
-void FdsAgent::handle_checkpoint(
-    const std::shared_ptr<const CheckpointPayload>& cp) {
-  if (!config_.checkpoint_enabled) return;
-  if (!view_.affiliated() || cp->cluster != view_.cluster()->id) return;
-  // Minimum-process: only the CH and its deputies retain cluster state.
-  // The checkpoint's own deputy list also counts — a deputy promoted by the
-  // very roster this checkpoint carries may not see itself in its (older)
-  // local view yet.
-  const bool holder =
-      view_.is_clusterhead() || view_.is_deputy() ||
-      std::find(cp->deputies.begin(), cp->deputies.end(), node_.id()) !=
-          cp->deputies.end();
-  if (!holder) return;
-  // Keep the freshest: newest epoch wins; the sequence number breaks ties
-  // within an epoch (a takeover emits with a fresh head's counter).
-#ifndef CFDS_MUTATION_NO_CHECKPOINT_SEQ_GUARD
-  if (stable_checkpoint_ &&
-      (cp->epoch < stable_checkpoint_->epoch ||
-       (cp->epoch == stable_checkpoint_->epoch &&
-        cp->seq < stable_checkpoint_->seq))) {
-    return;
-  }
-#endif
-  stable_checkpoint_ = cp;
 }
 
 // LINT-ROUND-PATH: per-epoch for every agent; allocation-free in steady
@@ -486,16 +390,12 @@ void FdsAgent::evaluate_ch_failure() {
 #endif
   const NodeId ch = view_.cluster()->clusterhead;
   if (!clusterhead_failed(ch, evidence_, config_.rule_mode)) return;
-  if (config_.adaptive_enabled) {
-    // Accrual gate on the takeover: suspicion accrued over past executions
-    // (begin_epoch observes the CH once per epoch) plus this execution's
-    // still-unrecorded miss must clear the threshold. Over a clean link
-    // that is one miss — the static rule's latency; over a lossy link the
-    // deputy holds back for more consecutive silence.
-    if (estimator_.pending_suspicion_milli(ch) <
-        config_.accrual_threshold_milli) {
-      return;
-    }
+  // Accrual gate on the takeover (begin_epoch observes the CH once per
+  // epoch). Over a clean link one miss clears it — the static rule's
+  // latency; over a lossy link the deputy holds back for more silence.
+  if (adaptive_ &&
+      !adaptive_->clears_gate(ch, config_.accrual_threshold_milli)) {
+    return;
   }
 
   // Takeover (Section 4.2): the highest-ranked DCH assumes the CH role and
@@ -504,7 +404,7 @@ void FdsAgent::evaluate_ch_failure() {
   view_.apply_takeover(node_.id());
   // Role change: the member-side estimator tracked the (now failed) CH;
   // as acting head this node starts estimating its members afresh.
-  estimator_.clear();
+  if (adaptive_) adaptive_->estimator_.clear();
   log_.record(ch, {timers_.now(), epoch_, node_.id()});
 
   auto update = std::make_shared<HealthUpdatePayload>();
@@ -574,56 +474,32 @@ void FdsAgent::broadcast_update(std::shared_ptr<HealthUpdatePayload> update) {
 
 void FdsAgent::note_alive(NodeId sender) {
   evidence_.heartbeats.insert(sender);
-  if (config_.tolerate_epoch_skew) heartbeat_seen_[sender] = timers_.now();
+  if (skew_) skew_->heartbeat_seen_[sender] = timers_.now();
 }
 
-void FdsAgent::count_revert(std::uint32_t cause) {
+void FdsAgent::count_revert(RevertCause cause) {
   ++reverts_[cause];
   last_revert_epoch_ = epoch_;
   last_revert_cause_ = cause;
 }
 
-void FdsAgent::prune_evidence() {
-  // One full execution plus slack: an on-time previous-epoch frame (age
-  // ~phi at the boundary) deliberately SURVIVES into the next execution,
-  // so a node is judged silent only after missing two executions in a row.
-  // On a real transport a single miss is routinely benign — one lost
-  // datagram, or one heartbeat delivered late by a scheduling stall — and
-  // each false detection costs a full revert/re-subscribe/re-admit cycle;
-  // requiring consecutive misses suppresses that quadratically. The price
-  // is one extra execution of detection latency, paid only in service mode
-  // (the simulator's hard-boundary path never prunes).
-  const SimTime cutoff =
-      timers_.now() -
-      SimTime::micros(config_.heartbeat_interval.as_micros() +
-                      t_hop_.as_micros());
-  std::vector<NodeId> stale;
-  for (NodeId heard : evidence_.heartbeats) {
-    const auto it = heartbeat_seen_.find(heard);
-    if (it == heartbeat_seen_.end() || it->second < cutoff) {
-      stale.push_back(heard);
-    }
+void FdsAgent::step_down(RevertCause cause,
+                         const HealthUpdatePayload* applied) {
+  count_revert(cause);
+  view_.clear();
+  node_.set_marked(false);
+  if (adaptive_) adaptive_->reset();
+  missed_updates_ = 0;
+  got_scheduled_update_ = false;
+  scheduled_update_.reset();
+  if (applied != nullptr && hooks_.on_update_applied) {
+    hooks_.on_update_applied(node_.id(), *applied);
   }
-  for (NodeId n : stale) {
-    evidence_.heartbeats.erase(n);
-    heartbeat_seen_.erase(n);
-  }
-  stale.clear();
-  for (const auto& [sender, slot] : evidence_.digest_index()) {
-    const auto it = digest_seen_.find(sender);
-    if (it == digest_seen_.end() || it->second < cutoff) {
-      stale.push_back(sender);
-    }
-  }
-  for (NodeId n : stale) {
-    evidence_.erase_digest(n);
-    digest_seen_.erase(n);
-  }
-  evidence_.ch_update_heard = false;
 }
 
-bool FdsAgent::apply_failures(const HealthUpdatePayload& update) {
-  bool step_down = false;
+std::optional<FdsAgent::RevertCause> FdsAgent::apply_failures(
+    const HealthUpdatePayload& update) {
+  std::optional<RevertCause> step_down_for;
   const FailureLog::Entry entry{timers_.now(), update.epoch, update.sender};
   // Stays empty (never allocates) unless the update carries news for us.
   std::vector<NodeId> to_remove;
@@ -632,23 +508,26 @@ bool FdsAgent::apply_failures(const HealthUpdatePayload& update) {
       // We were falsely detected. Re-subscribe by reverting to the unmarked
       // state: our next heartbeat acts as a membership subscription (F5).
       if (fresh_news) {
-        if (node_.marked()) count_revert(kRevertFreshSelfNews);
-        node_.set_marked(false);
-        if (config_.tolerate_epoch_skew) {
+        if (skew_) {
           // The author has already dropped us from its roster. Keeping the
           // now-stale view would pin us to that cluster: re-admission offers
           // from any other head would be discarded as foreign. Step down
           // fully so whichever head answers our subscription can install us.
-          step_down = true;
+          // Every view install marks the node and only the branch below
+          // unmarks one that keeps its view, so under skew an affiliated
+          // node is marked: step_down counts exactly what that branch would.
+          step_down_for = kRevertFreshSelfNews;
+        } else if (node_.marked()) {
+          count_revert(kRevertFreshSelfNews);
         }
+        node_.set_marked(false);
       } else if (config_.recovery_enabled && node_.marked()) {
         // Stale failure news about ourselves while we think we are a marked
         // participant: the cluster reorganized while we were silent (a
         // freeze, or a takeover update we missed). Our view is stale — the
         // caller drops it so the next heartbeat re-runs affiliation.
 #ifndef CFDS_MUTATION_DROP_SELF_RECONCILIATION
-        step_down = true;
-        count_revert(kRevertStaleSelfNews);
+        step_down_for = kRevertStaleSelfNews;
 #endif
       }
       return;
@@ -658,7 +537,7 @@ bool FdsAgent::apply_failures(const HealthUpdatePayload& update) {
   for (NodeId f : update.newly_failed) learn(f, true);
   for (NodeId f : update.all_failed) learn(f, false);
   view_.remove_members(to_remove);
-  return step_down;
+  return step_down_for;
 }
 
 void FdsAgent::handle_update(
@@ -675,7 +554,7 @@ void FdsAgent::handle_update(
       fresh.members = update->members_snapshot;
       view_.set_cluster(std::move(fresh));
       node_.set_marked(true);
-      if (config_.tolerate_epoch_skew) {
+      if (skew_) {
         // Failure records accumulated before (or between) affiliations are
         // scoped to clusters we no longer watch; in a shared broadcast
         // domain they can name nodes that are alive and well elsewhere.
@@ -700,18 +579,8 @@ void FdsAgent::handle_update(
     // once their scheduled updates go missing.
 #ifndef CFDS_MUTATION_SKIP_RIVAL_ARBITRATION
     if (update->sender.value() < node_.id().value()) {
-      count_revert(kRevertRivalHead);
-      view_.clear();
-      node_.set_marked(false);
       log_.clear();
-      estimator_.clear();
-      tune_level_ = 0;
-      missed_updates_ = 0;
-      got_scheduled_update_ = false;
-      scheduled_update_.reset();
-      if (hooks_.on_update_applied) {
-        hooks_.on_update_applied(node_.id(), *update);
-      }
+      step_down(kRevertRivalHead, update.get());
     }
 #endif
     return;
@@ -739,20 +608,10 @@ void FdsAgent::handle_update(
     if (!about_me) return;
   }
 
-  if (apply_failures(*update)) {
-    // Stale-self step-down (crash-recovery): the cluster believes we failed
-    // and has moved on. Drop the stale view and revert to unmarked; the
-    // next heartbeat re-subscribes us through the F5 admission path.
-    view_.clear();
-    node_.set_marked(false);
-    estimator_.clear();
-    tune_level_ = 0;
-    missed_updates_ = 0;
-    got_scheduled_update_ = false;
-    scheduled_update_.reset();
-    if (hooks_.on_update_applied) {
-      hooks_.on_update_applied(node_.id(), *update);
-    }
+  if (const std::optional<RevertCause> cause = apply_failures(*update)) {
+    // The cluster believes we failed and has moved on: drop the stale view;
+    // the next heartbeat re-subscribes us through the F5 admission path.
+    step_down(*cause, update.get());
     return;
   }
   if (!update->departed.empty()) view_.remove_members(update->departed);
@@ -801,17 +660,7 @@ void FdsAgent::handle_update(
           roster.end()) {
         // The acting CH does not count us as a member — we were removed
         // (or replaced by a takeover) while unreachable. Re-subscribe.
-        count_revert(kRevertRosterDropped);
-        view_.clear();
-        node_.set_marked(false);
-        estimator_.clear();
-        tune_level_ = 0;
-        missed_updates_ = 0;
-        got_scheduled_update_ = false;
-        scheduled_update_.reset();
-        if (hooks_.on_update_applied) {
-          hooks_.on_update_applied(node_.id(), *update);
-        }
+        step_down(kRevertRosterDropped, update.get());
         return;
       }
 #endif
@@ -819,11 +668,11 @@ void FdsAgent::handle_update(
     }
   }
 
-  if (config_.adaptive_enabled && scheduled && !view_.is_clusterhead()) {
+  if (adaptive_ && scheduled && !view_.is_clusterhead()) {
     // Adopt the CH-announced tune level directly. The CH ramps its
     // announcement one step per epoch, so even when one update is lost the
     // member's level lags the CH's by at most one.
-    tune_level_ = update->tune_level;
+    adaptive_->tune_level_ = update->tune_level;
   }
 
   if (scheduled && !got_scheduled_update_) {
@@ -831,7 +680,7 @@ void FdsAgent::handle_update(
     scheduled_update_ = update;
     // Proactive post-takeover coverage (Figure 2(a)): forward to members we
     // heard in R-1 that the new CH did not hear.
-    if (update->takeover && config_.proactive_takeover_forwarding) {
+    if (update->takeover) {
       FlatSet<NodeId> covered;
       covered.assign(update->sender_heard.begin(), update->sender_heard.end());
       for (NodeId heard : evidence_.heartbeats) {
@@ -891,12 +740,10 @@ void FdsAgent::on_frame(const Reception& reception) {
     // The notice itself proves the sender alive this execution.
     note_alive(notice->sender);
     notices_heard_[notice->sender] = notice->epochs;
-    if (config_.honor_sleep_notices) {
-      // +1: the first exemption is consumed by this very execution (the
-      // sleeper has already powered down and sends no digest), leaving
-      // `epochs` exemptions for the announced window itself.
-      sleep_exemptions_[notice->sender] = notice->epochs + 1;
-    }
+    // +1: the first exemption is consumed by this very execution (the
+    // sleeper has already powered down and sends no digest), leaving
+    // `epochs` exemptions for the announced window itself.
+    sleep_exemptions_[notice->sender] = notice->epochs + 1;
     return;
   }
 
@@ -907,18 +754,14 @@ void FdsAgent::on_frame(const Reception& reception) {
         (view_.is_clusterhead() || view_.is_deputy())) {
       evidence_.digest_from(digest->sender)
           .assign(digest->heard.begin(), digest->heard.end());
-      if (config_.tolerate_epoch_skew) {
-        digest_seen_[digest->sender] = timers_.now();
-      }
+      if (skew_) skew_->digest_seen_[digest->sender] = timers_.now();
       // Relayed sleep notices: grant (or extend) exemptions for sleepers
       // whose own notice we missed.
-      if (config_.honor_sleep_notices) {
-        for (const auto& [sleeper, epochs] : digest->sleeping) {
-          auto& exemption = sleep_exemptions_[sleeper];
-          exemption = std::max(exemption, epochs + 1);
-          // The notice also proves the sleeper was alive in R-1.
-          note_alive(sleeper);
-        }
+      for (const auto& [sleeper, epochs] : digest->sleeping) {
+        auto& exemption = sleep_exemptions_[sleeper];
+        exemption = std::max(exemption, epochs + 1);
+        // The notice also proves the sleeper was alive in R-1.
+        note_alive(sleeper);
       }
     }
     return;
@@ -973,9 +816,139 @@ void FdsAgent::on_frame(const Reception& reception) {
   }
 
   if (auto cp = payload_cast_shared<CheckpointPayload>(reception.payload)) {
-    handle_checkpoint(cp);
+    if (checkpoints_) handle_checkpoint(cp);
     return;
   }
+}
+
+// --- Opt-in blocks --------------------------------------------------------
+// Code that runs only when its block exists (fds/agent.h): features beyond
+// Section 4.2, each behind its FdsConfig flag.
+
+void FdsAgent::Adaptive::announce(HealthUpdatePayload& update) {
+  const std::uint32_t worst = estimator_.max_loss_pm();
+  std::uint8_t target = 4;
+  if (worst < 50) {
+    target = 0;
+  } else if (worst < 150) {
+    target = 1;
+  } else if (worst < 300) {
+    target = 2;
+  } else if (worst < 450) {
+    target = 3;
+  }
+  if (target > tune_level_) {
+    ++tune_level_;
+  } else if (target < tune_level_) {
+    --tune_level_;
+  }
+  update.cluster_loss_pm = static_cast<std::uint16_t>(worst);
+  update.tune_level = tune_level_;
+}
+
+void FdsAgent::SkewTolerance::prune(RoundEvidence& evidence, SimTime cutoff) {
+  // A cutoff of one full execution plus slack lets an on-time
+  // previous-epoch frame (age ~phi at the boundary) deliberately SURVIVE
+  // into the next execution, so a node is judged silent only after missing
+  // two executions in a row. On a real transport a single miss is
+  // routinely benign — one lost datagram, or one heartbeat delivered late
+  // by a scheduling stall — and each false detection costs a full
+  // revert/re-subscribe/re-admit cycle; requiring consecutive misses
+  // suppresses that quadratically. The price is one extra execution of
+  // detection latency, paid only in service mode (the simulator's
+  // hard-boundary path never prunes).
+  std::vector<NodeId> stale;
+  for (NodeId heard : evidence.heartbeats) {
+    const auto it = heartbeat_seen_.find(heard);
+    if (it == heartbeat_seen_.end() || it->second < cutoff) {
+      stale.push_back(heard);
+    }
+  }
+  for (NodeId n : stale) {
+    evidence.heartbeats.erase(n);
+    heartbeat_seen_.erase(n);
+  }
+  stale.clear();
+  for (const auto& [sender, slot] : evidence.digest_index()) {
+    const auto it = digest_seen_.find(sender);
+    if (it == digest_seen_.end() || it->second < cutoff) {
+      stale.push_back(sender);
+    }
+  }
+  for (NodeId n : stale) {
+    evidence.erase_digest(n);
+    digest_seen_.erase(n);
+  }
+  evidence.ch_update_heard = false;
+}
+
+void FdsAgent::emit_checkpoint() {
+  if (!node_.alive() || !view_.is_clusterhead()) return;
+  auto cp = std::make_shared<CheckpointPayload>();
+  cp->cluster = view_.cluster()->id;
+  cp->sender = node_.id();
+  cp->epoch = epoch_;
+  cp->seq = ++checkpoints_->checkpoint_seq_;
+  cp->clusterhead = view_.cluster()->clusterhead;
+  cp->members = view_.cluster()->members;
+  cp->deputies = view_.cluster()->deputies;
+  log_.known_failed(cp->failed);
+  // The author's own copy IS its stable storage (its radio never hears its
+  // own broadcast); the broadcast replicates it to the deputies.
+  checkpoints_->stable_checkpoint_ = cp;
+  transport_.send(std::move(cp));
+}
+
+void FdsAgent::handle_checkpoint(
+    const std::shared_ptr<const CheckpointPayload>& cp) {
+  if (!view_.affiliated() || cp->cluster != view_.cluster()->id) return;
+  // Minimum-process: only the CH and its deputies retain cluster state.
+  // The checkpoint's own deputy list also counts — a deputy promoted by the
+  // very roster this checkpoint carries may not see itself in its (older)
+  // local view yet.
+  const bool holder =
+      view_.is_clusterhead() || view_.is_deputy() ||
+      std::find(cp->deputies.begin(), cp->deputies.end(), node_.id()) !=
+          cp->deputies.end();
+  if (!holder) return;
+  // Keep the freshest: newest epoch wins; the sequence number breaks ties
+  // within an epoch (a takeover emits with a fresh head's counter).
+  std::shared_ptr<const CheckpointPayload>& stored =
+      checkpoints_->stable_checkpoint_;
+#ifndef CFDS_MUTATION_NO_CHECKPOINT_SEQ_GUARD
+  if (stored && (cp->epoch < stored->epoch ||
+                 (cp->epoch == stored->epoch && cp->seq < stored->seq))) {
+    return;
+  }
+#endif
+  stored = cp;
+}
+
+void FdsAgent::restore_from_checkpoint() {
+  checkpoints_->restored_from_checkpoint_ = false;
+  if (!checkpoints_->stable_checkpoint_) return;
+  const CheckpointPayload& cp = *checkpoints_->stable_checkpoint_;
+  const bool named_ch = cp.clusterhead == node_.id();
+  const bool named_dch =
+      std::find(cp.deputies.begin(), cp.deputies.end(), node_.id()) !=
+      cp.deputies.end();
+  if (!named_ch && !named_dch) return;
+  ClusterView fresh;
+  fresh.id = cp.cluster;
+  fresh.clusterhead = cp.clusterhead;
+  fresh.members = cp.members;
+  fresh.deputies = cp.deputies;
+  view_.set_cluster(std::move(fresh));
+  node_.set_marked(true);
+  // The checkpointed failure log may be stale (a member re-admitted after
+  // checkpoint time): the recovery_enabled reconciliation rules heal that —
+  // stale self-news steps the zombie entry's owner down, its re-subscription
+  // refutes the record everywhere the admission update lands.
+  for (NodeId f : cp.failed) {
+    if (f == node_.id()) continue;
+    log_.record(f, {timers_.now(), cp.epoch, cp.sender});
+  }
+  checkpoints_->restored_from_checkpoint_ = true;
 }
 
 FdsService::FdsService(Network& network, std::vector<MembershipView*> views,
@@ -984,16 +957,14 @@ FdsService::FdsService(Network& network, std::vector<MembershipView*> views,
   const SimTime t_hop = network_.channel().config().t_hop;
   config_.validate(t_hop);
   agents_.reserve(network_.nodes().size());
-  transports_.reserve(network_.nodes().size());
   active_.reserve(network_.nodes().size());
   for (Node* node : network_.nodes()) {
     CFDS_EXPECT(node->id().value() < views.size() &&
                     views[node->id().value()] != nullptr,
                 "missing membership view");
-    transports_.push_back(std::make_unique<SimTransport>(*node));
     agents_.push_back(std::make_unique<FdsAgent>(
-        *node, *views[node->id().value()], *transports_.back(), timers_,
-        t_hop, config_, hooks_));
+        *node, *views[node->id().value()], network_.transport(node->id()),
+        timers_, t_hop, config_, hooks_));
     if (node->alive()) active_.push_back(std::uint32_t(agents_.size() - 1));
     watch_lifecycle(*node, agents_.size() - 1);
   }
@@ -1036,9 +1007,8 @@ FdsAgent& FdsService::agent_for(NodeId id) {
 }
 
 FdsAgent& FdsService::adopt_node(Node& node, MembershipView& view) {
-  transports_.push_back(std::make_unique<SimTransport>(node));
   agents_.push_back(std::make_unique<FdsAgent>(
-      node, view, *transports_.back(), timers_,
+      node, view, network_.transport(node.id()), timers_,
       network_.channel().config().t_hop, config_, hooks_));
   if (node.alive()) {
     active_.push_back(std::uint32_t(agents_.size() - 1));

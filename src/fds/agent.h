@@ -13,6 +13,8 @@
 
 #include <array>
 #include <memory>
+#include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "cluster/membership.h"
@@ -41,7 +43,8 @@ class StateFingerprinter;
 /// (e.g. MetricsCollector + a demo trace): assignment silently disconnects
 /// the earlier observer.
 template <typename F>
-void chain_hook(std::function<F>& slot, std::function<F> extra) {
+void chain_hook(std::function<F>& slot,
+                std::type_identity_t<std::function<F>> extra) {
   if (!slot) {
     slot = std::move(extra);
     return;
@@ -83,7 +86,7 @@ class FdsAgent {
  public:
   /// The agent speaks to the outside world only through `transport` (frames)
   /// and `timers` (clock + cancellable timers): in simulation these are the
-  /// SimTransport/SimTimerService adapters owned by FdsService; in service
+  /// network's SimTransport and FdsService's SimTimerService; in service
   /// mode a real transport and a RealTimeScheduler. `node` supplies
   /// identity, liveness, marked state, and energy — never the radio.
   FdsAgent(Node& node, MembershipView& view, Transport& transport,
@@ -121,7 +124,7 @@ class FdsAgent {
 
   /// Causes for dropping marked/affiliated state, indexing reverts().
   enum RevertCause : std::uint32_t {
-    kRevertMissedUpdates = 0,  ///< reaffiliate_after_missed exceeded
+    kRevertMissedUpdates = 0,  ///< kReaffiliateAfterMissed exceeded
     kRevertFreshSelfNews = 1,  ///< an update freshly reported us failed
     kRevertStaleSelfNews = 2,  ///< cumulative failure news still lists us
     kRevertRosterDropped = 3,  ///< the CH's snapshot no longer carries us
@@ -139,24 +142,22 @@ class FdsAgent {
     return last_revert_cause_;
   }
 
-  /// Self-tuning state (FdsConfig::adaptive_enabled): the link-quality
-  /// estimator this node feeds from round evidence, and the tune level it
-  /// currently applies (as CH: the level it announces; as member: the level
-  /// adopted from the newest scheduled update).
-  [[nodiscard]] const LinkQualityEstimator& estimator() const {
-    return estimator_;
+  /// Self-tuning state (FdsConfig::adaptive_enabled): the tune level this
+  /// node currently applies (as CH: the level it announces; as member: the
+  /// level adopted from the newest scheduled update). 0 when the flag is off.
+  [[nodiscard]] std::uint8_t tune_level() const {
+    return adaptive_ ? adaptive_->tune_level_ : 0;
   }
-  [[nodiscard]] std::uint8_t tune_level() const { return tune_level_; }
 
   /// Checkpointed-recovery state (FdsConfig::checkpoint_enabled): the
   /// freshest retained checkpoint (CH/DCH only), and whether the last
   /// crash-recovery restored from one instead of cold-rejoining.
-  [[nodiscard]] const std::shared_ptr<const CheckpointPayload>&
-  stable_checkpoint() const {
-    return stable_checkpoint_;
+  [[nodiscard]] std::shared_ptr<const CheckpointPayload> stable_checkpoint()
+      const {
+    return checkpoints_ ? checkpoints_->stable_checkpoint_ : nullptr;
   }
   [[nodiscard]] bool restored_from_checkpoint() const {
-    return restored_from_checkpoint_;
+    return checkpoints_ && checkpoints_->restored_from_checkpoint_;
   }
 
   // --- Round actions, run on the timetable (fds/timetable.h) ------------
@@ -204,30 +205,87 @@ class FdsAgent {
   /// state-outside-fingerprint enforces this).
   friend class check::StateFingerprinter;
 
+  // --- Opt-in blocks ----------------------------------------------------
+  // The state of three extensions beyond Section 4.2, each allocated by the
+  // constructor only when its FdsConfig flag is on: a non-null block means
+  // the flag is on. Crash-recovery (recovery_enabled) has no state of its
+  // own and stays a config_ branch.
+
+  /// Self-tuning accrual detection (adaptive_enabled, docs/ADAPTIVE.md).
+  struct Adaptive {
+    /// Ramps the tune level one step toward the band of the worst
+    /// per-member loss estimate and writes the announcement into `update`
+    /// (CH, R-3): members adopt the level directly, so a member and its CH
+    /// never disagree by more than one level even across a lost update.
+    void announce(HealthUpdatePayload& update);
+    /// The takeover gate: suspicion of `ch` accrued over past executions,
+    /// plus this execution's still-unrecorded miss, reaches `threshold`.
+    [[nodiscard]] bool clears_gate(NodeId ch, std::uint32_t threshold) const {
+      return estimator_.pending_suspicion_milli(ch) >= threshold;
+    }
+    void reset() {
+      estimator_.clear();
+      tune_level_ = 0;
+    }
+
+    // LINT-FINGERPRINT: members below must be covered (mixed or FP-EXEMPT'd)
+    /// As CH the estimator tracks every expected member; as a member it
+    /// tracks the CH (via scheduled-update arrival), feeding the deputy's
+    /// accrual gate on takeover.
+    LinkQualityEstimator estimator_;
+    std::uint8_t tune_level_ = 0;
+  };
+
+  /// Checkpointed CH/DCH recovery (checkpoint_enabled). stable_checkpoint_
+  /// models stable storage: on_lifecycle deliberately keeps it, so it
+  /// survives this node's own crash.
+  struct Checkpoints {
+    // LINT-FINGERPRINT: members below must be covered (mixed or FP-EXEMPT'd)
+    std::shared_ptr<const CheckpointPayload> stable_checkpoint_;
+    std::uint64_t checkpoint_seq_ = 0;
+    bool restored_from_checkpoint_ = false;
+  };
+
+  /// Soft epoch boundaries (tolerate_epoch_skew): arrival stamps for the
+  /// round evidence, so begin_epoch ages evidence out instead of wiping it.
+  struct SkewTolerance {
+    /// Drops heartbeat and digest evidence stamped before `cutoff`, and the
+    /// CH-update flag.
+    void prune(RoundEvidence& evidence, SimTime cutoff);
+
+    // LINT-FINGERPRINT: members below must be covered (mixed or FP-EXEMPT'd)
+    FlatMap<NodeId, SimTime> heartbeat_seen_;
+    FlatMap<NodeId, SimTime> digest_seen_;
+  };
+
   void on_frame(const Reception& reception);
   void on_lifecycle(bool alive);
   void evaluate_ch_failure();
   void handle_update(const std::shared_ptr<const HealthUpdatePayload>& update);
-  /// Returns true if this node must step down: the update carried stale
-  /// failure news about the node itself while it believed it was a marked
-  /// cluster participant (crash-recovery reconciliation).
-  [[nodiscard]] bool apply_failures(const HealthUpdatePayload& update);
-  /// Records a sign of life from `sender` in this round's evidence,
-  /// stamping its arrival time when tolerate_epoch_skew is on.
-  void note_alive(NodeId sender);
+  /// Applies the update's failure news. Returns the cause to step down for,
+  /// if any: fresh news about this node under tolerate_epoch_skew, or stale
+  /// news while it believed it was a marked participant (crash-recovery
+  /// reconciliation).
+  [[nodiscard]] std::optional<RevertCause> apply_failures(
+      const HealthUpdatePayload& update);
+  /// Drops this node's cluster for `cause`: clears the view and the marked
+  /// flag, resets the adaptive block, the missed-update counter and this
+  /// execution's scheduled update, so the next heartbeat re-subscribes
+  /// (F5). `applied`, when given, is the update that forced it, reported to
+  /// on_update_applied.
+  void step_down(RevertCause cause,
+                 const HealthUpdatePayload* applied = nullptr);
   /// Bumps the revert diagnostics (see RevertCause / reverts()).
-  void count_revert(std::uint32_t cause);
-  /// Age-based evidence turnover for tolerate_epoch_skew: drops heartbeat
-  /// and digest evidence older than one execution (plus Thop slack) instead
-  /// of wiping everything, so early next-epoch arrivals survive the
-  /// boundary and a node is failed only after two silent executions.
-  void prune_evidence();
+  void count_revert(RevertCause cause);
+  /// Records a sign of life from `sender` in this round's evidence,
+  /// stamping its arrival time under tolerate_epoch_skew.
+  void note_alive(NodeId sender);
   void schedule_peer_forward(NodeId target);
   void broadcast_update(std::shared_ptr<HealthUpdatePayload> update);
   [[nodiscard]] ReportId fresh_report_id();
   [[nodiscard]] double energy_fraction() const;
   /// CH only: broadcasts (and retains) a minimum-process cluster-state
-  /// checkpoint — roster, deputies, failure log (checkpoint_enabled).
+  /// checkpoint — roster, deputies, failure log.
   void emit_checkpoint();
   /// Retains `cp` if this node is a holder (CH/DCH of that cluster) and the
   /// checkpoint is fresher than the one already stored.
@@ -271,11 +329,6 @@ class FdsAgent {
   // Per-epoch evidence and peer-forwarding state. Flat containers: cleared
   // (buffer retained) every epoch, so steady-state rounds do not allocate.
   RoundEvidence evidence_;
-  /// Arrival stamps for evidence entries, maintained only under
-  /// tolerate_epoch_skew (prune_evidence erases by age; the simulator's
-  /// hard-boundary path never touches them).
-  FlatMap<NodeId, SimTime> heartbeat_seen_;
-  FlatMap<NodeId, SimTime> digest_seen_;
   FlatSet<NodeId> unmarked_heard_;
   bool got_scheduled_update_ = false;
   std::shared_ptr<const HealthUpdatePayload> scheduled_update_;
@@ -286,19 +339,9 @@ class FdsAgent {
   TimerHandle deputy_timer_;
   bool sent_ack_ = false;
 
-  /// Self-tuning detection state (config_.adaptive_enabled; inert
-  /// otherwise). As CH the estimator tracks every expected member; as a
-  /// member it tracks the CH (via scheduled-update arrival), feeding the
-  /// deputy's accrual gate on takeover.
-  LinkQualityEstimator estimator_;
-  std::uint8_t tune_level_ = 0;
-
-  /// Checkpointed recovery (config_.checkpoint_enabled). stable_checkpoint_
-  /// models stable storage: it is deliberately NOT wiped by on_lifecycle,
-  /// so it survives this node's own crash.
-  std::shared_ptr<const CheckpointPayload> stable_checkpoint_;
-  std::uint64_t checkpoint_seq_ = 0;
-  bool restored_from_checkpoint_ = false;
+  std::unique_ptr<Adaptive> adaptive_;
+  std::unique_ptr<Checkpoints> checkpoints_;
+  std::unique_ptr<SkewTolerance> skew_;
 
   /// Send-side payload pools: each round's emission reuses the previous
   /// epoch's payload object when every receiver has released it
@@ -321,7 +364,7 @@ class FdsAgent {
 // is computed for; other platforms rely on the lint rule alone.
 #if defined(__x86_64__) && defined(__linux__) && defined(__GLIBCXX__) && \
     !defined(_GLIBCXX_DEBUG)
-static_assert(sizeof(FdsAgent) == 672,
+static_assert(sizeof(FdsAgent) == 584,
               "FdsAgent layout changed: update src/check/fingerprint.cpp "
               "(mix or FP-EXEMPT the new member), then this tripwire");
 #endif
@@ -376,11 +419,10 @@ class FdsService {
   FdsConfig config_;
   FdsHooks hooks_;
   SkewProvider skew_provider_;
-  /// Simulation adapters for the transport/clock seam: one shared timer
-  /// service over the network's simulator plus one SimTransport per agent
-  /// (pointer-stable — agents keep references).
+  /// The clock half of the simulation seam: one timer service over the
+  /// network's simulator, shared by every agent. Frames go through the
+  /// network's per-node SimTransport (Network::transport).
   SimTimerService timers_;
-  std::vector<std::unique_ptr<SimTransport>> transports_;
   std::vector<std::unique_ptr<FdsAgent>> agents_;
 
   /// Unskewed-path bookkeeping: the round actions visit only `active_`

@@ -8,6 +8,14 @@
 
 namespace cfds {
 
+/// After this many consecutive executions without receiving the scheduled
+/// health-status update (directly or via peers), a member concludes it has
+/// lost contact with its cluster — it drifted away (mobility), or its CH
+/// was replaced by a deputy it cannot hear — and reverts to the unmarked
+/// state so its next heartbeat re-subscribes it to whatever cluster hears
+/// it (feature F5).
+inline constexpr std::uint32_t kReaffiliateAfterMissed = 3;
+
 struct FdsConfig {
   /// Heartbeat interval phi: time between consecutive FDS executions.
   /// Must be at least 7 * Thop so that all rounds plus peer forwarding fit
@@ -20,13 +28,6 @@ struct FdsConfig {
   /// Intra-cluster peer forwarding of missed health-status updates
   /// (Section 4.2, "Intra-Cluster Completeness Enhancement").
   bool peer_forwarding = true;
-
-  /// Proactive forwarding after a DCH takeover to members the new CH did not
-  /// hear (Figure 2(a): v' forwards based on the DCH's digest).
-  bool proactive_takeover_forwarding = true;
-
-  /// Treat unmarked heartbeats as membership subscriptions (feature F5).
-  bool admit_unmarked = true;
 
   /// Scopes F5 admission: when set, a clusterhead admits an unmarked
   /// subscriber only if the predicate accepts it. In simulation the radio
@@ -79,24 +80,10 @@ struct FdsConfig {
   /// "message sharing" between failure detection and data aggregation.
   bool external_heartbeats = false;
 
-  /// Honour SleepNoticePayload announcements: a node that declared a sleep
-  /// window is exempt from the detection rule for that many executions
-  /// (Section 6's sleep/wakeup extension). When false, sleepers are
-  /// (falsely) reported failed — the hazard the paper flags.
-  bool honor_sleep_notices = true;
-
   /// Relay overheard sleep notices inside digests, so a notice whose direct
   /// transmission to the CH is lost still arrives via any member whose
   /// digest lands — spatial redundancy for the sleep extension.
   bool relay_sleep_notices = true;
-
-  /// After this many consecutive executions without receiving the scheduled
-  /// health-status update (directly or via peers), a member concludes it has
-  /// lost contact with its cluster — it drifted away (mobility), or its CH
-  /// was replaced by a deputy it cannot hear — and reverts to the unmarked
-  /// state so its next heartbeat re-subscribes it to whatever cluster hears
-  /// it (feature F5). 0 disables re-affiliation.
-  std::uint32_t reaffiliate_after_missed = 3;
 
   /// Per-node clock skew bound: each node's round actions are delayed by a
   /// fixed NID-derived draw from [0, max_clock_skew). Zero models the
@@ -132,7 +119,7 @@ struct FdsConfig {
   ///    level ramps by at most one step per epoch, so members and CH never
   ///    disagree by more than one level even across a lost update;
   ///  - members scale their re-affiliation patience by the announced tune
-  ///    level (reaffiliate_after_missed + level missed updates), so a
+  ///    level (kReaffiliateAfterMissed + level missed updates), so a
   ///    congested cluster does not shed members over transient loss.
   /// See docs/ADAPTIVE.md.
   bool adaptive_enabled = false;

@@ -259,10 +259,9 @@ ForwarderService::ForwarderService(Network& network, FdsService& fds,
                 "missing membership view");
     CFDS_EXPECT(idx == agents_.size(),
                 "forwarder requires densely numbered nodes");
-    transports_.push_back(std::make_unique<SimTransport>(*node));
     agents_.push_back(std::make_unique<ForwarderAgent>(
-        *node, *views[idx], fds.agent_for(node->id()), *transports_.back(),
-        *this));
+        *node, *views[idx], fds.agent_for(node->id()),
+        network_.transport(node->id()), *this));
   }
   install_hook(fds);
 }
@@ -271,19 +270,16 @@ void ForwarderService::adopt_node(Node& node, MembershipView& view,
                                   FdsAgent& fds) {
   CFDS_EXPECT(node.id().value() == agents_.size(),
               "forwarder requires densely numbered nodes");
-  transports_.push_back(std::make_unique<SimTransport>(node));
   agents_.push_back(std::make_unique<ForwarderAgent>(
-      node, view, fds, *transports_.back(), *this));
+      node, view, fds, network_.transport(node.id()), *this));
 }
 
 void ForwarderService::install_hook(FdsService& fds) {
-  auto previous = fds.hooks().on_update_sent;
-  fds.hooks().on_update_sent =
-      [this, previous](NodeId sender,
-                       const std::shared_ptr<const HealthUpdatePayload>& upd) {
-        if (previous) previous(sender, upd);
-        agents_[sender.value()]->on_own_update_sent(upd);
-      };
+  chain_hook(fds.hooks().on_update_sent,
+             [this](NodeId sender,
+                    const std::shared_ptr<const HealthUpdatePayload>& upd) {
+               agents_[sender.value()]->on_own_update_sent(upd);
+             });
 }
 
 }  // namespace cfds

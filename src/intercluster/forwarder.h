@@ -154,8 +154,6 @@ class ForwarderService {
   ForwarderConfig config_;
   ForwarderStats stats_;
   SimTimerService timers_;
-  /// One SimTransport per agent (pointer-stable; agents keep references).
-  std::vector<std::unique_ptr<SimTransport>> transports_;
   std::vector<std::unique_ptr<ForwarderAgent>> agents_;
 };
 

@@ -18,6 +18,7 @@ Node& Network::add_node(Vec2 position) {
   Node& node =
       nodes_.emplace_back(store_, id, position, config_.initial_energy_uj);
   channel_.attach(node.radio());
+  transports_.emplace_back(node);
   node_ptrs_.push_back(&node);
   const_node_ptrs_.push_back(&node);
   return node;
@@ -35,6 +36,11 @@ Node& Network::node(NodeId id) {
 const Node& Network::node(NodeId id) const {
   CFDS_EXPECT(id.value() < nodes_.size(), "unknown node id");
   return nodes_[id.value()];
+}
+
+SimTransport& Network::transport(NodeId id) {
+  CFDS_EXPECT(id.value() < transports_.size(), "unknown node id");
+  return transports_[id.value()];
 }
 
 bool Network::has_node(NodeId id) const {

@@ -60,6 +60,18 @@ class NodeStore {
   NodeStore(const NodeStore&) = delete;
   NodeStore& operator=(const NodeStore&) = delete;
 
+  /// Pre-sizes every array for `n` nodes, so a world of known size is
+  /// built without regrowing them.
+  void reserve(std::size_t n) {
+    positions_.reserve(n);
+    powered_.reserve(n);
+    alive_.reserve(n);
+    marked_.reserve(n);
+    incarnations_.reserve(n);
+    counters_.reserve(n);
+    initial_energy_uj_.reserve(n);
+  }
+
   /// Appends one node's state; returns its slot. Nodes start alive and
   /// powered, unmarked, at incarnation 0.
   std::uint32_t add(Vec2 position, double initial_energy_uj) {

@@ -172,21 +172,20 @@ void ServiceAgent::start(SimTime start, const fault::FaultPlan* plan) {
       crash_at_.emplace(e.node, anchor + SimTime::micros(e.at_us));
     }
     if (!crash_at_.empty()) {
-      hooks_.on_detection =
-          [this, prev = std::move(hooks_.on_detection)](
-              NodeId decider, std::uint64_t epoch,
-              const std::vector<NodeId>& failed, bool by_deputy) {
-            const SimTime now = timers_.now();
-            for (NodeId f : failed) {
-              const auto it = crash_at_.find(f.value());
-              if (it == crash_at_.end()) continue;
-              if (detect_ms_.count(f.value()) != 0) continue;
-              const std::int64_t us = now.as_micros() - it->second.as_micros();
-              detect_ms_[f.value()] =
-                  us > 0 ? std::uint32_t(us / 1000) : 0U;
-            }
-            if (prev) prev(decider, epoch, failed, by_deputy);
-          };
+      chain_hook(hooks_.on_detection,
+                 [this](NodeId, std::uint64_t,
+                        const std::vector<NodeId>& failed, bool) {
+                   const SimTime now = timers_.now();
+                   for (NodeId f : failed) {
+                     const auto it = crash_at_.find(f.value());
+                     if (it == crash_at_.end()) continue;
+                     if (detect_ms_.count(f.value()) != 0) continue;
+                     const std::int64_t us =
+                         now.as_micros() - it->second.as_micros();
+                     detect_ms_[f.value()] =
+                         us > 0 ? std::uint32_t(us / 1000) : 0U;
+                   }
+                 });
     }
   }
   // Deterministic per-endpoint phase offset within a quarter round: with

@@ -5,18 +5,18 @@
 namespace cfds {
 
 void MetricsCollector::attach(FdsService& fds, Network& network) {
-  auto previous = fds.hooks().on_detection;
-  fds.hooks().on_detection =
-      [this, previous, &network](NodeId decider, std::uint64_t epoch,
-                                 const std::vector<NodeId>& failed,
-                                 bool by_deputy) {
-        if (previous) previous(decider, epoch, failed, by_deputy);
-        for (NodeId suspect : failed) {
-          detections_.push_back(DetectionEvent{
-              decider, suspect, epoch, network.simulator().now(), by_deputy,
-              network.has_node(suspect) && network.node(suspect).alive()});
-        }
-      };
+  chain_hook(fds.hooks().on_detection,
+             [this, &network](NodeId decider, std::uint64_t epoch,
+                              const std::vector<NodeId>& failed,
+                              bool by_deputy) {
+               for (NodeId suspect : failed) {
+                 detections_.push_back(DetectionEvent{
+                     decider, suspect, epoch, network.simulator().now(),
+                     by_deputy,
+                     network.has_node(suspect) &&
+                         network.node(suspect).alive()});
+               }
+             });
 }
 
 std::size_t MetricsCollector::false_detections() const {

@@ -18,9 +18,10 @@
 
 namespace cfds {
 
-/// Transport over the simulated broadcast channel, one per (agent, node).
-/// Receive registration lands in the node's ordered handler table, so layer
-/// dispatch order is exactly what direct Node::add_frame_handler calls gave.
+/// Transport over the simulated broadcast channel: one per node, owned by
+/// the Network and shared by every layer on the node. Receive registration
+/// lands in the node's ordered handler table, so layer dispatch order is
+/// exactly what direct Node::add_frame_handler calls gave.
 class SimTransport final : public Transport {
  public:
   explicit SimTransport(Node& node) : node_(node) {}

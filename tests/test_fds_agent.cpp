@@ -686,5 +686,153 @@ TEST_F(CheckpointFixture, RecoveredDeputyRestoresAndIsReconciled) {
             1u);
 }
 
+// ---------------------------------------------------------------------------
+// Step-down paths, one per revert cause, with adaptive detection on. Each
+// test first ramps the cluster's announced tune level up (three members go
+// mute for three epochs — congestion the CH excuses and announces), so the
+// step-down visibly resets it, then pins the exact post-state: view, marked
+// flag, tune level, scheduled-update flag, revert counts and how often
+// on_update_applied fired for the victim.
+
+/// Mutes senders and deafens receivers on demand.
+class GateLoss final : public LossModel {
+ public:
+  bool lost(NodeId sender, Vec2, NodeId receiver, Vec2, Rng&) override {
+    return std::find(muted.begin(), muted.end(), sender) != muted.end() ||
+           std::find(deaf.begin(), deaf.end(), receiver) != deaf.end();
+  }
+  std::vector<NodeId> muted;
+  std::vector<NodeId> deaf;
+};
+
+class StepDownFixture : public FdsFixture {
+ protected:
+  static constexpr NodeId kVictim{3};
+
+  static FdsConfig config(bool skew) {
+    FdsConfig c = AdaptiveFixture::config();
+    c.recovery_enabled = true;
+    c.tolerate_epoch_skew = skew;
+    return c;
+  }
+  explicit StepDownFixture(bool skew = false)
+      : FdsFixture(config(skew), std::make_unique<GateLoss>()) {
+    fds_->hooks().on_update_applied = [this](NodeId to,
+                                             const HealthUpdatePayload&) {
+      if (to == kVictim) ++applied_;
+    };
+  }
+  GateLoss& gate() { return static_cast<GateLoss&>(network_->loss_model()); }
+  FdsAgent& victim() { return fds_->agent_for(kVictim); }
+
+  /// Epochs 0-3: members 4, 5 and 6 are mute in epochs 1-3. Leaves the next
+  /// epoch to run in next_epoch_ and the victim's revert counts in before_.
+  void warm_up() {
+    run_epoch(0);
+    gate().muted = {NodeId{4}, NodeId{5}, NodeId{6}};
+    for (std::uint64_t e = 1; e <= 3; ++e) run_epoch(e);
+    gate().muted.clear();
+    next_epoch_ = 4;
+    before_ = victim().reverts();
+    applied_ = 0;
+  }
+  void run_next() { run_epoch(next_epoch_++); }
+
+  /// The victim's revert counts gained since warm_up, by cause.
+  std::array<std::uint64_t, 5> reverts_delta() {
+    std::array<std::uint64_t, 5> delta{};
+    for (std::size_t i = 0; i < delta.size(); ++i) {
+      delta[i] = victim().reverts()[i] - before_[i];
+    }
+    return delta;
+  }
+  /// A delta of exactly one revert, for `cause`.
+  static std::array<std::uint64_t, 5> one(FdsAgent::RevertCause cause) {
+    std::array<std::uint64_t, 5> delta{};
+    delta[cause] = 1;
+    return delta;
+  }
+  void expect_stepped_down() {
+    EXPECT_FALSE(victim().view().affiliated());
+    EXPECT_FALSE(network_->node(kVictim).marked());
+    EXPECT_EQ(victim().tune_level(), 0);
+    EXPECT_FALSE(victim().got_scheduled_update());
+  }
+
+  std::uint64_t next_epoch_ = 0;
+  std::array<std::uint64_t, 5> before_{};
+  int applied_ = 0;
+};
+
+TEST_F(StepDownFixture, RivalHeadStepsDownTheHigherNid) {
+  warm_up();
+  EXPECT_EQ(victim().tune_level(), 3);
+  // The victim believes it heads the same cluster: the real head's (lower
+  // NID) R-3 update wins the arbitration.
+  views_[kVictim.value()]->apply_takeover(kVictim);
+  run_next();
+  expect_stepped_down();
+  EXPECT_EQ(reverts_delta(), one(FdsAgent::kRevertRivalHead));
+  EXPECT_EQ(applied_, 1);
+  EXPECT_EQ(victim().log().size(), 0u);  // the loser also drops its log
+}
+
+class SkewStepDownFixture : public StepDownFixture {
+ protected:
+  SkewStepDownFixture() : StepDownFixture(/*skew=*/true) {}
+};
+
+TEST_F(SkewStepDownFixture, FreshSelfNewsStepsDownFully) {
+  warm_up();
+  EXPECT_EQ(victim().tune_level(), 2);
+  // The victim goes mute until the head declares it; it hears that fresh
+  // news about itself and, under tolerate_epoch_skew, drops its view.
+  gate().muted = {kVictim};
+  while (victim().view().affiliated() && next_epoch_ < 12) run_next();
+  EXPECT_EQ(next_epoch_, 6u);  // declared in epoch 5
+  expect_stepped_down();
+  EXPECT_EQ(reverts_delta(), one(FdsAgent::kRevertFreshSelfNews));
+  EXPECT_EQ(applied_, 2);  // epoch 4's update, then the declaring one
+}
+
+TEST_F(StepDownFixture, StaleSelfNewsStepsDownAMarkedMember) {
+  warm_up();
+  EXPECT_EQ(victim().tune_level(), 3);
+  // The head's cumulative list names the victim, but not as this epoch's
+  // news: the cluster moved on while the victim was not listening.
+  fds_->agent_for(NodeId{0}).log().record(
+      kVictim, {network_->simulator().now(), 3, NodeId{0}});
+  run_next();
+  expect_stepped_down();
+  EXPECT_EQ(reverts_delta(), one(FdsAgent::kRevertStaleSelfNews));
+  EXPECT_EQ(applied_, 1);
+}
+
+TEST_F(StepDownFixture, RosterWithoutTheVictimStepsItDown) {
+  warm_up();
+  EXPECT_EQ(victim().tune_level(), 3);
+  // The head no longer counts the victim as a member, and its failure log
+  // does not name it either: only the roster check catches this.
+  views_[0]->remove_members({kVictim});
+  run_next();
+  expect_stepped_down();
+  EXPECT_EQ(reverts_delta(), one(FdsAgent::kRevertRosterDropped));
+  EXPECT_EQ(applied_, 1);
+}
+
+TEST_F(StepDownFixture, MissedUpdatesStepDownAfterTunedPatience) {
+  warm_up();
+  EXPECT_EQ(victim().tune_level(), 3);
+  // The victim goes deaf: every scheduled update (and every peer forward)
+  // is lost. Its patience is kReaffiliateAfterMissed plus its tune level,
+  // 3 + 3: epochs 4-9 go missing, and epoch 10's begin_epoch steps down.
+  gate().deaf = {kVictim};
+  while (victim().view().affiliated() && next_epoch_ < 16) run_next();
+  EXPECT_EQ(next_epoch_, 11u);
+  expect_stepped_down();
+  EXPECT_EQ(reverts_delta(), one(FdsAgent::kRevertMissedUpdates));
+  EXPECT_EQ(applied_, 0);
+}
+
 }  // namespace
 }  // namespace cfds
