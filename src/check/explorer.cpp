@@ -10,8 +10,8 @@ namespace cfds::check {
 namespace {
 
 /// DFS sink: replays a forced prefix, defaults to branch 0 beyond it, and
-/// records every choice point offered. Prunes on visited fingerprints only
-/// once the prefix is exhausted.
+/// records every choice point offered. It reports replaying() while the
+/// prefix lasts, so it sees, and prunes on, only the crossings beyond it.
 class DfsSink final : public ChoiceSink {
  public:
   explicit DfsSink(std::unordered_set<std::uint64_t>& visited)
@@ -37,12 +37,16 @@ class DfsSink final : public ChoiceSink {
   }
 
   bool note_state(std::uint64_t fp) override {
-    const bool fresh = visited_.insert(fp).second;
-    // Prefix states were visited by the run that recorded the prefix;
-    // pruning on them would cut off the sibling branch this run exists to
-    // reach.
-    if (cursor_ < prefix_.size()) return true;
-    return fresh;
+    return visited_.insert(fp).second;
+  }
+
+  // Until the prefix's last (incremented) choice is consumed, this run
+  // retraces the run that recorded it, whose crossings — every one up to
+  // that choice — are already in visited_: either noted by that run or
+  // retraced by it in turn. Pruning there would cut off the sibling branch
+  // this run exists to reach, and re-inserting them would change nothing.
+  [[nodiscard]] bool replaying() const override {
+    return cursor_ < prefix_.size();
   }
 
   [[nodiscard]] const std::vector<ChoiceRec>& recs() const { return recs_; }

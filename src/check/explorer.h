@@ -12,9 +12,11 @@
 // visits to the same fingerprint have identical future choice trees, and
 // the first visit's subtree is fully enumerated by prefix extension.
 //
-// Pruning is suspended while a run is still consuming its forced prefix
-// (those states were necessarily visited by the parent run; pruning there
-// would cut off the sibling branches the odometer is trying to reach).
+// While a run is still consuming its forced prefix the sink reports
+// replaying(), and the world neither fingerprints nor prunes: those states
+// were necessarily visited by the parent run (pruning there would cut off
+// the sibling branches the odometer is trying to reach, and hashing them
+// again would only re-insert known fingerprints).
 
 #pragma once
 

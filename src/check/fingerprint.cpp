@@ -131,7 +131,10 @@ void StateFingerprinter::mix_estimator(Hasher& h,
 
 void StateFingerprinter::mix_payload(Hasher& h, const Payload& payload) {
   h.mix(kTagPayload);
-  std::vector<std::uint8_t> bytes;
+  // One encode buffer per thread, cleared before each frame: hashing a
+  // payload allocates only when it is the longest this thread has seen.
+  thread_local std::vector<std::uint8_t> bytes;
+  bytes.clear();
   const bool encoded =
       wire::encode_frame(NodeId::invalid(), NodeId::invalid(), payload, &bytes);
   CFDS_EXPECT(encoded, "fingerprinted payload has no wire encoding");

@@ -26,20 +26,18 @@ namespace {
   return f;
 }
 
-/// The rank-th permutation of `items` in lexicographic order (Lehmer code):
-/// rank 0 is the identity, matching the canonical no-choice order.
-[[nodiscard]] std::vector<std::uint32_t> nth_permutation(
-    std::vector<std::uint32_t> items, std::uint32_t rank) {
-  std::vector<std::uint32_t> out;
-  out.reserve(items.size());
-  for (std::uint32_t k = std::uint32_t(items.size()); k > 0; --k) {
+/// Rearranges `items` into their rank-th permutation in lexicographic order
+/// (Lehmer code): rank 0 is the identity, matching the canonical no-choice
+/// order. Position p takes the pick-th of the items not yet placed, which
+/// keep their relative order behind it.
+void permute(std::vector<std::uint32_t>& items, std::uint32_t rank) {
+  const auto first = items.begin();
+  for (std::uint32_t p = 0, k = std::uint32_t(items.size()); k > 0; ++p, --k) {
     const std::uint32_t f = factorial(k - 1);
     const std::uint32_t pick = rank / f;
     rank %= f;
-    out.push_back(items[pick]);
-    items.erase(items.begin() + pick);
+    std::rotate(first + p, first + p + pick, first + p + pick + 1);
   }
-  return out;
 }
 
 [[nodiscard]] std::string nid(NodeId id) { return std::to_string(id.value()); }
@@ -66,14 +64,24 @@ void CheckTransport::deliver(const Reception& reception) {
   for (const HandlerRef& h : handlers_) h.fn(h.ctx, reception);
 }
 
-std::vector<std::int64_t> CheckTimerService::pending_deltas() {
-  std::erase_if(tracked_, [](const Tracked& t) { return !t.handle.pending(); });
-  std::vector<std::int64_t> out;
-  out.reserve(tracked_.size());
+TimerHandle CheckTimerService::schedule_at(SimTime when, EventFn action) {
+  if (tracked_.size() == tracked_.capacity()) {
+    std::erase_if(tracked_,
+                  [](const Tracked& t) { return !t.handle.pending(); });
+  }
+  TimerHandle handle = sim_.schedule_at(when, std::move(action));
+  tracked_.push_back({when, handle});
+  return handle;
+}
+
+const std::vector<std::int64_t>& CheckTimerService::pending_deltas() {
+  deltas_.clear();
   const SimTime at = sim_.now();
-  for (const Tracked& t : tracked_) out.push_back((t.when - at).as_micros());
-  std::sort(out.begin(), out.end());
-  return out;
+  for (const Tracked& t : tracked_) {
+    if (t.handle.pending()) deltas_.push_back((t.when - at).as_micros());
+  }
+  std::sort(deltas_.begin(), deltas_.end());
+  return deltas_;
 }
 
 CheckWorld::CheckWorld(const CheckOptions& opts, ChoiceSink& sink)
@@ -194,6 +202,7 @@ bool CheckWorld::crossing(std::uint64_t epoch, std::uint32_t barrier) {
   timers_.sim().run_until(at);
   if (violation_) return false;  // a timer-driven detection tripped I-V3
   resolve_pool(epoch, barrier);
+  batch_.clear();
   if (violation_) return false;
   fault_point(epoch, barrier);
   if (violation_) return false;
@@ -201,7 +210,10 @@ bool CheckWorld::crossing(std::uint64_t epoch, std::uint32_t barrier) {
   if (violation_) return false;
   check_invariants();
   if (violation_) return false;
-  if (!forced_ && !sink_.note_state(fingerprint(epoch, barrier))) {
+  // A replayed crossing reproduces a state the recording run already
+  // showed the sink, so it is neither fingerprinted nor pruned on.
+  if (!forced_ && !sink_.replaying() &&
+      !sink_.note_state(fingerprint(epoch, barrier))) {
     pruned_ = true;
     return false;
   }
@@ -211,9 +223,8 @@ bool CheckWorld::crossing(std::uint64_t epoch, std::uint32_t barrier) {
 void CheckWorld::resolve_pool(std::uint64_t epoch, std::uint32_t barrier) {
   (void)epoch;
   (void)barrier;
-  std::vector<PoolMsg> batch;
-  batch.swap(pool_);  // reactions to deliveries pool for the NEXT barrier
-  if (batch.empty()) return;
+  batch_.swap(pool_);  // reactions to deliveries pool for the NEXT barrier
+  if (batch_.empty()) return;
 
   if (opts_.reduction) {
     // Receiver-major resolution: each alive receiver's batch is dropped
@@ -221,16 +232,16 @@ void CheckWorld::resolve_pool(std::uint64_t epoch, std::uint32_t barrier) {
     // enumerated (receivers share no state between crossings).
     for (std::uint32_t r = 0; r < opts_.nodes; ++r) {
       if (!transports_[r]->powered()) continue;
-      std::vector<std::uint32_t> deliver;
-      for (std::uint32_t i = 0; i < std::uint32_t(batch.size()); ++i) {
-        if (batch[i].sender.value() == r) continue;  // own broadcast
+      deliver_.clear();
+      for (std::uint32_t i = 0; i < std::uint32_t(batch_.size()); ++i) {
+        if (batch_[i].sender.value() == r) continue;  // own broadcast
         if (drops_left_ > 0 && choose(2, ChoiceKind::kDrop, i, r) == 1) {
           --drops_left_;
           continue;
         }
-        deliver.push_back(i);
+        deliver_.push_back(i);
       }
-      deliver_batch(batch, std::move(deliver), r);
+      deliver_batch(deliver_, r);
       if (violation_) return;
     }
     return;
@@ -243,9 +254,9 @@ void CheckWorld::resolve_pool(std::uint64_t epoch, std::uint32_t barrier) {
     std::uint32_t receiver;
   };
   std::vector<Pair> pairs;
-  for (std::uint32_t i = 0; i < std::uint32_t(batch.size()); ++i) {
+  for (std::uint32_t i = 0; i < std::uint32_t(batch_.size()); ++i) {
     for (std::uint32_t r = 0; r < opts_.nodes; ++r) {
-      if (batch[i].sender.value() == r || !transports_[r]->powered()) continue;
+      if (batch_[i].sender.value() == r || !transports_[r]->powered()) continue;
       if (drops_left_ > 0 && choose(2, ChoiceKind::kDrop, i, r) == 1) {
         --drops_left_;
         continue;
@@ -259,25 +270,24 @@ void CheckWorld::resolve_pool(std::uint64_t epoch, std::uint32_t barrier) {
     const std::uint32_t rank =
         choose(factorial(std::uint32_t(pairs.size())), ChoiceKind::kOrder,
                /*a=*/~std::uint64_t{0}, pairs.size());
-    order = nth_permutation(std::move(order), rank);
+    permute(order, rank);
   }
   for (std::uint32_t idx : order) {
-    deliver_to(batch[pairs[idx].msg], pairs[idx].receiver);
+    deliver_to(batch_[pairs[idx].msg], pairs[idx].receiver);
     if (violation_) return;
   }
 }
 
-void CheckWorld::deliver_batch(const std::vector<PoolMsg>& batch,
-                               std::vector<std::uint32_t> indices,
+void CheckWorld::deliver_batch(std::vector<std::uint32_t>& indices,
                                std::uint32_t receiver) {
   if (indices.size() >= 2 && indices.size() <= opts_.perm_max) {
     const std::uint32_t rank =
         choose(factorial(std::uint32_t(indices.size())), ChoiceKind::kOrder,
                receiver, indices.size());
-    indices = nth_permutation(std::move(indices), rank);
+    permute(indices, rank);
   }
   for (std::uint32_t i : indices) {
-    deliver_to(batch[i], receiver);
+    deliver_to(batch_[i], receiver);
     if (violation_) return;
   }
 }
@@ -493,7 +503,7 @@ std::uint64_t CheckWorld::fingerprint(std::uint64_t epoch,
   // is unobservable here: same-time timers either belong to different
   // nodes or only emit frames, and frame order is canonicalized by the
   // pool.
-  const std::vector<std::int64_t> deltas = timers_.pending_deltas();
+  const std::vector<std::int64_t>& deltas = timers_.pending_deltas();
   h.mix(deltas.size());
   for (std::int64_t d : deltas) h.mix(std::uint64_t(d));
   // World evidence entries matter only while current (I-V3 compares by

@@ -53,7 +53,9 @@
 // pool, pending timers, remaining fault/drop budgets); the sink returns
 // false to prune the run when the state was already explored. Budgets are
 // part of the fingerprint, so pruning is sound: equal fingerprints have
-// identical future choice trees.
+// identical future choice trees. While the sink reports replaying() (the
+// explorer re-executing a recorded prefix, whose crossings it has already
+// seen) the world skips the fingerprint.
 
 #pragma once
 
@@ -153,7 +155,13 @@ class ChoiceSink {
 
   /// A crossing completed with canonical fingerprint `fp`. Returning false
   /// prunes the run: the state (budgets included) was fully explored.
+  /// Not called while replaying() is true.
   virtual bool note_state(std::uint64_t fp) = 0;
+
+  /// True while the run re-executes choices whose crossings the sink has
+  /// already been shown; the world then neither fingerprints nor calls
+  /// note_state (invariants are still checked at every crossing).
+  [[nodiscard]] virtual bool replaying() const { return false; }
 
  protected:
   ChoiceSink() = default;
@@ -196,16 +204,16 @@ class CheckTransport final : public Transport {
 /// TimerService over a private Simulator (the RealTimeScheduler pattern):
 /// agents arm real TimerHandles, the world advances the clock barrier to
 /// barrier, and the service tracks its handles so pending deadlines can be
-/// folded into the state fingerprint.
+/// folded into the state fingerprint. A world holds tens of timers, so the
+/// simulator runs its binary heap (same firing order as the calendar) and
+/// never builds the calendar's wheel.
 class CheckTimerService final : public TimerService {
  public:
   [[nodiscard]] SimTime now() const override { return sim_.now(); }
 
-  TimerHandle schedule_at(SimTime when, EventFn action) override {
-    TimerHandle handle = sim_.schedule_at(when, std::move(action));
-    tracked_.push_back({when, handle});
-    return handle;
-  }
+  /// Fired and cancelled entries are pruned whenever the tracking list is
+  /// full, so it stays proportional to the genuinely pending timers.
+  TimerHandle schedule_at(SimTime when, EventFn action) override;
   TimerHandle schedule_after(SimTime delay, EventFn action) override {
     return schedule_at(sim_.now() + delay, std::move(action));
   }
@@ -213,10 +221,9 @@ class CheckTimerService final : public TimerService {
   [[nodiscard]] Simulator& sim() { return sim_; }
 
   /// Deadlines of still-pending timers relative to now, ascending — the
-  /// timer wheel's contribution to the fingerprint. Fired and cancelled
-  /// entries are pruned as a side effect, so a long run's tracking list
-  /// stays proportional to the genuinely pending timers.
-  [[nodiscard]] std::vector<std::int64_t> pending_deltas();
+  /// timer queue's contribution to the fingerprint. Valid until the next
+  /// call.
+  [[nodiscard]] const std::vector<std::int64_t>& pending_deltas();
 
  private:
   struct Tracked {
@@ -224,8 +231,9 @@ class CheckTimerService final : public TimerService {
     TimerHandle handle;
   };
 
-  Simulator sim_;
+  Simulator sim_{QueueMode::kHeap};
   std::vector<Tracked> tracked_;
+  std::vector<std::int64_t> deltas_;
 };
 
 /// One bounded world: real agents, check-owned seams, choice-driven
@@ -278,10 +286,9 @@ class CheckWorld {
   /// obligations (I-V2/I-V4/I-V5) and updating the world evidence log.
   void deliver_to(const PoolMsg& msg, std::uint32_t receiver);
   void note_evidence(std::uint32_t receiver, const PoolMsg& msg);
-  /// Delivers `batch[index]` for each index in `order` to `receiver`,
-  /// permuted by a kOrder choice when the batch is small enough.
-  void deliver_batch(const std::vector<PoolMsg>& batch,
-                     std::vector<std::uint32_t> indices,
+  /// Delivers `batch_[index]` for each index in `indices` to `receiver`,
+  /// permuted in place by a kOrder choice when the batch is small enough.
+  void deliver_batch(std::vector<std::uint32_t>& indices,
                      std::uint32_t receiver);
 
   /// Forced-aware choice wrapper: trivial and probe-phase choices resolve
@@ -310,6 +317,11 @@ class CheckWorld {
   std::vector<std::unique_ptr<FdsAgent>> agents_;
 
   std::vector<PoolMsg> pool_;
+  /// The frames resolve_pool is delivering, swapped out of pool_ so that
+  /// reactions pool for the next barrier; emptied after every crossing and
+  /// kept for its capacity, like deliver_ (one receiver's batch).
+  std::vector<PoolMsg> batch_;
+  std::vector<std::uint32_t> deliver_;
   std::vector<FaultEvent> fault_events_;
   /// World-side recovery counts; the oracle for I-V4.
   std::vector<std::uint32_t> recover_count_;

@@ -6,7 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "check/explorer.h"
 #include "check/fingerprint.h"
@@ -172,6 +176,30 @@ TEST(FingerprintTest, PayloadContentIsSensitive) {
   EXPECT_EQ(payload_digest(base), payload_digest(same));
 }
 
+// mix_payload encodes into a buffer it reuses from call to call; a long
+// frame hashed first must leave nothing behind in a short frame's digest.
+TEST(FingerprintTest, ReusedEncodeBufferDoesNotLeak) {
+  HeartbeatPayload beat;
+  beat.sender = NodeId(2);
+  const std::uint64_t alone = payload_digest(beat);
+
+  HealthUpdatePayload update;
+  update.cluster = ClusterId(0);
+  update.sender = NodeId(0);
+  update.epoch = 7;
+  for (std::uint32_t i = 1; i < 40; ++i) {
+    update.all_failed.push_back(NodeId(i));
+    update.members_snapshot.push_back(NodeId(100 + i));
+  }
+  update.newly_failed = {NodeId(3), NodeId(5)};
+  update.admitted = {NodeId(101)};
+
+  Hasher h;
+  StateFingerprinter::mix_payload(h, update);
+  EXPECT_NE(h.digest(), alone);
+  EXPECT_EQ(payload_digest(beat), alone);
+}
+
 // ---------------------------------------------------------------------------
 // Exploration
 
@@ -233,6 +261,156 @@ TEST(ExplorerTest, ReductionPreservesTheViolationSet) {
   EXPECT_FALSE(full.budget_exhausted);
   EXPECT_GT(reduced.unique_states, 0u);
   EXPECT_EQ(reduced.unique_states, full.unique_states);
+}
+
+/// Pins every choice to a fixed branch list (cycled, reduced modulo the
+/// branches offered) and records every crossing fingerprint it is shown.
+class FixedChoiceSink final : public ChoiceSink {
+ public:
+  explicit FixedChoiceSink(std::vector<std::uint32_t> branches)
+      : branches_(std::move(branches)) {}
+
+  std::uint32_t choose(std::uint32_t count, ChoiceKind, std::uint64_t,
+                       std::uint64_t) override {
+    return branches_[next_++ % branches_.size()] % count;
+  }
+  bool note_state(std::uint64_t fp) override {
+    fingerprints.push_back(fp);
+    return true;
+  }
+
+  std::vector<std::uint64_t> fingerprints;
+
+ private:
+  std::vector<std::uint32_t> branches_;
+  std::size_t next_ = 0;
+};
+
+/// The model_check reference configuration (docs/MODEL_CHECKING.md).
+CheckOptions reference_world() {
+  CheckOptions opts;
+  opts.nodes = 3;
+  opts.epochs = 3;
+  opts.max_crashes = 1;
+  opts.max_recoveries = 1;
+  opts.max_drops = 2;
+  opts.adaptive = true;
+  opts.checkpoint = true;
+  return opts;
+}
+
+// One fixed schedule of the reference world (a crash, a recovery, drops and
+// reorders, checkpoints and adaptive state on the air) yields exactly these
+// crossing fingerprints, so neither the fingerprint's encoding nor the
+// check world's timer queue can shift a value unnoticed.
+TEST(FingerprintTest, FixedScheduleFingerprintsArePinned) {
+  FixedChoiceSink sink({0, 1, 0, 2, 1, 0, 3, 0, 1});
+  CheckWorld world(reference_world(), sink);
+  const std::optional<Violation> violation = world.run();
+  EXPECT_FALSE(violation.has_value());
+  EXPECT_FALSE(world.pruned());
+  EXPECT_EQ(world.fault_events().size(), 2u);
+  const std::vector<std::uint64_t> expected = {
+      0x1edc627db9d70e31ULL, 0x9e4000902b58ad50ULL, 0x94bf5be3c74c4e3bULL,
+      0x82dab83ee14211b5ULL, 0x55cdf721e9628087ULL, 0x49577f4fcbc89e3dULL,
+      0xf288e57894fa1ff2ULL, 0x5c770dbcc69cb142ULL, 0x60c636bc7a140076ULL,
+      0x7f0e9997c0d91ce4ULL, 0x283e305cb2f22182ULL, 0x9dc25489cf8a3072ULL,
+      0x7cf10733a101af2fULL, 0xcd7b221eac077361ULL, 0xae73ebe422cd08d0ULL,
+      0x9893c29742fa19fdULL, 0x1827aa2d02a016a1ULL, 0x2fe2e663bbbc93b4ULL,
+  };
+  EXPECT_EQ(sink.fingerprints, expected);
+}
+
+/// The explorer's odometer (explorer.cpp), rebuilt around a sink that is
+/// shown every crossing: replaying() stays false, so the world fingerprints
+/// the forced prefix too, and the sink counts each prefix crossing whose
+/// fingerprint is not yet in its visited set.
+class AuditingOdometerSink final : public ChoiceSink {
+ public:
+  void start_run(std::vector<std::uint32_t> prefix) {
+    prefix_ = std::move(prefix);
+    cursor_ = 0;
+    recs_.clear();
+  }
+
+  std::uint32_t choose(std::uint32_t count, ChoiceKind kind, std::uint64_t a,
+                       std::uint64_t b) override {
+    const std::uint32_t branch =
+        cursor_ < prefix_.size() ? prefix_[cursor_] : 0;
+    ++cursor_;
+    recs_.push_back({kind, count, branch, a, b});
+    return branch;
+  }
+
+  bool note_state(std::uint64_t fp) override {
+    if (cursor_ < prefix_.size()) {
+      ++prefix_states;
+      if (!visited.contains(fp)) ++unvisited_prefix_states;
+      return true;
+    }
+    return visited.insert(fp).second;
+  }
+
+  [[nodiscard]] const std::vector<ChoiceRec>& recs() const { return recs_; }
+
+  std::unordered_set<std::uint64_t> visited;
+  std::uint64_t prefix_states = 0;
+  std::uint64_t unvisited_prefix_states = 0;
+
+ private:
+  std::vector<std::uint32_t> prefix_;
+  std::size_t cursor_ = 0;
+  std::vector<ChoiceRec> recs_;
+};
+
+ExploreResult audited_explore(const CheckOptions& opts,
+                              AuditingOdometerSink& sink) {
+  ExploreResult result;
+  std::vector<std::uint32_t> prefix;
+  for (;;) {
+    sink.start_run(std::move(prefix));
+    prefix.clear();
+    CheckWorld world(opts, sink);
+    const std::optional<Violation> violation = world.run();
+    ++result.runs;
+    if (world.pruned()) ++result.pruned_runs;
+    EXPECT_FALSE(violation.has_value());
+    if (violation) break;
+    const std::vector<ChoiceRec>& recs = sink.recs();
+    std::size_t keep = recs.size();
+    while (keep > 0 && recs[keep - 1].chosen + 1 >= recs[keep - 1].count) {
+      --keep;
+    }
+    if (keep == 0) break;
+    for (std::size_t i = 0; i + 1 < keep; ++i) prefix.push_back(recs[i].chosen);
+    prefix.push_back(recs[keep - 1].chosen + 1);
+  }
+  result.unique_states = sink.visited.size();
+  return result;
+}
+
+// The explorer skips fingerprinting while a run replays its forced prefix.
+// That is sound only because every such crossing reproduces a state the
+// recording run already inserted: checked here on the reference world and
+// on an unreduced one, whose explorations must also match explore()'s
+// counts exactly.
+TEST(ExplorerTest, ReplayedPrefixStatesAreAlreadyVisited) {
+  CheckOptions unreduced = small_world();
+  unreduced.max_crashes = 1;
+  unreduced.max_drops = 1;
+  unreduced.reduction = false;
+  for (const CheckOptions& opts : {reference_world(), unreduced}) {
+    AuditingOdometerSink sink;
+    const ExploreResult audited = audited_explore(opts, sink);
+    EXPECT_GT(sink.prefix_states, 0u);
+    EXPECT_EQ(sink.unvisited_prefix_states, 0u);
+
+    const ExploreResult skipped = explore(opts, ExploreLimits{});
+    EXPECT_FALSE(skipped.budget_exhausted);
+    EXPECT_EQ(audited.runs, skipped.runs);
+    EXPECT_EQ(audited.pruned_runs, skipped.pruned_runs);
+    EXPECT_EQ(audited.unique_states, skipped.unique_states);
+  }
 }
 
 TEST(ExplorerTest, ReplayRejectsAnExhaustedChoiceTrace) {
