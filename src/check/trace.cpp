@@ -1,119 +1,21 @@
 #include "check/trace.h"
 
-#include <cerrno>
-#include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
+
+#include "common/jsonl.h"
+#include "fault/fault_plan.h"
 
 namespace cfds::check {
 
 namespace {
 
-// fmt is always a literal at the call sites in this file; the variadic
-// template hides that from -Wformat-nonliteral.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wformat-nonliteral"
-void append(std::string& out, const char* fmt, auto... args) {
-  char buffer[512];
-  std::snprintf(buffer, sizeof buffer, fmt, args...);
-  out += buffer;
-}
-#pragma GCC diagnostic pop
-
-void append_escaped(std::string& out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          append(out, "\\u%04x", static_cast<unsigned>(c));
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-/// Locates `"key":` in `line`; returns the value start or npos.
-std::size_t value_pos(const std::string& line, const char* key) {
-  const std::string needle = std::string("\"") + key + "\":";
-  const auto pos = line.find(needle);
-  if (pos == std::string::npos) return std::string::npos;
-  return pos + needle.size();
-}
-
-/// Exact unsigned integer: no strtod detour, so 64-bit values survive.
-bool find_u64(const std::string& line, const char* key, std::uint64_t* out) {
-  const auto pos = value_pos(line, key);
-  if (pos == std::string::npos) return false;
-  const char* start = line.c_str() + pos;
-  if (*start == '-') return false;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long value = std::strtoull(start, &end, 10);
-  if (end == start || errno == ERANGE) return false;
-  *out = value;
-  return true;
-}
-
-bool find_i64(const std::string& line, const char* key, std::int64_t* out) {
-  const auto pos = value_pos(line, key);
-  if (pos == std::string::npos) return false;
-  const char* start = line.c_str() + pos;
-  char* end = nullptr;
-  errno = 0;
-  const long long value = std::strtoll(start, &end, 10);
-  if (end == start || errno == ERANGE) return false;
-  *out = value;
-  return true;
-}
-
-bool find_u32(const std::string& line, const char* key, std::uint32_t* out) {
-  std::uint64_t value = 0;
-  if (!find_u64(line, key, &value)) return false;
-  if (value > 0xFFFFFFFFu) return false;
-  *out = static_cast<std::uint32_t>(value);
-  return true;
-}
-
-/// Extracts and unescapes the string value of `"key":"..."`.
-bool find_string(const std::string& line, const char* key, std::string* out) {
-  const std::string needle = std::string("\"") + key + "\":\"";
-  const auto pos = line.find(needle);
-  if (pos == std::string::npos) return false;
-  out->clear();
-  for (std::size_t i = pos + needle.size(); i < line.size(); ++i) {
-    const char c = line[i];
-    if (c == '"') return true;
-    if (c != '\\') {
-      *out += c;
-      continue;
-    }
-    if (++i >= line.size()) return false;
-    switch (line[i]) {
-      case '"': *out += '"'; break;
-      case '\\': *out += '\\'; break;
-      case 'n': *out += '\n'; break;
-      case 't': *out += '\t'; break;
-      case 'u': {
-        if (i + 4 >= line.size()) return false;
-        char* end = nullptr;
-        const std::string hex = line.substr(i + 1, 4);
-        const unsigned long cp = std::strtoul(hex.c_str(), &end, 16);
-        if (end != hex.c_str() + 4 || cp > 0x7F) return false;
-        *out += static_cast<char>(cp);
-        i += 4;
-        break;
-      }
-      default: return false;
-    }
-  }
-  return false;  // unterminated
-}
+using jsonl::append;
+using jsonl::append_escaped;
+using jsonl::find_i64;
+using jsonl::find_string;
+using jsonl::find_u32;
+using jsonl::find_u64;
 
 std::optional<ChoiceKind> kind_from(const std::string& name) {
   for (ChoiceKind k :
@@ -126,15 +28,16 @@ std::optional<ChoiceKind> kind_from(const std::string& name) {
 }  // namespace
 
 std::string fault_plan_jsonl(const CheckTrace& trace) {
-  std::string out;
-  append(out, "{\"fault_plan\":1,\"seed\":0,\"events\":%zu}\n",
-         trace.fault_events.size());
+  fault::FaultPlan plan;
   for (const FaultEvent& e : trace.fault_events) {
-    append(out, "{\"fault\":\"%s\",\"node\":%u,\"at_us\":%lld}\n",
-           e.recover ? "recover" : "crash", e.node.value(),
-           static_cast<long long>(e.at_us));
+    fault::FaultEvent event;
+    event.kind =
+        e.recover ? fault::FaultKind::kRecover : fault::FaultKind::kCrash;
+    event.node = e.node.value();
+    event.at_us = e.at_us;
+    plan.events.push_back(event);
   }
-  return out;
+  return plan.to_jsonl();
 }
 
 std::string to_jsonl(const CheckTrace& trace) {
@@ -163,10 +66,10 @@ std::string to_jsonl(const CheckTrace& trace) {
   }
   if (trace.violation) {
     const Violation& v = *trace.violation;
-    append(out, "{\"violation\":{\"invariant\":\"%s\",\"epoch\":%llu,"
-                "\"barrier\":%u,\"detail\":\"",
-           v.invariant.c_str(), static_cast<unsigned long long>(v.epoch),
-           v.barrier);
+    out += "{\"violation\":{\"invariant\":\"";
+    append_escaped(out, v.invariant);
+    append(out, "\",\"epoch\":%llu,\"barrier\":%u,\"detail\":\"",
+           static_cast<unsigned long long>(v.epoch), v.barrier);
     append_escaped(out, v.detail);
     out += "\"}}\n";
   }
@@ -181,11 +84,14 @@ std::optional<CheckTrace> parse_jsonl(const std::string& text,
   std::istringstream lines(text);
   std::string line;
   std::size_t line_no = 0;
+  std::size_t next = 0;  // offset of the line after `line`
   auto fail = [&](const std::string& why) -> std::optional<CheckTrace> {
     if (error) *error = "trace line " + std::to_string(line_no) + ": " + why;
     return std::nullopt;
   };
   while (std::getline(lines, line)) {
+    const std::size_t at = next;
+    next += line.size() + 1;
     ++line_no;
     if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
     if (line.find("\"cfds_check\"") != std::string::npos) {
@@ -246,26 +152,23 @@ std::optional<CheckTrace> parse_jsonl(const std::string& text,
       trace.violation = std::move(v);
       continue;
     }
-    if (line.find("\"fault_plan\"") != std::string::npos) continue;
-    if (line.find("\"fault\"") != std::string::npos) {
-      std::string kind_name;
-      FaultEvent e;
-      std::uint32_t node = 0;
-      if (!find_string(line, "fault", &kind_name) ||
-          !find_u32(line, "node", &node) ||
-          !find_i64(line, "at_us", &e.at_us)) {
-        return fail("malformed fault record");
+    if (line.find("\"fault_plan\"") != std::string::npos ||
+        line.find("\"fault\"") != std::string::npos) {
+      // The rest of the trace is the fault tail: FaultPlan JSONL, read by
+      // the FaultPlan parser (its line numbers count from this line).
+      std::string plan_error;
+      const auto plan = fault::FaultPlan::parse_jsonl(text.substr(at),
+                                                      &plan_error);
+      if (!plan) return fail(plan_error);
+      for (const fault::FaultEvent& e : plan->events) {
+        if (e.kind != fault::FaultKind::kCrash &&
+            e.kind != fault::FaultKind::kRecover) {
+          return fail("trace fault kind must be crash or recover");
+        }
+        trace.fault_events.push_back(
+            {e.kind == fault::FaultKind::kRecover, NodeId{e.node}, e.at_us});
       }
-      if (kind_name == "crash") {
-        e.recover = false;
-      } else if (kind_name == "recover") {
-        e.recover = true;
-      } else {
-        return fail("trace fault kind must be crash or recover");
-      }
-      e.node = NodeId{node};
-      trace.fault_events.push_back(e);
-      continue;
+      break;
     }
     return fail("unrecognized trace line");
   }

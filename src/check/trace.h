@@ -9,9 +9,10 @@
 //   {"fault_plan":1,"seed":0,"events":2}                  FaultPlan header
 //   {"fault":"crash","node":0,"at_us":300000}             one per fault
 //
-// The tail (from the fault_plan header on) is exactly the FaultPlan JSONL
-// schema (src/fault/fault_plan.cpp), so `cfds_check --plan` can split it
-// out for bench_chaos --replay-plan, which re-injects the same crashes and
+// The tail (from the fault_plan header on) is a FaultPlan (src/fault/
+// fault_plan.h), written by FaultPlan::to_jsonl and read back by
+// FaultPlan::parse_jsonl, so `cfds_check --plan` can split it out for
+// bench_chaos --replay-plan, which re-injects the same crashes and
 // recoveries through the stochastic stack. The choice lines are the
 // event-order pin: `cfds_check --replay` feeds them back through a
 // ReplaySink, reproducing the violation deterministically.
@@ -42,7 +43,9 @@ struct CheckTrace {
 [[nodiscard]] std::string fault_plan_jsonl(const CheckTrace& trace);
 
 /// Parses to_jsonl() output. Returns nullopt with *error set on malformed
-/// input; unknown keys are ignored, unknown line shapes are errors.
+/// input; unknown keys are ignored, unknown line shapes are errors. The
+/// fault tail runs to the end of the text and may hold only crash and
+/// recover events.
 [[nodiscard]] std::optional<CheckTrace> parse_jsonl(const std::string& text,
                                                     std::string* error);
 

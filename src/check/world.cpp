@@ -301,7 +301,8 @@ void CheckWorld::deliver_to(const PoolMsg& msg, std::uint32_t receiver) {
   // has granted its sender (recover() bumps both).
   if (msg.payload->tag() == PayloadKind::kHeartbeat) {
     const auto* hb = payload_cast<HeartbeatPayload>(msg.payload);
-    if (hb != nullptr && hb->incarnation != recover_count_[msg.sender.value()]) {
+    if (hb != nullptr &&
+        hb->incarnation != recover_count_[msg.sender.value()]) {
       flag("I-V4", "heartbeat from node " + nid(msg.sender) +
                        " carries incarnation " +
                        std::to_string(hb->incarnation) + ", world count is " +
@@ -337,8 +338,9 @@ void CheckWorld::deliver_to(const PoolMsg& msg, std::uint32_t receiver) {
   if (before) {
     const std::shared_ptr<const CheckpointPayload>& after =
         agent.stable_checkpoint();
-    if (after && (after->epoch < before->epoch ||
-                  (after->epoch == before->epoch && after->seq < before->seq))) {
+    if (after &&
+        (after->epoch < before->epoch ||
+         (after->epoch == before->epoch && after->seq < before->seq))) {
       flag("I-V5", "node " + nid(agent.id()) + " regressed its checkpoint (" +
                        std::to_string(before->epoch) + "," +
                        std::to_string(before->seq) + ") -> (" +
@@ -529,7 +531,8 @@ std::uint32_t CheckWorld::choose(std::uint32_t count, ChoiceKind kind,
 
 void CheckWorld::flag(const char* invariant, std::string detail) {
   if (violation_) return;  // first violation wins; the rest are downstream
-  violation_ = Violation{invariant, std::move(detail), cur_epoch_, cur_barrier_};
+  violation_ =
+      Violation{invariant, std::move(detail), cur_epoch_, cur_barrier_};
 }
 
 std::optional<std::string> CheckWorld::quiescence_defect() const {

@@ -1,16 +1,21 @@
 #include "fault/fault_plan.h"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
 #include "common/expect.h"
 #include "common/flat.h"
+#include "common/jsonl.h"
 
 namespace cfds::fault {
+
+using jsonl::append;
+using jsonl::find_i64;
+using jsonl::find_number;
+using jsonl::find_string;
+using jsonl::find_u32;
+using jsonl::find_u64;
 
 const char* to_string(FaultKind kind) {
   switch (kind) {
@@ -37,90 +42,6 @@ namespace {
   return std::nullopt;
 }
 
-// fmt is always a literal at the call sites in this file; the variadic
-// template hides that from -Wformat-nonliteral.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wformat-nonliteral"
-void append(std::string& out, const char* fmt, auto... args) {
-  char buffer[256];
-  std::snprintf(buffer, sizeof buffer, fmt, args...);
-  out += buffer;
-}
-#pragma GCC diagnostic pop
-
-/// Finds `"key":` in `line` and parses the number that follows. Returns
-/// false if the key is absent or the value is not a number.
-bool find_number(const std::string& line, const char* key, double* out) {
-  const std::string needle = std::string("\"") + key + "\":";
-  const auto pos = line.find(needle);
-  if (pos == std::string::npos) return false;
-  const char* start = line.c_str() + pos + needle.size();
-  char* end = nullptr;
-  const double value = std::strtod(start, &end);
-  if (end == start) return false;
-  *out = value;
-  return true;
-}
-
-/// Locates the raw value text after `"key":`, or nullptr if absent.
-const char* find_value(const std::string& line, const char* key) {
-  const std::string needle = std::string("\"") + key + "\":";
-  const auto pos = line.find(needle);
-  if (pos == std::string::npos) return nullptr;
-  return line.c_str() + pos + needle.size();
-}
-
-// Integer fields are parsed as integers, not through double: a double only
-// holds 53 bits of mantissa, so a round-trip through find_number would
-// silently corrupt large at_us/seed values, and a negative value cast to an
-// unsigned type would wrap instead of failing the line.
-bool find_i64(const std::string& line, const char* key, std::int64_t* out) {
-  const char* start = find_value(line, key);
-  if (start == nullptr) return false;
-  char* end = nullptr;
-  errno = 0;
-  const long long value = std::strtoll(start, &end, 10);
-  if (end == start || errno == ERANGE) return false;
-  // Reject "1.5" or "1e3" masquerading as an integer: the value must stop
-  // at a JSON delimiter, not a fraction/exponent marker.
-  if (*end == '.' || *end == 'e' || *end == 'E') return false;
-  *out = value;
-  return true;
-}
-
-bool find_u64(const std::string& line, const char* key, std::uint64_t* out) {
-  const char* start = find_value(line, key);
-  if (start == nullptr) return false;
-  if (*start == '-') return false;  // strtoull would wrap, not fail
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long value = std::strtoull(start, &end, 10);
-  if (end == start || errno == ERANGE) return false;
-  if (*end == '.' || *end == 'e' || *end == 'E') return false;
-  *out = value;
-  return true;
-}
-
-bool find_u32(const std::string& line, const char* key, std::uint32_t* out) {
-  std::uint64_t value = 0;
-  if (!find_u64(line, key, &value)) return false;
-  if (value > 0xFFFFFFFFull) return false;
-  *out = static_cast<std::uint32_t>(value);
-  return true;
-}
-
-/// Extracts the string value of `"key":"..."`.
-bool find_string(const std::string& line, const char* key, std::string* out) {
-  const std::string needle = std::string("\"") + key + "\":\"";
-  const auto pos = line.find(needle);
-  if (pos == std::string::npos) return false;
-  const auto start = pos + needle.size();
-  const auto close = line.find('"', start);
-  if (close == std::string::npos) return false;
-  *out = line.substr(start, close - start);
-  return true;
-}
-
 }  // namespace
 
 std::string FaultPlan::to_jsonl() const {
@@ -137,12 +58,14 @@ std::string FaultPlan::to_jsonl() const {
         break;
       case FaultKind::kFreeze:
         append(out, ",\"node\":%u,\"at_us\":%lld,\"duration_us\":%lld",
-               e.node, static_cast<long long>(e.at_us), static_cast<long long>(e.duration_us));
+               e.node, static_cast<long long>(e.at_us),
+               static_cast<long long>(e.duration_us));
         break;
       case FaultKind::kLinkDown:
         append(out,
                ",\"node\":%u,\"peer\":%u,\"at_us\":%lld,\"duration_us\":%lld",
-               e.node, e.peer, static_cast<long long>(e.at_us), static_cast<long long>(e.duration_us));
+               e.node, e.peer, static_cast<long long>(e.at_us),
+               static_cast<long long>(e.duration_us));
         break;
       case FaultKind::kJam:
         append(out,
@@ -156,7 +79,8 @@ std::string FaultPlan::to_jsonl() const {
                ",\"node\":%u,\"start_epoch\":%llu,\"end_epoch\":%llu,"
                "\"per_epoch_us\":%lld",
                e.node, static_cast<unsigned long long>(e.start_epoch),
-               static_cast<unsigned long long>(e.end_epoch), static_cast<long long>(e.per_epoch_us));
+               static_cast<unsigned long long>(e.end_epoch),
+               static_cast<long long>(e.per_epoch_us));
         break;
       case FaultKind::kLoss:
         append(out, ",\"x\":%.17g,\"at_us\":%lld,\"duration_us\":%lld", e.x,

@@ -1,23 +1,25 @@
 // Applies a FaultPlan to a running Scenario.
 //
-// The injector translates declarative fault events into calls on the
-// simulator-level injection hooks: Network::schedule_crash/schedule_recover
-// for node lifecycle, Channel::set_muted / set_link_blocked /
-// add_jam_region for channel faults, and FdsService::set_skew_provider for
-// clock drift. It schedules everything up front (install), anchored at the
-// scenario's next epoch boundary, so a plan replays identically whenever the
-// scenario it is applied to is identical.
+// The injector is the simulator's binding of the plan runtime
+// (fault/plan_runtime.h): the runtime works over the channel's DropFilter
+// and a timer service on the network's simulator, crashes and recovers
+// nodes through Network, drives the channel's loss override, and feeds the
+// FdsService skew provider. Everything is scheduled up front (install),
+// anchored at the scenario's next epoch boundary, so a plan replays
+// identically whenever the scenario it is applied to is identical.
 //
 // The injector must outlive the simulation run: scheduled events and the
 // skew provider capture it.
 
 #pragma once
 
-#include <map>
-#include <vector>
+#include <cstdint>
 
+#include "common/sim_time.h"
 #include "fault/fault_plan.h"
+#include "fault/plan_runtime.h"
 #include "sim/scenario.h"
+#include "transport/sim_transport.h"
 
 namespace cfds::fault {
 
@@ -34,35 +36,18 @@ class FaultInjector {
   void install(const FaultPlan& plan);
 
   /// Defensively clears any channel fault still active (mutes, blocked
-  /// links, jam regions). Well-formed plans close their own windows; this
-  /// protects campaigns replaying handcrafted plans whose windows run past
-  /// the fault horizon, so the quiescence phase is genuinely fault-free.
-  void clear_channel_faults();
+  /// links, jam regions, the loss override); see PlanRuntime::clear.
+  void clear_channel_faults() { runtime_.clear(); }
 
   /// Anchor epoch index: plan drift epochs are relative to this.
   [[nodiscard]] std::uint64_t base_epoch() const { return base_epoch_; }
 
  private:
-  void freeze(std::uint32_t node, bool on);
-  void block_link(std::uint32_t a, std::uint32_t b, bool on);
-
   Scenario& scenario_;
   SimTime anchor_;
   std::uint64_t base_epoch_;
-  bool installed_ = false;
-
-  // Overlap-safe bookkeeping: a node stays muted (a link stays blocked)
-  // until every window covering it has closed. Ordered maps:
-  // clear_channel_faults() walks them, and the unmute/unblock call order
-  // must be replay-stable.
-  std::map<std::uint32_t, int> freeze_depth_;
-  std::map<std::uint64_t, int> link_depth_;
-  std::vector<int> active_jams_;
-  std::vector<FaultEvent> drifts_;
-  /// Open kLoss windows. Overlapping bursts are legal: the most recently
-  /// activated probability wins, and the override clears only when the last
-  /// window closes.
-  int loss_depth_ = 0;
+  SimTimerService timers_;
+  PlanRuntime runtime_;
 };
 
 }  // namespace cfds::fault

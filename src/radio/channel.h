@@ -179,30 +179,13 @@ class Channel {
 
   // --- Fault-injection hooks (src/fault/). The drop state lives in a
   // transport-agnostic DropFilter (src/transport/drop_filter.h) so the same
-  // seeded FaultPlan drives simulated and service-mode runs; these methods
-  // delegate. All state defaults to empty and each costs one has_*()-branch
-  // on the transmit path when unused, so the channel's RNG draw sequence is
-  // untouched by a fault-free run. ------------------------------------------
+  // seeded FaultPlan drives simulated and service-mode runs. All state
+  // defaults to empty and each kind costs one has_*()-branch on the
+  // transmit path when unused, so the channel's RNG draw sequence is
+  // untouched by a fault-free run. -----------------------------------------
 
-  /// A muted radio's frames vanish in the air and it hears nothing, but the
-  /// node itself keeps running (and paying tx energy) — an omission fault,
-  /// distinct from a crash (Freeze in the fault taxonomy).
-  void set_muted(NodeId id, bool muted) { drop_filter_.set_muted(id, muted); }
-  [[nodiscard]] bool is_muted(NodeId id) const {
-    return drop_filter_.is_muted(id);
-  }
-
-  /// Blocks/unblocks the (symmetric) link between two nodes; blocked frames
-  /// count as losses (LinkDown / partition faults).
-  void set_link_blocked(NodeId a, NodeId b, bool blocked) {
-    drop_filter_.set_link_blocked(a, b, blocked);
-  }
-
-  /// Forces loss probability to 1 for any frame whose sender or receiver
-  /// lies inside `area` (regional jamming). Returns a token for removal.
-  int add_jam_region(Disk area) { return drop_filter_.add_jam_region(area); }
-  void remove_jam_region(int token) { drop_filter_.remove_jam_region(token); }
-  [[nodiscard]] bool is_jammed(Vec2 p) const { return drop_filter_.jammed(p); }
+  /// The embedded fault-drop state: muted radios, blocked links, jam disks.
+  [[nodiscard]] DropFilter& drop_filter() { return drop_filter_; }
 
   /// Overrides the configured loss model's per-frame loss probability for
   /// every in-range candidate (time-varying interference: loss bursts /
@@ -222,9 +205,6 @@ class Channel {
   [[nodiscard]] bool loss_override_active() const {
     return loss_override_active_;
   }
-
-  /// The embedded fault-drop state (diagnostics and the fault injector).
-  [[nodiscard]] const DropFilter& drop_filter() const { return drop_filter_; }
 
  private:
   friend class Radio;

@@ -60,7 +60,25 @@ ServiceAgent::ServiceAgent(const ServiceConfig& config, NodeId self,
                 this),
       fds_config_(service_fds_config(config)),
       fds_(node_, view_, filtered_, timers, config.t_hop, fds_config_, hooks_),
-      plan_(node_, raw, filter_, timers),
+      // Every endpoint applies the whole plan's windows to its own filter
+      // but crashes and recovers only itself: powering the raw transport
+      // (not the filtered wrapper) down around Node::crash keeps a crashed
+      // process silent and deaf without exiting. Loss bursts are a
+      // simulated-channel property; over a live network the medium supplies
+      // its own loss, so the seam has no loss action.
+      plan_(filter_, timers,
+            {.lifecycle =
+                 [this, &raw](std::uint32_t, bool up) {
+                   if (up) {
+                     node_.recover();
+                     raw.set_powered(true);
+                   } else {
+                     raw.set_powered(false);
+                     node_.crash();
+                   }
+                 },
+             .self = self.value(),
+             .loss = nullptr}),
       timers_(timers) {
   fds_config_.validate(config.t_hop);
   // In one broadcast domain every clusterhead hears every F5 subscription
@@ -203,9 +221,10 @@ void ServiceAgent::start(SimTime start, const fault::FaultPlan* plan) {
                 static_cast<std::uint64_t>(spread_us)))
           : SimTime::zero();
   for (std::uint64_t k = 0; k < config_.epochs; ++k) {
-    schedule_execution(
-        timers_, start + phase + std::int64_t(k) * config_.phi + plan_.skew(k),
-        config_.t_hop, k, single_agent(fds_));
+    const SimTime skew = plan_.skew(node_.id(), k);
+    schedule_execution(timers_,
+                       start + phase + std::int64_t(k) * config_.phi + skew,
+                       config_.t_hop, k, single_agent(fds_));
   }
   timers_.schedule_at(start + std::int64_t(config_.epochs) * config_.phi,
                       [this] { done_ = true; });

@@ -18,12 +18,12 @@
 #include "common/ids.h"
 #include "common/sim_time.h"
 #include "fault/fault_plan.h"
+#include "fault/plan_runtime.h"
 #include "fds/agent.h"
 #include "fds/config.h"
 #include "fds/snapshot.h"
 #include "net/node.h"
 #include "service/config.h"
-#include "service/plan_runtime.h"
 #include "transport/drop_filter.h"
 #include "transport/filtered_transport.h"
 #include "transport/transport.h"
@@ -87,7 +87,7 @@ class ServiceAgent {
   FdsConfig fds_config_;
   FdsHooks hooks_;
   FdsAgent fds_;
-  PlanRuntime plan_;
+  fault::PlanRuntime plan_;
   TimerService& timers_;
   bool done_ = false;
   /// Newest epoch carried by an overheard health update, per directory block

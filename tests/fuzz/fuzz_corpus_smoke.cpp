@@ -4,10 +4,13 @@
 // harnesses (the default GCC build). Runs in ctest as `fuzz_corpus_smoke`.
 //
 // Usage: fuzz_corpus_smoke <corpus-dir>...
-//   *.bin   -> wire codec target
-//   *.jsonl -> FaultPlan parser target
-// Exits nonzero when a directory is missing, unreadable, or contributes no
-// files — an empty corpus would make the smoke test vacuous.
+// The directory's name picks the target, as each libFuzzer harness takes
+// its own corpus directory:
+//   wire/         -> wire codec target
+//   fault_plan/   -> FaultPlan parser target
+//   check_trace/  -> cfds_check trace parser target
+// Exits nonzero when a directory is missing, has an unknown name, or holds
+// no files — an empty corpus would make the smoke test vacuous.
 
 #include <algorithm>
 #include <cstdio>
@@ -17,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "check_trace_target.h"
 #include "fault_plan_target.h"
 #include "wire_target.h"
 
@@ -27,12 +31,27 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "usage: %s <corpus-dir>...\n", argv[0]);
     return 2;
   }
-  int wire_files = 0;
-  int plan_files = 0;
+  const struct {
+    const char* name;
+    int (*target)(const std::uint8_t*, std::size_t);
+  } targets[] = {{"wire", cfds::fuzz::wire_one},
+                 {"fault_plan", cfds::fuzz::fault_plan_one},
+                 {"check_trace", cfds::fuzz::check_trace_one}};
   for (int a = 1; a < argc; ++a) {
-    const fs::path dir(argv[a]);
+    fs::path dir(argv[a]);
+    if (!dir.has_filename()) dir = dir.parent_path();  // trailing slash
     if (!fs::is_directory(dir)) {
       std::fprintf(stderr, "fuzz_corpus_smoke: not a directory: %s\n",
+                   argv[a]);
+      return 1;
+    }
+    const std::string name = dir.filename().string();
+    int (*target)(const std::uint8_t*, std::size_t) = nullptr;
+    for (const auto& t : targets) {
+      if (name == t.name) target = t.target;
+    }
+    if (target == nullptr) {
+      std::fprintf(stderr, "fuzz_corpus_smoke: no target for corpus %s\n",
                    argv[a]);
       return 1;
     }
@@ -40,35 +59,22 @@ int main(int argc, char** argv) {
     for (const auto& entry : fs::directory_iterator(dir)) {
       if (entry.is_regular_file()) files.push_back(entry.path());
     }
+    if (files.empty()) {
+      std::fprintf(stderr, "fuzz_corpus_smoke: no corpus files under %s\n",
+                   argv[a]);
+      return 1;
+    }
     std::sort(files.begin(), files.end());
-    int fed = 0;
     for (const fs::path& file : files) {
       std::ifstream in(file, std::ios::binary);
       std::stringstream buffer;
       buffer << in.rdbuf();
       const std::string bytes = buffer.str();
-      const auto* data =
-          reinterpret_cast<const std::uint8_t*>(bytes.data());
-      const std::string ext = file.extension().string();
-      if (ext == ".bin") {
-        cfds::fuzz::wire_one(data, bytes.size());
-        ++wire_files;
-        ++fed;
-      } else if (ext == ".jsonl") {
-        cfds::fuzz::fault_plan_one(data, bytes.size());
-        ++plan_files;
-        ++fed;
-      }
+      target(reinterpret_cast<const std::uint8_t*>(bytes.data()),
+             bytes.size());
     }
-    if (fed == 0) {
-      std::fprintf(stderr,
-                   "fuzz_corpus_smoke: no corpus files (*.bin, *.jsonl) "
-                   "under %s\n",
-                   argv[a]);
-      return 1;
-    }
+    std::printf("fuzz_corpus_smoke: %s ok (%zu files)\n", name.c_str(),
+                files.size());
   }
-  std::printf("fuzz_corpus_smoke: ok (%d wire frames, %d fault plans)\n",
-              wire_files, plan_files);
   return 0;
 }

@@ -498,5 +498,56 @@ TEST(CheckTraceTest, ParseRejectsMalformedTraces) {
   EXPECT_FALSE(parse_jsonl(header + "{\"bogus\":1}\n", &error).has_value());
 }
 
+/// The header line of sample_trace(), newline included.
+std::string sample_header() {
+  const std::string text = to_jsonl(sample_trace());
+  return text.substr(0, text.find('\n') + 1);
+}
+
+TEST(CheckTraceTest, ParseRejectsNonIntegerFields) {
+  const std::string header = sample_header();
+  std::string error;
+  for (const char* choice :
+       {"{\"choice\":{\"kind\":\"drop\",\"count\":2.9,\"chosen\":1,"
+        "\"a\":0,\"b\":0}}\n",
+        "{\"choice\":{\"kind\":\"drop\",\"count\":2,\"chosen\":1.5,"
+        "\"a\":0,\"b\":0}}\n",
+        "{\"choice\":{\"kind\":\"drop\",\"count\":2,\"chosen\":1,"
+        "\"a\":0,\"b\":1e3}}\n",
+        "{\"choice\":{\"kind\":\"drop\",\"count\":2,\"chosen\":1,"
+        "\"a\":-1,\"b\":0}}\n"}) {
+    EXPECT_FALSE(parse_jsonl(header + choice, &error).has_value()) << choice;
+  }
+  EXPECT_FALSE(parse_jsonl(header +
+                               "{\"violation\":{\"invariant\":\"I-V4\","
+                               "\"epoch\":1E2,\"barrier\":0,"
+                               "\"detail\":\"\"}}\n",
+                           &error)
+                   .has_value());
+  EXPECT_FALSE(
+      parse_jsonl(header + "{\"fault\":\"crash\",\"node\":0,\"at_us\":3.5}\n",
+                  &error)
+          .has_value());
+}
+
+TEST(CheckTraceTest, EscapedStringsRoundTrip) {
+  const std::string text =
+      sample_header() +
+      "{\"violation\":{\"invariant\":\"I-V\\\\4\",\"epoch\":1,\"barrier\":2,"
+      "\"detail\":\"say \\\"hi\\\"\\n\\tand \\u0001\"}}\n";
+  std::string error;
+  const auto parsed = parse_jsonl(text, &error);
+  ASSERT_TRUE(parsed.has_value()) << error;
+  ASSERT_TRUE(parsed->violation.has_value());
+  EXPECT_EQ(parsed->violation->invariant, "I-V\\4");
+  EXPECT_EQ(parsed->violation->detail, "say \"hi\"\n\tand \x01");
+  const auto again = parse_jsonl(to_jsonl(*parsed), &error);
+  ASSERT_TRUE(again.has_value()) << error;
+  ASSERT_TRUE(again->violation.has_value());
+  EXPECT_EQ(again->violation->invariant, "I-V\\4");
+  EXPECT_EQ(again->violation->detail, parsed->violation->detail);
+  EXPECT_EQ(to_jsonl(*again), to_jsonl(*parsed));
+}
+
 }  // namespace
 }  // namespace cfds::check
