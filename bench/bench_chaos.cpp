@@ -39,6 +39,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -247,8 +248,7 @@ int main(int argc, char** argv) {
                  "paired campaign: cold vs checkpointed rejoin time");
   extra.add_value("--loss-bursts", &loss_bursts,
                   "channel-wide loss bursts per random plan");
-  extra.parse_or_exit(argc, argv);
-  cfds::bench::parse_common_args(argc, argv);
+  cfds::bench::parse_common_args(argc, argv, std::move(extra));
   const auto& opts = cfds::bench::options();
 
   fault::ChaosConfig config;

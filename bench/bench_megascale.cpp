@@ -34,6 +34,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -140,13 +141,14 @@ Row run_decade(std::size_t n, std::uint64_t epochs, std::uint64_t seed) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  cfds::bench::parse_common_args(argc, argv);
   long long max_nodes = 1'000'000;
   long long epochs = 10;
   cfds::runner::FlagSet extra;
   extra.add_value("--max-nodes", &max_nodes, "largest decade to run");
   extra.add_value("--epochs", &epochs, "timed epochs per decade");
-  extra.parse_or_exit(argc, argv);
+  // No google-benchmark timings here, so --help lists no further flags.
+  cfds::bench::parse_common_args(argc, argv, std::move(extra),
+                                 /*more_help=*/nullptr);
 
   const auto sink = cfds::bench::make_sink();
   const auto seed = cfds::bench::options().seed_or(7);

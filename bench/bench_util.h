@@ -23,6 +23,8 @@
 #include <string>
 #include <vector>
 
+#include <benchmark/benchmark.h>
+
 #include "event/simulator.h"
 #include "runner/cli_args.h"
 #include "runner/result_sink.h"
@@ -36,12 +38,15 @@ namespace cfds::bench {
   return instance;
 }
 
-/// Parses and strips the uniform flags from argv. Call first in main, before
-/// benchmark::Initialize, which consumes (and validates) the rest.
-inline void parse_common_args(int& argc, char** argv) {
-  runner::FlagSet flags;
+/// Parses and strips the bench's own `flags` and the uniform flags from
+/// argv. Call first in main, before benchmark::Initialize, which consumes
+/// (and validates) the rest. --help/-h lists both sets of flags, then
+/// `more_help` (google-benchmark's flags), and exits 0 before any work.
+inline void parse_common_args(
+    int& argc, char** argv, runner::FlagSet flags = {},
+    void (*more_help)() = &benchmark::PrintDefaultHelp) {
   runner::add_runner_flags(flags, options());
-  flags.parse_or_exit(argc, argv);
+  flags.parse_or_exit(argc, argv, more_help);
   // Applied before any trial thread constructs a Simulator (the pool below
   // is built lazily, after parsing).
   if (options().no_calendar) {

@@ -19,9 +19,9 @@ FormationAgent::FormationAgent(Node& node, Transport& transport,
 }
 
 void FormationAgent::begin_iteration() {
-  unmarked_probes_heard_.clear();
+  lowest_unmarked_probe_ = NodeId::invalid();
   probes_heard_ = 0;
-  claims_heard_.clear();
+  lowest_claimant_ = NodeId::invalid();
   claiming_ = false;
   joins_received_.clear();
 }
@@ -43,8 +43,9 @@ void FormationAgent::send_claim_if_eligible() {
   // A node that already knows a reachable clusterhead joins it instead of
   // founding a cluster inside an existing one.
   if (!foreign_clusterheads_.empty()) return;
-  for (NodeId other : unmarked_probes_heard_) {
-    if (other < node_.id()) return;
+  if (lowest_unmarked_probe_.is_valid() &&
+      lowest_unmarked_probe_ < node_.id()) {
+    return;
   }
   claiming_ = true;
   auto claim = std::make_shared<ChClaimPayload>();
@@ -58,8 +59,9 @@ void FormationAgent::send_join_if_needed() {
   // resolution: a claimant that hears a lower claim withdraws and joins it),
   // plus clusterheads known from earlier announcements.
   NodeId best = claiming_ ? node_.id() : NodeId::invalid();
-  for (NodeId claimant : claims_heard_) {
-    if (!best.is_valid() || claimant < best) best = claimant;
+  if (lowest_claimant_.is_valid() &&
+      (!best.is_valid() || lowest_claimant_ < best)) {
+    best = lowest_claimant_;
   }
   for (const auto& [cluster, ch] : foreign_clusterheads_) {
     (void)cluster;
@@ -90,8 +92,8 @@ void FormationAgent::send_announcement_if_clusterhead() {
     node_.set_marked(true);
     member_degrees_.clear();
   }
-  for (const JoinPayload& join : joins_received_) {
-    member_degrees_[join.sender] = join.observed_degree;
+  for (const Join& join : joins_received_) {
+    member_degrees_[join.sender] = join.degree;
   }
   joins_received_.clear();
 
@@ -150,28 +152,20 @@ void FormationAgent::send_gateway_assignment_if_clusterhead() {
   // reaches *us* from a foreign home (overheard, symmetric links) — both
   // sides rank the same pool, so the two CHs agree when no frames are lost.
   FlatMap<ClusterId, std::pair<NodeId, std::vector<NodeId>>> per_neighbor;
-  for (const auto& [sender, candidacy] : candidacies_heard_) {
-    if (candidacy.home_cluster == mine) {
-      for (const auto& [cluster, ch] : candidacy.reachable) {
-        per_neighbor[cluster].first = ch;
-        per_neighbor[cluster].second.push_back(sender);
+  for (const CandidacyRow& row : candidacies_heard_) {
+    if (row.home == mine) {
+      per_neighbor[row.cluster].first = row.clusterhead;
+      per_neighbor[row.cluster].second.push_back(row.sender);
+    } else if (row.cluster == mine) {
+      auto& entry = per_neighbor[row.home];
+      if (const auto it = foreign_clusterheads_.find(row.home);
+          it != foreign_clusterheads_.end()) {
+        entry.first = it->second;
+      } else if (!entry.first.is_valid()) {
+        // By convention a cluster is named after its founding CH.
+        entry.first = NodeId{row.home.value()};
       }
-    } else {
-      for (const auto& [cluster, ch] : candidacy.reachable) {
-        (void)ch;
-        if (cluster == mine) {
-          auto& entry = per_neighbor[candidacy.home_cluster];
-          if (const auto it =
-                  foreign_clusterheads_.find(candidacy.home_cluster);
-              it != foreign_clusterheads_.end()) {
-            entry.first = it->second;
-          } else if (!entry.first.is_valid()) {
-            // By convention a cluster is named after its founding CH.
-            entry.first = NodeId{candidacy.home_cluster.value()};
-          }
-          entry.second.push_back(sender);
-        }
-      }
+      entry.second.push_back(row.sender);
     }
   }
   if (per_neighbor.empty()) return;
@@ -208,15 +202,22 @@ void FormationAgent::send_gateway_assignment_if_clusterhead() {
 void FormationAgent::on_frame(const Reception& reception) {
   if (const auto* probe = payload_cast<ProbePayload>(reception.payload)) {
     ++probes_heard_;
-    if (!probe->marked) unmarked_probes_heard_.insert(probe->sender);
+    if (!probe->marked && (!lowest_unmarked_probe_.is_valid() ||
+                           probe->sender < lowest_unmarked_probe_)) {
+      lowest_unmarked_probe_ = probe->sender;
+    }
     return;
   }
   if (const auto* claim = payload_cast<ChClaimPayload>(reception.payload)) {
-    claims_heard_.insert(claim->claimant);
+    if (!lowest_claimant_.is_valid() || claim->claimant < lowest_claimant_) {
+      lowest_claimant_ = claim->claimant;
+    }
     return;
   }
   if (const auto* join = payload_cast<JoinPayload>(reception.payload)) {
-    if (join->clusterhead == node_.id()) joins_received_.push_back(*join);
+    if (join->clusterhead == node_.id()) {
+      joins_received_.push_back(Join{join->sender, join->observed_degree});
+    }
     return;
   }
   if (const auto* announce = payload_cast<AnnouncePayload>(reception.payload)) {
@@ -243,7 +244,32 @@ void FormationAgent::on_frame(const Reception& reception) {
   }
   if (const auto* candidacy =
           payload_cast<GatewayCandidacyPayload>(reception.payload)) {
-    candidacies_heard_[candidacy->sender] = *candidacy;
+    // The latest candidacy replaces the sender's run of rows in place:
+    // resize the run to the new row count, then overwrite it.
+    const auto by_sender = [](const CandidacyRow& row, NodeId sender) {
+      return row.sender < sender;
+    };
+    auto first =
+        std::lower_bound(candidacies_heard_.begin(), candidacies_heard_.end(),
+                         candidacy->sender, by_sender);
+    auto last = first;
+    while (last != candidacies_heard_.end() &&
+           last->sender == candidacy->sender) {
+      ++last;
+    }
+    const auto old_rows = std::size_t(last - first);
+    const std::size_t new_rows = candidacy->reachable.size();
+    if (new_rows > old_rows) {
+      first = candidacies_heard_.insert(last, new_rows - old_rows,
+                                        CandidacyRow{}) -
+              std::ptrdiff_t(old_rows);
+    } else {
+      candidacies_heard_.erase(first + std::ptrdiff_t(new_rows), last);
+    }
+    for (const auto& [cluster, ch] : candidacy->reachable) {
+      *first++ = CandidacyRow{candidacy->sender, candidacy->home_cluster,
+                              cluster, ch};
+    }
     return;
   }
   if (const auto* assignment =

@@ -88,17 +88,34 @@ class FormationAgent {
   FormationConfig config_;
   MembershipView view_;
 
-  // Per-iteration evidence (flat containers: cleared each iteration with the
-  // buffers retained, so steady-state iterations allocate nothing).
-  FlatSet<NodeId> unmarked_probes_heard_;
+  /// One (sender, home cluster) -> (foreign cluster, its CH) pair of a
+  /// heard gateway candidacy.
+  struct CandidacyRow {
+    NodeId sender;
+    ClusterId home;
+    ClusterId cluster;
+    NodeId clusterhead;
+  };
+  /// A join addressed to this node, with the joiner's observed degree.
+  struct Join {
+    NodeId sender;
+    std::size_t degree;
+  };
+
+  // Per-iteration evidence (cleared each iteration with the buffers
+  // retained, so steady-state iterations allocate nothing). Lowest-NID
+  // clustering reads only the lowest ID heard, so that is all it keeps.
+  NodeId lowest_unmarked_probe_ = NodeId::invalid();
   std::size_t probes_heard_ = 0;  // one-hop degree estimate (marked + unmarked)
-  FlatSet<NodeId> claims_heard_;
+  NodeId lowest_claimant_ = NodeId::invalid();
   bool claiming_ = false;
-  std::vector<JoinPayload> joins_received_;
+  std::vector<Join> joins_received_;
 
   // Cross-iteration evidence.
   FlatMap<ClusterId, NodeId> foreign_clusterheads_;  // heard announcements
-  FlatMap<NodeId, GatewayCandidacyPayload> candidacies_heard_;  // latest each
+  /// The latest candidacy of each sender, one row per reachable cluster:
+  /// sorted by sender, each sender's rows in its frame's `reachable` order.
+  std::vector<CandidacyRow> candidacies_heard_;
   FlatMap<NodeId, std::size_t> member_degrees_;  // CH only: joiner degrees
   std::size_t last_candidacy_size_ = 0;
 };

@@ -141,6 +141,8 @@ void Channel::attach(Radio& radio) {
   CFDS_EXPECT(radio.channel_ == nullptr, "radio already attached");
   CFDS_EXPECT(radios_by_id_.find(radio.id()) == radios_by_id_.end(),
               "duplicate radio id attached to channel");
+  CFDS_EXPECT(radio.slot() == radios_.size(),
+              "radios must attach in store-slot order");
   radio.channel_ = this;
   radios_.push_back(&radio);
   radios_by_id_[radio.id()] = &radio;
@@ -169,20 +171,11 @@ Transmission* Channel::acquire_transmission() {
     transmission_slab_.back()->channel = this;
     tx = transmission_slab_.back().get();
   }
-  // Records pair with a different sender every reuse (the free list reorders
-  // by delivery completion), so without a floor each record's receiver list
-  // re-grows whenever it meets a wider fan-out than it has seen — a trickle
-  // of reallocation that never converges. The high-water mark converges
-  // after the widest broadcast has happened once.
-  if (tx->receivers.capacity() < stats_.max_fanout) {
-    tx->receivers.reserve(stats_.max_fanout);
-  }
   return tx;
 }
 
 void Channel::release_transmission(Transmission* tx) {
   tx->reception.payload.reset();  // drop the shared frame eagerly
-  tx->receivers.clear();          // keeps capacity for the next broadcast
   tx->remaining = 0;
   transmission_free_.push_back(tx);
 }
@@ -196,9 +189,9 @@ void Channel::deliver_one(Transmission* tx, Radio* receiver) {
 }
 
 // LINT-ROUND-PATH: per-broadcast hot path (see docs/PERF.md).
-void Channel::batch_deliver(void* ctx, std::uint32_t index) {
+void Channel::batch_deliver(void* ctx, std::uint32_t slot) {
   auto* tx = static_cast<Transmission*>(ctx);
-  tx->channel->deliver_one(tx, tx->receivers[index]);
+  tx->channel->deliver_one(tx, tx->channel->radios_[slot]);
 }
 
 // LINT-ROUND-PATH: per-broadcast hot path (see docs/PERF.md).
@@ -212,14 +205,14 @@ void Channel::transmit(Radio& sender, PayloadPtr payload, NodeId intended) {
   const bool sender_jammed =
       drop_filter_.has_jam_regions() && drop_filter_.jammed(from);
 
-  // One record per broadcast. The receiver list and its per-receiver delay
-  // draws happen in the same deterministic receiver order (and interleaved
-  // with the same loss-model draws) as the old per-receiver scheduling, so
-  // the RNG sequence is untouched.
+  // One record per broadcast. Receivers and their delay draws are collected
+  // in the grid's deterministic order, interleaved with the loss-model
+  // draws, so the RNG sequence depends only on the geometry.
   Transmission* tx = acquire_transmission();
   tx->reception = Reception{sender.id(), intended, std::move(payload),
                             sim_.now()};
   tx->payload_bytes = tx->reception.payload->size_bytes();
+  scratch_slots_.clear();
   scratch_delays_.clear();
   for_each_in_range(from, &sender, [&](Radio* receiver, Vec2 receiver_pos) {
     if (!receiver->powered()) return;
@@ -260,26 +253,26 @@ void Channel::transmit(Radio& sender, PayloadPtr payload, NodeId intended) {
         rng_.uniform(config_.min_delay_frac, config_.max_delay_frac);
     const auto delay =
         SimTime::micros(std::int64_t(frac * double(config_.t_hop.as_micros())));
-    tx->receivers.push_back(receiver);
+    scratch_slots_.push_back(receiver->slot());
     scratch_delays_.push_back(delay);
   });
 
-  if (tx->receivers.empty()) {
+  if (scratch_slots_.empty()) {
     release_transmission(tx);
     return;
   }
   stats_.max_fanout =
-      std::max<std::uint64_t>(stats_.max_fanout, tx->receivers.size());
+      std::max<std::uint64_t>(stats_.max_fanout, scratch_slots_.size());
   // Scheduling after the fan-out loop assigns the same sequence numbers as
   // scheduling inside it (nothing else schedules during the loop), so the
   // firing order is bit-identical to the unbatched path. One batch = one
-  // timer slot for the whole broadcast; each firing carries its receiver
-  // index in the queue entry itself.
-  tx->remaining = std::uint32_t(tx->receivers.size());
+  // timer slot for the whole broadcast; each firing carries its receiver's
+  // slot in the queue entry itself.
+  tx->remaining = std::uint32_t(scratch_slots_.size());
   const Simulator::BatchRef batch =
       sim_.begin_batch(&Channel::batch_deliver, tx);
   for (std::uint32_t i = 0; i < tx->remaining; ++i) {
-    sim_.add_batch_event(batch, scratch_delays_[i], i);
+    sim_.add_batch_event(batch, scratch_delays_[i], scratch_slots_[i]);
   }
 }
 

@@ -116,13 +116,14 @@ struct ChannelStats {
   std::uint64_t max_fanout = 0;
 };
 
-/// One broadcast in flight: the shared frame every receiver hears plus the
-/// per-receiver delivery schedule. The channel builds one Transmission per
-/// transmit() — not one closure per receiver — and every delivery event
-/// hands the same embedded Reception to its receiver by const reference, so
-/// a fan-out of k costs one payload refcount bump, not k. Records are
-/// recycled through a slab pool (receiver-list capacity included), so a
-/// broadcast performs O(1) allocations regardless of fan-out.
+/// One broadcast in flight: the shared frame every receiver hears. The
+/// channel builds one Transmission per transmit() — not one closure per
+/// receiver — and every delivery event hands the same embedded Reception to
+/// its receiver by const reference, so a fan-out of k costs one payload
+/// refcount bump, not k. Each delivery's queue entry names its receiver by
+/// store slot, so the record holds no receiver list. Records are recycled
+/// through a slab pool, so a broadcast performs O(1) allocations regardless
+/// of fan-out.
 struct Transmission {
   Reception reception;
   /// Owning channel, for the batch-delivery callback (the simulator hands
@@ -134,12 +135,6 @@ struct Transmission {
   /// Deliveries scheduled but not yet fired; the record returns to the pool
   /// when it reaches zero.
   std::uint32_t remaining = 0;
-  /// Receivers in the channel's deterministic order — the same order the
-  /// per-receiver RNG draws are made in. The matching delivery delays are
-  /// consumed at scheduling time (the queue entries carry the fire times),
-  /// so only the bare pointers stay resident while deliveries are in
-  /// flight.
-  std::vector<Radio*> receivers;
 };
 
 /// Channel configuration.
@@ -163,7 +158,9 @@ class Channel {
 
   Channel(Simulator& sim, LossModel& loss, ChannelConfig config, Rng rng);
 
-  /// Registers a radio. A radio may be attached to at most one channel.
+  /// Registers a radio. A radio may be attached to at most one channel, and
+  /// radios attach in store-slot order (slot k is the k-th attached), so a
+  /// delivery names its receiver by slot.
   void attach(Radio& radio);
 
   /// Installs a transmission observer (tracing/diagnostics). Replaces any
@@ -213,9 +210,9 @@ class Channel {
   /// Fires one scheduled delivery of `tx` to `receiver`; releases the
   /// record back to the pool after its last delivery.
   void deliver_one(Transmission* tx, Radio* receiver);
-  /// Simulator::BatchFn trampoline: `ctx` is the Transmission, `index` its
-  /// receiver-list position.
-  static void batch_deliver(void* ctx, std::uint32_t index);
+  /// Simulator::BatchFn trampoline: `ctx` is the Transmission, `slot` the
+  /// receiver's store slot.
+  static void batch_deliver(void* ctx, std::uint32_t slot);
 
   [[nodiscard]] Transmission* acquire_transmission();
   void release_transmission(Transmission* tx);
@@ -273,6 +270,7 @@ class Channel {
   const BernoulliLoss* bernoulli_loss_ = nullptr;
   ChannelConfig config_;
   Rng rng_;
+  /// Attached radios, indexed by store slot (attach() enforces the order).
   std::vector<Radio*> radios_;
   /// id -> radio, maintained by attach(); makes neighbors_of O(log n)
   /// instead of a linear scan and enforces id uniqueness.
@@ -284,13 +282,14 @@ class Channel {
   ChannelStats stats_;
   Tap tap_;
   /// Transmission slab + freelist. Records are raw-pointer-stable (the
-  /// delivery events hold Transmission*), owned by the slab for the
-  /// channel's lifetime, and recycled with their receiver-list capacity.
+  /// delivery events hold Transmission*) and owned by the slab for the
+  /// channel's lifetime.
   std::vector<std::unique_ptr<Transmission>> transmission_slab_;
   std::vector<Transmission*> transmission_free_;
-  /// Per-receiver delivery delays of the broadcast being scheduled, index-
-  /// aligned with its receiver list; reused scratch (delays are consumed by
-  /// the scheduling loop within transmit()).
+  /// Receiver slots and delivery delays of the broadcast being scheduled,
+  /// index-aligned; reused scratch (both are consumed by the scheduling loop
+  /// within transmit()).
+  std::vector<std::uint32_t> scratch_slots_;
   std::vector<SimTime> scratch_delays_;
   // Fault-injection state (empty in fault-free runs; see the hooks above).
   DropFilter drop_filter_;

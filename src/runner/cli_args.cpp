@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <utility>
 
 namespace cfds::runner {
@@ -89,6 +90,11 @@ void FlagSet::add_value(const std::string& name, std::string* target,
 bool FlagSet::parse(int& argc, char** argv, std::string* error) {
   int out = 1;
   for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--help") == 0 ||
+        std::strcmp(argv[i], "-h") == 0) {
+      help_requested_ = true;
+      continue;
+    }
     const Flag* match = nullptr;
     for (const Flag& flag : flags_) {
       if (flag.name == argv[i]) {
@@ -120,12 +126,18 @@ bool FlagSet::parse(int& argc, char** argv, std::string* error) {
   return true;
 }
 
-void FlagSet::parse_or_exit(int& argc, char** argv) {
+void FlagSet::parse_or_exit(int& argc, char** argv, void (*more_help)()) {
   std::string error;
   if (!parse(argc, argv, &error)) {
-    std::fprintf(stderr, "%s: %s\n%s", argv[0], error.c_str(),
-                 usage().c_str());
+    std::fprintf(stderr, "%s: %s\nusage: %s [options]\n%s", argv[0],
+                 error.c_str(), argv[0], usage().c_str());
     std::exit(2);
+  }
+  if (help_requested_) {
+    std::printf("usage: %s [options]\n%s", argv[0], usage().c_str());
+    std::fflush(stdout);
+    if (more_help != nullptr) more_help();
+    std::exit(0);
   }
 }
 

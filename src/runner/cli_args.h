@@ -7,6 +7,10 @@
 // benchmark::Initialize, while cfds_cli registers every flag it has and
 // treats leftovers as an error.
 //
+// Every FlagSet answers --help / -h: parse() consumes it and sets
+// help_requested(), and parse_or_exit() then prints the usage and exits 0
+// before the caller does any work.
+//
 // RunnerOptions bundles the four flags every experiment entry point shares
 // (--threads, --trials, --seed, --out) plus --no-wall-time for
 // bit-reproducible JSONL.
@@ -41,11 +45,17 @@ class FlagSet {
   /// Consumes recognized flags from argv (argv[0] is never touched) and
   /// shifts the survivors down; argc is updated. Returns false and fills
   /// *error on a malformed or missing value. Unrecognized arguments are not
-  /// an error — they stay in argv for the next parser.
+  /// an error — they stay in argv for the next parser. --help and -h are
+  /// always recognized and set help_requested().
   [[nodiscard]] bool parse(int& argc, char** argv, std::string* error);
 
-  /// parse() that prints the error plus usage() to stderr and exits(2).
-  void parse_or_exit(int& argc, char** argv);
+  /// parse() that prints the error plus usage() to stderr and exits(2). On
+  /// --help/-h it prints usage() to stdout, then calls `more_help` (if set)
+  /// for the flags of the next parser, and exits(0).
+  void parse_or_exit(int& argc, char** argv, void (*more_help)() = nullptr);
+
+  /// True once parse() has consumed --help or -h.
+  [[nodiscard]] bool help_requested() const { return help_requested_; }
 
   /// One "  --name  help" line per registered flag.
   [[nodiscard]] std::string usage() const;
@@ -62,6 +72,7 @@ class FlagSet {
            std::function<bool(const char*)> apply, std::string help);
 
   std::vector<Flag> flags_;
+  bool help_requested_ = false;
 };
 
 /// The uniform experiment flags. `trials` and `threads` keep 0 as "caller

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
+#include <memory>
 #include <set>
 
 #include "cluster/directory.h"
@@ -192,6 +194,80 @@ TEST(Formation, SurvivesMessageLoss) {
   }
   // Loss delays admission but iteration retries recover nearly everyone.
   EXPECT_GT(double(affiliated), 0.95 * 300);
+}
+
+// --- Pinned outcomes ------------------------------------------------------
+
+// FNV-1a over 64-bit words: a stable digest of formation's outcome.
+void fnv_mix(std::uint64_t& hash, std::uint64_t word) {
+  for (int byte = 0; byte < 8; ++byte) {
+    hash ^= (word >> (8 * byte)) & 0xFF;
+    hash *= 0x100000001B3ull;
+  }
+}
+
+// Runs four iterations on n = 300 under `loss` and digests every agent's
+// view (cluster, CH, members, deputies, links with backups) and the cluster
+// count. A storage change in FormationAgent must leave these digests as
+// they are; a new value means formation's outcome changed.
+std::uint64_t formation_digest(std::unique_ptr<LossModel> loss,
+                               std::uint64_t seed) {
+  NetworkConfig config;
+  config.seed = seed;
+  Network network(config, std::move(loss));
+  Rng rng(seed);
+  network.add_nodes(uniform_rect(300, 600.0, 400.0, rng));
+  FormationProtocol formation(network);
+  formation.run(4);
+  std::uint64_t hash = 0xCBF29CE484222325ull;
+  for (const FormationAgent* agent : formation.agents()) {
+    fnv_mix(hash, agent->id().value());
+    if (!agent->view().affiliated()) {
+      fnv_mix(hash, ~0ull);
+      continue;
+    }
+    const ClusterView& view = *agent->view().cluster();
+    fnv_mix(hash, view.id.value());
+    fnv_mix(hash, view.clusterhead.value());
+    fnv_mix(hash, view.members.size());
+    for (NodeId m : view.members) fnv_mix(hash, m.value());
+    fnv_mix(hash, view.deputies.size());
+    for (NodeId d : view.deputies) fnv_mix(hash, d.value());
+    fnv_mix(hash, view.links.size());
+    for (const GatewayLink& link : view.links) {
+      fnv_mix(hash, link.neighbor_cluster.value());
+      fnv_mix(hash, link.neighbor_clusterhead.value());
+      fnv_mix(hash, link.gateway.value());
+      fnv_mix(hash, link.backups.size());
+      for (NodeId b : link.backups) fnv_mix(hash, b.value());
+    }
+  }
+  fnv_mix(hash, formation.cluster_count());
+  return hash;
+}
+
+TEST(Formation, OutcomesArePinnedUnderBernoulliLoss) {
+  const std::uint64_t expected[] = {4951622678957406031ull,
+                                    9318192553821478012ull,
+                                    10185237743526555691ull};
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    EXPECT_EQ(formation_digest(std::make_unique<BernoulliLoss>(0.3), seed),
+              expected[seed - 1])
+        << "seed " << seed;
+  }
+}
+
+TEST(Formation, OutcomesArePinnedUnderGilbertElliottLoss) {
+  const std::uint64_t expected[] = {9219140401225729094ull,
+                                    5195502960790020598ull,
+                                    18435860451824389397ull};
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    EXPECT_EQ(formation_digest(std::make_unique<GilbertElliottLoss>(
+                                   GilbertElliottLoss::Params{}),
+                               seed),
+              expected[seed - 1])
+        << "seed " << seed;
+  }
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <new>
@@ -206,6 +207,67 @@ TEST_F(ChannelFixture, NeighborsOfUsesRange) {
   add_radio(3, {101, 0});
   const auto neighbors = channel_.neighbors_of(NodeId{0});
   EXPECT_EQ(neighbors.size(), 2u);
+}
+
+// --- Delivery order --------------------------------------------------------
+
+// FNV-1a over 64-bit words: a stable digest of a delivery sequence.
+void fnv_mix(std::uint64_t& hash, std::uint64_t word) {
+  for (int byte = 0; byte < 8; ++byte) {
+    hash ^= (word >> (8 * byte)) & 0xFF;
+    hash *= 0x100000001B3ull;
+  }
+}
+
+TEST(ChannelOrder, DeliverySequenceIsPinned) {
+  // Twenty radios in a field wider than the range, Bernoulli loss and the
+  // channel's random delays, fifty broadcasts with several in flight at
+  // once. The (time, receiver, sender) sequence pins the loss and delay
+  // draws, the receiver order and the firing order of batched deliveries;
+  // a new hash means the channel changed what runs do.
+  Simulator sim;
+  BernoulliLoss loss(0.3);
+  Channel channel(sim, loss, ChannelConfig{}, Rng(21));
+  NodeStore store;
+  std::vector<std::unique_ptr<Radio>> radios;
+  Rng placement(22);
+  std::uint64_t hash = 0xCBF29CE484222325ull;
+  std::size_t deliveries = 0;
+  for (std::uint32_t i = 0; i < 20; ++i) {
+    const Vec2 pos{placement.uniform(0.0, 180.0),
+                   placement.uniform(0.0, 180.0)};
+    const std::uint32_t slot = store.add(pos, 1e9);
+    radios.push_back(std::make_unique<Radio>(store, slot, NodeId{i}));
+    channel.attach(*radios.back());
+    radios.back()->set_receive_handler([&, i](const Reception& r) {
+      fnv_mix(hash, std::uint64_t(sim.now().as_micros()));
+      fnv_mix(hash, i);
+      fnv_mix(hash, r.sender.value());
+      ++deliveries;
+    });
+  }
+  for (int burst = 0; burst < 10; ++burst) {
+    for (int k = 0; k < 5; ++k) {
+      radios[placement.below(20)]->send(make_payload(burst));
+    }
+    sim.run_until(sim.now() + SimTime::millis(50));
+  }
+  sim.run_to_completion();
+  EXPECT_EQ(channel.stats().transmissions, 50u);
+  EXPECT_EQ(deliveries, channel.stats().deliveries);
+  EXPECT_EQ(deliveries, 408u);
+  EXPECT_EQ(hash, 7853534981119160854ull);
+}
+
+TEST(ChannelOrderDeathTest, RadiosMustAttachInSlotOrder) {
+  Simulator sim;
+  PerfectLinks loss;
+  Channel channel(sim, loss, ChannelConfig{}, Rng(1));
+  NodeStore store;
+  store.add({0, 0}, 1e9);
+  const std::uint32_t second = store.add({10, 0}, 1e9);
+  Radio out_of_order(store, second, NodeId{1});
+  EXPECT_DEATH(channel.attach(out_of_order), "slot order");
 }
 
 TEST(LossModels, BernoulliMatchesProbability) {

@@ -6,6 +6,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <initializer_list>
 #include <set>
 #include <stdexcept>
@@ -368,6 +370,39 @@ TEST(FlagSet, RejectsMalformedAndMissingValues) {
     std::string error;
     EXPECT_FALSE(flags.parse(argc, argv.data(), &error));
   }
+}
+
+TEST(FlagSet, HelpIsConsumedAndRecorded) {
+  for (const char* help : {"--help", "-h"}) {
+    RunnerOptions options;
+    FlagSet flags;
+    add_runner_flags(flags, options);
+    EXPECT_FALSE(flags.help_requested());
+    auto argv = make_argv({"prog", "--trials", "2", help, "--other"});
+    int argc = int(argv.size()) - 1;
+    std::string error;
+    ASSERT_TRUE(flags.parse(argc, argv.data(), &error)) << error;
+    EXPECT_TRUE(flags.help_requested()) << help;
+    EXPECT_EQ(options.trials, 2);
+    ASSERT_EQ(argc, 2);  // prog --other
+    EXPECT_STREQ(argv[1], "--other");
+  }
+}
+
+TEST(FlagSetDeathTest, HelpExitsZeroBeforeTheCallerRuns) {
+  long trials = 0;
+  FlagSet flags;
+  flags.add_value("--trials", &trials, "trials");
+  auto argv = make_argv({"prog", "--trials", "2", "--help"});
+  int argc = int(argv.size()) - 1;
+  EXPECT_EXIT(
+      {
+        flags.parse_or_exit(argc, argv.data(),
+                            [] { std::fputs("more flags\n", stderr); });
+        std::fputs("ran past the parse\n", stderr);
+        std::exit(1);
+      },
+      ::testing::ExitedWithCode(0), "more flags");
 }
 
 TEST(FlagSet, SeedAndTrialsSentinelsFallBackToCallerDefaults) {

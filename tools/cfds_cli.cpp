@@ -69,13 +69,10 @@ CliOptions parse(int argc, char** argv) {
   runner::FlagSet flags;
   register_flags(flags, options, interval_ms, nodes);
 
-  std::string error;
-  const bool ok = flags.parse(argc, argv, &error);
-  if (!ok || argc > 1) {
-    if (!ok) std::fprintf(stderr, "%s: %s\n", argv[0], error.c_str());
-    else std::fprintf(stderr, "%s: unknown argument %s\n", argv[0], argv[1]);
-    std::fprintf(stderr, "usage: %s [options]\n%s", argv[0],
-                 flags.usage().c_str());
+  flags.parse_or_exit(argc, argv);
+  if (argc > 1) {
+    std::fprintf(stderr, "%s: unknown argument %s\nusage: %s [options]\n%s",
+                 argv[0], argv[1], argv[0], flags.usage().c_str());
     std::exit(2);
   }
   if (nodes >= 0) options.scenario.node_count = std::size_t(nodes);
