@@ -2,10 +2,12 @@
 
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <utility>
 
 namespace cfds::jsonl {
@@ -27,6 +29,20 @@ const char* find_value(const std::string& line, const char* key) {
 /// marker ("1.5" or "1e3" masquerading as 1).
 bool integer_end(const char* start, const char* end) {
   return end != start && *end != '.' && *end != 'e' && *end != 'E';
+}
+
+/// The unsigned decimal in [start, stop): digits only (from_chars takes no
+/// blank or sign), within T's range, ending at an integer_end. `*end` is
+/// set past it.
+template <class T>
+bool read_unsigned(const char* start, const char* stop, const char** end,
+                   T* out) {
+  T value = 0;
+  const auto [past, ec] = std::from_chars(start, stop, value);
+  if (ec != std::errc{} || !integer_end(start, past)) return false;
+  *end = past;
+  *out = value;
+  return true;
 }
 
 }  // namespace
@@ -66,6 +82,19 @@ void append_escaped(std::string& out, const std::string& s) {
   }
 }
 
+std::string u32_list(const std::vector<std::uint32_t>& v) {
+  std::string out = "[";
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    append(out, i == 0 ? "%u" : ",%u", v[i]);
+  }
+  return out + "]";
+}
+
+std::string shortest(double value) {
+  char buffer[32];  // holds any shortest round-trip double
+  return {buffer, std::to_chars(buffer, buffer + sizeof buffer, value).ptr};
+}
+
 bool find_number(const std::string& line, const char* key, double* out) {
   const char* start = find_value(line, key);
   if (start == nullptr) return false;
@@ -91,19 +120,44 @@ bool find_i64(const std::string& line, const char* key, std::int64_t* out) {
 
 bool find_u64(const std::string& line, const char* key, std::uint64_t* out) {
   const char* start = find_value(line, key);
-  if (start == nullptr || *start == '-') return false;  // strtoull wraps
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long value = std::strtoull(start, &end, 10);
-  if (errno == ERANGE || !integer_end(start, end)) return false;
+  return start != nullptr &&
+         read_unsigned(start, line.data() + line.size(), &start, out);
+}
+
+bool find_u32(const std::string& line, const char* key, std::uint32_t* out) {
+  const char* start = find_value(line, key);
+  return start != nullptr &&
+         read_unsigned(start, line.data() + line.size(), &start, out);
+}
+
+bool find_bool(const std::string& line, const char* key, bool* out) {
+  const char* start = find_value(line, key);
+  if (start == nullptr) return false;
+  const bool value = *start == 't';
+  const char* word = value ? "true" : "false";
+  const std::size_t n = std::strlen(word);
+  if (std::strncmp(start, word, n) != 0 ||
+      std::isalnum(static_cast<unsigned char>(start[n]))) {
+    return false;
+  }
   *out = value;
   return true;
 }
 
-bool find_u32(const std::string& line, const char* key, std::uint32_t* out) {
-  std::uint64_t value = 0;
-  if (!find_u64(line, key, &value) || value > 0xFFFFFFFFull) return false;
-  *out = static_cast<std::uint32_t>(value);
+bool find_u32_list(const std::string& line, const char* key,
+                   std::vector<std::uint32_t>* out) {
+  const char* at = find_value(line, key);
+  if (at == nullptr || *at != '[') return false;
+  std::vector<std::uint32_t> values;
+  if (at[1] == ']') ++at;  // []
+  // `at` is on the mark before each entry; entries carry no blanks.
+  for (std::uint32_t value = 0; *at != ']'; values.push_back(value)) {
+    if (*at != (values.empty() ? '[' : ',') ||
+        !read_unsigned(at + 1, line.data() + line.size(), &at, &value)) {
+      return false;
+    }
+  }
+  *out = std::move(values);
   return true;
 }
 

@@ -1,9 +1,9 @@
 #include "fault/chaos.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <memory>
 
+#include "common/jsonl.h"
 #include "fault/injector.h"
 #include "fault/oracle.h"
 #include "sim/scenario.h"
@@ -37,8 +37,8 @@ struct RejoinProbe {
 }  // namespace
 
 std::string ChaosResult::summary_json() const {
-  char buffer[384];
-  std::snprintf(buffer, sizeof buffer,
+  std::string out;
+  jsonl::append(out,
                 "{\"seed\":%llu,\"events\":%zu,\"violations\":%zu,"
                 "\"alive\":%zu,\"clusters\":%zu,\"affiliation\":%.6f,"
                 "\"rejoins\":%zu,\"rejoin_pending\":%zu,"
@@ -47,7 +47,7 @@ std::string ChaosResult::summary_json() const {
                 violations.size(), alive, clusters, affiliation, rejoins,
                 rejoin_pending, static_cast<long long>(rejoin_mean_us),
                 static_cast<long long>(rejoin_max_us));
-  return buffer;
+  return out;
 }
 
 ChaosResult run_chaos_trial(const ChaosConfig& config, std::uint64_t seed) {

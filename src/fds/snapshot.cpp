@@ -1,108 +1,22 @@
 #include "fds/snapshot.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cstdio>
-#include <sstream>
 
+#include "common/jsonl.h"
 #include "fds/agent.h"
 #include "net/node.h"
 
 namespace cfds {
 
+using jsonl::find_bool;
+using jsonl::find_number;
+using jsonl::find_u32;
+using jsonl::find_u32_list;
+using jsonl::find_u64;
+using jsonl::u32_list;
+
 namespace {
-
-/// Writes `,"key":[v0,v1,...]`.
-void append_list(std::ostringstream& os, const char* key,
-                 const std::vector<std::uint32_t>& values) {
-  os << ",\"" << key << "\":[";
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i != 0) os << ",";
-    os << values[i];
-  }
-  os << "]";
-}
-
-void append_double(std::ostringstream& os, const char* key, double value) {
-  char buffer[32];
-  const auto [end, ec] = std::to_chars(buffer, buffer + sizeof buffer, value);
-  (void)ec;  // 32 bytes hold any shortest round-trip double
-  os << ",\"" << key << "\":"
-     << std::string_view(buffer, std::size_t(end - buffer));
-}
-
-/// Finds `"key":` in `line` and returns the offset just past the colon,
-/// or npos. Keys in this format are unique and never appear inside values
-/// (values are numbers, booleans, and integer arrays only).
-std::size_t value_offset(const std::string& line, const std::string& key) {
-  const std::string needle = "\"" + key + "\":";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return std::string::npos;
-  return at + needle.size();
-}
-
-bool parse_bool(const std::string& line, const std::string& key, bool* out) {
-  const std::size_t at = value_offset(line, key);
-  if (at == std::string::npos) return false;
-  if (line.compare(at, 4, "true") == 0) {
-    *out = true;
-    return true;
-  }
-  if (line.compare(at, 5, "false") == 0) {
-    *out = false;
-    return true;
-  }
-  return false;
-}
-
-bool parse_u64(const std::string& line, const std::string& key,
-               std::uint64_t* out) {
-  const std::size_t at = value_offset(line, key);
-  if (at == std::string::npos) return false;
-  std::size_t end = at;
-  while (end < line.size() && line[end] >= '0' && line[end] <= '9') ++end;
-  if (end == at) return false;
-  *out = std::stoull(line.substr(at, end - at));
-  return true;
-}
-
-bool parse_u32(const std::string& line, const std::string& key,
-               std::uint32_t* out) {
-  std::uint64_t v = 0;
-  if (!parse_u64(line, key, &v) || v > 0xFFFFFFFFULL) return false;
-  *out = static_cast<std::uint32_t>(v);
-  return true;
-}
-
-bool parse_double(const std::string& line, const std::string& key,
-                  double* out) {
-  const std::size_t at = value_offset(line, key);
-  if (at == std::string::npos) return false;
-  const char* end = line.data() + line.size();
-  return std::from_chars(line.data() + at, end, *out).ec == std::errc{};
-}
-
-bool parse_list(const std::string& line, const std::string& key,
-                std::vector<std::uint32_t>* out) {
-  std::size_t at = value_offset(line, key);
-  if (at == std::string::npos || at >= line.size() || line[at] != '[') {
-    return false;
-  }
-  ++at;
-  out->clear();
-  while (at < line.size() && line[at] != ']') {
-    std::size_t end = at;
-    while (end < line.size() && line[end] >= '0' && line[end] <= '9') ++end;
-    if (end == at) return false;
-    out->push_back(
-        static_cast<std::uint32_t>(std::stoul(line.substr(at, end - at))));
-    at = end;
-    if (at < line.size() && line[at] == ',') ++at;
-  }
-  return at < line.size() && line[at] == ']';
-}
-
-[[nodiscard]] const char* json_bool(bool b) { return b ? "true" : "false"; }
 
 [[nodiscard]] bool contains(const std::vector<std::uint32_t>& v,
                             std::uint32_t x) {
@@ -171,66 +85,71 @@ void view_checks(const Snapshot& s, Violations& out) {
 }  // namespace
 
 std::string Snapshot::to_json() const {
-  std::ostringstream os;
-  os << "{\"node\":" << node << ",\"alive\":" << json_bool(alive)
-     << ",\"marked\":" << json_bool(marked)
-     << ",\"affiliated\":" << json_bool(affiliated)
-     << ",\"ch\":" << json_bool(is_clusterhead)
-     << ",\"left\":" << json_bool(left) << ",\"cluster\":" << cluster
-     << ",\"clusterhead\":" << clusterhead << ",\"epoch\":" << epoch;
-  append_list(os, "members", members);
-  append_list(os, "deputies", deputies);
-  append_list(os, "failed", failed);
-  os << ",\"updates_overheard\":" << updates_overheard
-     << ",\"admit_offers\":" << admit_offers
-     << ",\"last_offer_epoch\":" << last_offer_epoch
-     << ",\"hb_sent\":" << hb_sent << ",\"unmarked_sent\":" << unmarked_sent
-     << ",\"last_unmarked_epoch\":" << last_unmarked_epoch;
-  append_list(os, "subscribers", subscribers);
-  append_list(os, "reverts", reverts);
-  os << ",\"last_revert_epoch\":" << last_revert_epoch
-     << ",\"last_revert_cause\":" << last_revert_cause;
-  append_list(os, "detect_node", detect_node);
-  append_list(os, "detect_ms", detect_ms);
+  const auto flag = [](bool b) { return b ? "true" : "false"; };
+  const auto u64 = [](std::uint64_t v) {
+    return static_cast<unsigned long long>(v);
+  };
+  std::string out;
+  jsonl::append(
+      out,
+      "{\"node\":%u,\"alive\":%s,\"marked\":%s,\"affiliated\":%s,\"ch\":%s,"
+      "\"left\":%s,\"cluster\":%u,\"clusterhead\":%u,\"epoch\":%llu,"
+      "\"members\":%s,\"deputies\":%s,\"failed\":%s,"
+      "\"updates_overheard\":%llu,\"admit_offers\":%llu,"
+      "\"last_offer_epoch\":%llu,\"hb_sent\":%llu,\"unmarked_sent\":%llu,"
+      "\"last_unmarked_epoch\":%llu,\"subscribers\":%s,\"reverts\":%s,"
+      "\"last_revert_epoch\":%llu,\"last_revert_cause\":%llu,"
+      "\"detect_node\":%s,\"detect_ms\":%s",
+      node, flag(alive), flag(marked), flag(affiliated), flag(is_clusterhead),
+      flag(left), cluster, clusterhead, u64(epoch), u32_list(members).c_str(),
+      u32_list(deputies).c_str(), u32_list(failed).c_str(),
+      u64(updates_overheard), u64(admit_offers), u64(last_offer_epoch),
+      u64(hb_sent), u64(unmarked_sent), u64(last_unmarked_epoch),
+      u32_list(subscribers).c_str(), u32_list(reverts).c_str(),
+      u64(last_revert_epoch), u64(last_revert_cause),
+      u32_list(detect_node).c_str(), u32_list(detect_ms).c_str());
   if (position) {
-    append_double(os, "x", position->x);
-    append_double(os, "y", position->y);
+    jsonl::append(out, ",\"x\":%s,\"y\":%s",
+                  jsonl::shortest(position->x).c_str(),
+                  jsonl::shortest(position->y).c_str());
   }
-  os << "}";
-  return os.str();
+  out += '}';
+  return out;
 }
 
 std::optional<Snapshot> Snapshot::parse(const std::string& line) {
   Snapshot s;
-  if (!parse_u32(line, "node", &s.node)) return std::nullopt;
-  if (!parse_bool(line, "alive", &s.alive)) return std::nullopt;
-  if (!parse_bool(line, "marked", &s.marked)) return std::nullopt;
-  if (!parse_bool(line, "affiliated", &s.affiliated)) return std::nullopt;
-  if (!parse_bool(line, "ch", &s.is_clusterhead)) return std::nullopt;
-  if (!parse_bool(line, "left", &s.left)) return std::nullopt;
-  if (!parse_u32(line, "cluster", &s.cluster)) return std::nullopt;
-  if (!parse_u32(line, "clusterhead", &s.clusterhead)) return std::nullopt;
-  if (!parse_u64(line, "epoch", &s.epoch)) return std::nullopt;
-  if (!parse_list(line, "members", &s.members)) return std::nullopt;
-  if (!parse_list(line, "deputies", &s.deputies)) return std::nullopt;
-  if (!parse_list(line, "failed", &s.failed)) return std::nullopt;
+  if (!find_u32(line, "node", &s.node) ||
+      !find_bool(line, "alive", &s.alive) ||
+      !find_bool(line, "marked", &s.marked) ||
+      !find_bool(line, "affiliated", &s.affiliated) ||
+      !find_bool(line, "ch", &s.is_clusterhead) ||
+      !find_bool(line, "left", &s.left) ||
+      !find_u32(line, "cluster", &s.cluster) ||
+      !find_u32(line, "clusterhead", &s.clusterhead) ||
+      !find_u64(line, "epoch", &s.epoch) ||
+      !find_u32_list(line, "members", &s.members) ||
+      !find_u32_list(line, "deputies", &s.deputies) ||
+      !find_u32_list(line, "failed", &s.failed)) {
+    return std::nullopt;
+  }
   // Diagnostics are optional: a status line from an older endpoint still
-  // parses, with the counters left at zero.
-  (void)parse_u64(line, "updates_overheard", &s.updates_overheard);
-  (void)parse_u64(line, "admit_offers", &s.admit_offers);
-  (void)parse_u64(line, "last_offer_epoch", &s.last_offer_epoch);
-  (void)parse_u64(line, "hb_sent", &s.hb_sent);
-  (void)parse_u64(line, "unmarked_sent", &s.unmarked_sent);
-  (void)parse_u64(line, "last_unmarked_epoch", &s.last_unmarked_epoch);
-  (void)parse_list(line, "subscribers", &s.subscribers);
-  (void)parse_list(line, "reverts", &s.reverts);
-  (void)parse_u64(line, "last_revert_epoch", &s.last_revert_epoch);
-  (void)parse_u64(line, "last_revert_cause", &s.last_revert_cause);
-  (void)parse_list(line, "detect_node", &s.detect_node);
-  (void)parse_list(line, "detect_ms", &s.detect_ms);
+  // parses, and an unreadable one stays at its default.
+  (void)find_u64(line, "updates_overheard", &s.updates_overheard);
+  (void)find_u64(line, "admit_offers", &s.admit_offers);
+  (void)find_u64(line, "last_offer_epoch", &s.last_offer_epoch);
+  (void)find_u64(line, "hb_sent", &s.hb_sent);
+  (void)find_u64(line, "unmarked_sent", &s.unmarked_sent);
+  (void)find_u64(line, "last_unmarked_epoch", &s.last_unmarked_epoch);
+  (void)find_u32_list(line, "subscribers", &s.subscribers);
+  (void)find_u32_list(line, "reverts", &s.reverts);
+  (void)find_u64(line, "last_revert_epoch", &s.last_revert_epoch);
+  (void)find_u64(line, "last_revert_cause", &s.last_revert_cause);
+  (void)find_u32_list(line, "detect_node", &s.detect_node);
+  (void)find_u32_list(line, "detect_ms", &s.detect_ms);
   Vec2 at;
-  if (parse_double(line, "x", &at.x)) {
-    if (!parse_double(line, "y", &at.y)) return std::nullopt;
+  if (find_number(line, "x", &at.x)) {
+    if (!find_number(line, "y", &at.y)) return std::nullopt;
     s.position = at;
   }
   return s;

@@ -101,7 +101,9 @@ struct Snapshot {
   [[nodiscard]] std::string to_json() const;
 
   /// Parses a to_json() line. Returns nullopt on malformed input. The
-  /// diagnostic keys and the position are optional.
+  /// diagnostic keys and the position are optional; an unreadable
+  /// diagnostic stays at its default (docs/SERVICE.md, "Reading a status
+  /// line").
   [[nodiscard]] static std::optional<Snapshot> parse(const std::string& line);
 };
 

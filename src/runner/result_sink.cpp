@@ -1,38 +1,39 @@
 #include "runner/result_sink.h"
 
+#include "common/jsonl.h"
+
 namespace cfds::runner {
 
 std::string to_jsonl(const PointRecord& record, bool include_wall_time) {
-  char buffer[640];
-  int written = std::snprintf(
-      buffer, sizeof buffer,
-      "{\"experiment\":\"%s\",\"kind\":\"%s\",\"n\":%d,\"p\":%.17g,"
-      "\"range\":%.17g,\"trials\":%lld,\"successes\":%lld,\"mean\":%.17g,"
-      "\"ci99\":%.17g,\"wilson_lo\":%.17g,\"wilson_hi\":%.17g,"
-      "\"seed\":%llu,\"shards\":%ld",
-      record.experiment.c_str(), estimator_kind_name(record.kind),
-      record.point.n, record.point.p, record.point.range,
-      static_cast<long long>(record.trials), static_cast<long long>(record.successes), record.mean,
-      record.ci99, record.wilson.lo, record.wilson.hi,
+  std::string line = "{\"experiment\":\"";
+  jsonl::append_escaped(line, record.experiment);
+  jsonl::append(
+      line,
+      "\",\"kind\":\"%s\",\"n\":%d,\"p\":%.17g,\"range\":%.17g,"
+      "\"trials\":%lld,\"successes\":%lld,\"mean\":%.17g,\"ci99\":%.17g,"
+      "\"wilson_lo\":%.17g,\"wilson_hi\":%.17g,\"seed\":%llu,\"shards\":%ld",
+      estimator_kind_name(record.kind), record.point.n, record.point.p,
+      record.point.range, static_cast<long long>(record.trials),
+      static_cast<long long>(record.successes), record.mean, record.ci99,
+      record.wilson.lo, record.wilson.hi,
       static_cast<unsigned long long>(record.seed), record.shards);
-  std::string line(buffer, written > 0 ? std::size_t(written) : 0);
   if (include_wall_time) {
-    std::snprintf(buffer, sizeof buffer, ",\"wall_ms\":%.3f", record.wall_ms);
-    line += buffer;
+    jsonl::append(line, ",\"wall_ms\":%.3f", record.wall_ms);
   }
   line += "}";
   return line;
 }
 
 std::string to_jsonl(const BenchRecord& record) {
-  char buffer[384];
-  const int written = std::snprintf(
-      buffer, sizeof buffer,
-      "{\"bench\":\"%s\",\"metric\":\"%s\",\"n\":%d,\"value\":%.6g,"
-      "\"label\":\"%s\"}",
-      record.bench.c_str(), record.metric.c_str(), record.n, record.value,
-      record.label.c_str());
-  return std::string(buffer, written > 0 ? std::size_t(written) : 0);
+  std::string line = "{\"bench\":\"";
+  jsonl::append_escaped(line, record.bench);
+  line += "\",\"metric\":\"";
+  jsonl::append_escaped(line, record.metric);
+  jsonl::append(line, "\",\"n\":%d,\"value\":%.6g,\"label\":\"", record.n,
+                record.value);
+  jsonl::append_escaped(line, record.label);
+  line += "\"}";
+  return line;
 }
 
 JsonlResultSink::JsonlResultSink(const std::string& path,

@@ -9,6 +9,7 @@
 //   wire/         -> wire codec target
 //   fault_plan/   -> FaultPlan parser target
 //   check_trace/  -> cfds_check trace parser target
+//   snapshot/     -> Snapshot status-line parser target
 // Exits nonzero when a directory is missing, has an unknown name, or holds
 // no files — an empty corpus would make the smoke test vacuous.
 
@@ -22,6 +23,7 @@
 
 #include "check_trace_target.h"
 #include "fault_plan_target.h"
+#include "snapshot_target.h"
 #include "wire_target.h"
 
 namespace fs = std::filesystem;
@@ -36,7 +38,8 @@ int main(int argc, char** argv) {
     int (*target)(const std::uint8_t*, std::size_t);
   } targets[] = {{"wire", cfds::fuzz::wire_one},
                  {"fault_plan", cfds::fuzz::fault_plan_one},
-                 {"check_trace", cfds::fuzz::check_trace_one}};
+                 {"check_trace", cfds::fuzz::check_trace_one},
+                 {"snapshot", cfds::fuzz::snapshot_one}};
   for (int a = 1; a < argc; ++a) {
     fs::path dir(argv[a]);
     if (!dir.has_filename()) dir = dir.parent_path();  // trailing slash

@@ -1,11 +1,14 @@
-// Unit tests for src/common: ids, time, rng, statistics.
+// Unit tests for src/common: ids, time, rng, statistics, the JSONL codec.
 
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 #include <unordered_set>
+#include <vector>
 
 #include "common/ids.h"
+#include "common/jsonl.h"
 #include "common/rng.h"
 #include "common/sim_time.h"
 #include "common/statistics.h"
@@ -203,6 +206,60 @@ TEST(Splitmix, KnownSequenceIsStable) {
   std::uint64_t state2 = 0;
   EXPECT_EQ(first, splitmix64(state2));
   EXPECT_NE(splitmix64(state), first);
+}
+
+TEST(Jsonl, U32ListFollowsTheScalarRules) {
+  using List = std::vector<std::uint32_t>;
+  const auto read = [](const std::string& value, List* out) {
+    return jsonl::find_u32_list("{\"k\":" + value + "}", "k", out);
+  };
+  List out = {7};
+  ASSERT_TRUE(read("[]", &out));
+  EXPECT_EQ(out, List{});
+  ASSERT_TRUE(read("[0,4294967295]", &out));
+  EXPECT_EQ(out, (List{0, 4294967295U}));
+  for (const char* bad : {"[4294967296]", "[-1]", "[+1]", "[1.5]", "[1e3]",
+                          "[1,]", "[,1]", "[1 ,2]", "[1", "1", "[1,,2]",
+                          "[1[2]"}) {
+    out = {7};
+    EXPECT_FALSE(read(bad, &out)) << bad;
+    EXPECT_EQ(out, List{7}) << bad;  // untouched on failure
+  }
+  EXPECT_EQ(jsonl::u32_list({3, 0, 4294967295U}), "[3,0,4294967295]");
+  EXPECT_EQ(jsonl::u32_list({}), "[]");
+}
+
+TEST(Jsonl, BoolIsAWholeWord) {
+  bool out = false;
+  EXPECT_TRUE(jsonl::find_bool("{\"k\":true}", "k", &out));
+  EXPECT_TRUE(out);
+  EXPECT_TRUE(jsonl::find_bool("{\"k\":false,\"j\":1}", "k", &out));
+  EXPECT_FALSE(out);
+  for (const char* bad : {"{\"k\":truex}", "{\"k\":1}", "{\"k\":fals}",
+                          "{\"k\":\"true\"}", "{\"j\":true}"}) {
+    out = true;
+    EXPECT_FALSE(jsonl::find_bool(bad, "k", &out)) << bad;
+    EXPECT_TRUE(out) << bad;
+  }
+}
+
+TEST(Jsonl, UnsignedScalarsRejectEitherSign) {
+  std::uint64_t out = 9;
+  EXPECT_FALSE(jsonl::find_u64("{\"k\":+1}", "k", &out));
+  EXPECT_FALSE(jsonl::find_u64("{\"k\":-1}", "k", &out));
+  EXPECT_EQ(out, 9U);
+  EXPECT_TRUE(jsonl::find_u64("{\"k\": 18446744073709551615}", "k", &out));
+  EXPECT_EQ(out, 18446744073709551615ULL);
+}
+
+TEST(Jsonl, ShortestDoubleReadsBackExactly) {
+  for (const double v : {0.1, 1.0 / 3.0, -2.5e-300, 12.5}) {
+    const std::string line = "{\"k\":" + jsonl::shortest(v) + "}";
+    double back = 0.0;
+    ASSERT_TRUE(jsonl::find_number(line, "k", &back)) << line;
+    EXPECT_EQ(back, v) << line;
+  }
+  EXPECT_EQ(jsonl::shortest(1.0 / 3.0), "0.3333333333333333");
 }
 
 }  // namespace

@@ -600,6 +600,26 @@ TEST(ChaosTrialTest, ReplayFromPlanMatchesGeneratedRun) {
   EXPECT_EQ(replayed.summary_json(), direct.summary_json());
 }
 
+TEST(ChaosTrialTest, SummaryBytesArePinned) {
+  // Taken from the snprintf writer this replaced.
+  ChaosResult r;
+  r.seed = 261;
+  r.plan.events.resize(3);
+  r.violations.push_back({"I1", "x"});
+  r.alive = 47;
+  r.clusters = 6;
+  r.affiliation = 46.0 / 47.0;
+  r.rejoins = 2;
+  r.rejoin_pending = 1;
+  r.rejoin_mean_us = 1234567;
+  r.rejoin_max_us = 2500000;
+  EXPECT_EQ(r.summary_json(),
+            "{\"seed\":261,\"events\":3,\"violations\":1,\"alive\":47,"
+            "\"clusters\":6,\"affiliation\":0.978723,\"rejoins\":2,"
+            "\"rejoin_pending\":1,\"rejoin_mean_us\":1234567,"
+            "\"rejoin_max_us\":2500000}");
+}
+
 TEST(ChaosCampaignTest, TwentySeedsPassTheOracle) {
   const ChaosConfig config;
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {

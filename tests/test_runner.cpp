@@ -303,6 +303,76 @@ TEST(ResultSink, JsonlLineHasTheDocumentedFields) {
   EXPECT_EQ(without_time.find("wall_ms"), std::string::npos);
 }
 
+/// A record with literal doubles, so %.17g's bytes are visible; the expected
+/// lines were taken from the snprintf writer these replaced.
+PointRecord pinned_point() {
+  PointRecord record;
+  record.experiment = "fig5_false_detection";
+  record.kind = EstimatorKind::kMcFalseDetection;
+  record.point = GridPoint{50, 0.3, 100.0};
+  record.trials = 400000;
+  record.successes = 1234;
+  record.mean = 0.003085;
+  record.ci99 = 0.1;
+  record.wilson = {1.0 / 3.0, 2e-7};
+  record.seed = 3861;
+  record.shards = 8;
+  record.wall_ms = 12.34567;
+  return record;
+}
+
+const char* const kPinnedPoint =
+    "{\"experiment\":\"fig5_false_detection\",\"kind\":\"mc_false_detection\","
+    "\"n\":50,\"p\":0.29999999999999999,\"range\":100,\"trials\":400000,"
+    "\"successes\":1234,\"mean\":0.0030850000000000001,"
+    "\"ci99\":0.10000000000000001,\"wilson_lo\":0.33333333333333331,"
+    "\"wilson_hi\":1.9999999999999999e-07,\"seed\":3861,\"shards\":8";
+
+BenchRecord pinned_bench() {
+  BenchRecord record;
+  record.bench = "graph_build";
+  record.metric = "ms";
+  record.n = 2000;
+  record.value = 3.14159265;
+  record.label = "baseline";
+  return record;
+}
+
+TEST(ResultSink, RecordBytesArePinned) {
+  const PointRecord point = pinned_point();
+  EXPECT_EQ(to_jsonl(point, true),
+            std::string(kPinnedPoint) + ",\"wall_ms\":12.346}");
+  EXPECT_EQ(to_jsonl(point, false), std::string(kPinnedPoint) + "}");
+  EXPECT_EQ(to_jsonl(pinned_bench()),
+            "{\"bench\":\"graph_build\",\"metric\":\"ms\",\"n\":2000,"
+            "\"value\":3.14159,\"label\":\"baseline\"}");
+}
+
+TEST(ResultSink, BenchLabelIsEscaped) {
+  BenchRecord record = pinned_bench();
+  record.label = "say \"hi\"\\now";
+  EXPECT_EQ(to_jsonl(record),
+            "{\"bench\":\"graph_build\",\"metric\":\"ms\",\"n\":2000,"
+            "\"value\":3.14159,\"label\":\"say \\\"hi\\\"\\\\now\"}");
+}
+
+TEST(ResultSink, LongStringFieldsAreWrittenWhole) {
+  BenchRecord bench = pinned_bench();
+  bench.label = std::string(500, 'L');
+  EXPECT_EQ(to_jsonl(bench),
+            "{\"bench\":\"graph_build\",\"metric\":\"ms\",\"n\":2000,"
+            "\"value\":3.14159,\"label\":\"" +
+                bench.label + "\"}");
+
+  PointRecord point = pinned_point();
+  point.experiment = std::string(700, 'E');
+  std::string expected = kPinnedPoint;
+  expected.replace(expected.find("fig5_false_detection"),
+                   std::string("fig5_false_detection").size(),
+                   point.experiment);
+  EXPECT_EQ(to_jsonl(point, false), expected + "}");
+}
+
 // --- Spec helpers -----------------------------------------------------
 
 TEST(ExperimentSpec, GridCrossProductIsRowMajor) {

@@ -1,11 +1,12 @@
 // Tests for the Snapshot record and the one invariant library
 // (fds/snapshot.h): one hand-built deployment per invariant, each violating
-// exactly that invariant once, the geometric reach carve-outs, and the
-// status JSON round trip.
+// exactly that invariant once, the geometric reach carve-outs, the status
+// JSON round trip, the status line's bytes and the reader's strictness.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -212,6 +213,88 @@ TEST(SnapshotJson, LineWithoutDiagnosticsParses) {
   EXPECT_EQ(parsed->hb_sent, 0u);
   EXPECT_FALSE(parsed->position.has_value());
   EXPECT_FALSE(Snapshot::parse("{\"node\":4}").has_value());
+}
+
+/// The status line of a follower with every list non-empty; the expected
+/// bytes below were taken from the ostringstream writer it replaced.
+Snapshot full_status() {
+  Snapshot s = follower(7, head(3, 3, {5, 7}, {5}));
+  s.epoch = 12345678901234ULL;
+  s.failed = {9, 4294967295U};
+  s.updates_overheard = 11;
+  s.admit_offers = 2;
+  s.last_offer_epoch = 40;
+  s.hb_sent = 120;
+  s.unmarked_sent = 3;
+  s.last_unmarked_epoch = 2;
+  s.subscribers = {12, 13};
+  s.reverts = {0, 1, 0, 0, 2};
+  s.last_revert_epoch = 39;
+  s.last_revert_cause = 4;
+  s.detect_node = {9};
+  s.detect_ms = {812};
+  return s;
+}
+
+TEST(SnapshotJson, StatusLineBytesArePinned) {
+  const std::string line =
+      "{\"node\":7,\"alive\":true,\"marked\":true,\"affiliated\":true,"
+      "\"ch\":false,\"left\":false,\"cluster\":3,\"clusterhead\":3,"
+      "\"epoch\":12345678901234,\"members\":[5,7],\"deputies\":[5],"
+      "\"failed\":[9,4294967295],\"updates_overheard\":11,"
+      "\"admit_offers\":2,\"last_offer_epoch\":40,\"hb_sent\":120,"
+      "\"unmarked_sent\":3,\"last_unmarked_epoch\":2,"
+      "\"subscribers\":[12,13],\"reverts\":[0,1,0,0,2],"
+      "\"last_revert_epoch\":39,\"last_revert_cause\":4,"
+      "\"detect_node\":[9],\"detect_ms\":[812]";
+  Snapshot s = full_status();
+  EXPECT_EQ(s.to_json(), line + "}");
+  EXPECT_EQ(Snapshot::parse(line + "}"), s);
+
+  s.position = Vec2{12.5, 1.0 / 3.0};
+  EXPECT_EQ(s.to_json(), line + ",\"x\":12.5,\"y\":0.3333333333333333}");
+  EXPECT_EQ(Snapshot::parse(s.to_json()), s);
+}
+
+/// `line` with its first `from` replaced by `to`.
+std::string with(std::string line, const std::string& from,
+                 const std::string& to) {
+  const auto at = line.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  return line.replace(at, from.size(), to);
+}
+
+TEST(SnapshotJson, ListEntryAboveU32IsRejected) {
+  const std::string line = full_status().to_json();
+  EXPECT_TRUE(Snapshot::parse(line).has_value());
+  EXPECT_FALSE(
+      Snapshot::parse(with(line, "[9,4294967295]", "[9,4294967297]"))
+          .has_value());
+}
+
+TEST(SnapshotJson, FractionalEpochIsRejected) {
+  const std::string line = full_status().to_json();
+  EXPECT_FALSE(Snapshot::parse(with(line, "\"epoch\":12345678901234",
+                                    "\"epoch\":3.7"))
+                   .has_value());
+}
+
+TEST(SnapshotJson, OverlongEpochIsRejectedWithoutThrowing) {
+  const std::string line =
+      with(full_status().to_json(), "\"epoch\":12345678901234",
+           "\"epoch\":12345678901234567890123");
+  std::optional<Snapshot> parsed = Snapshot{};
+  EXPECT_NO_THROW(parsed = Snapshot::parse(line));
+  EXPECT_FALSE(parsed.has_value());
+}
+
+TEST(SnapshotJson, MalformedOptionalListStaysEmpty) {
+  const std::string line = with(full_status().to_json(), "[0,1,0,0,2]",
+                                "[1,2,x]");
+  const auto parsed = Snapshot::parse(line);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_TRUE(parsed->reverts.empty());
+  EXPECT_EQ(parsed->subscribers, (std::vector<std::uint32_t>{12, 13}));
 }
 
 }  // namespace
