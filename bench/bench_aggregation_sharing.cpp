@@ -137,8 +137,5 @@ int main(int argc, char** argv) {
   cfds::bench::parse_common_args(argc, argv);
   print_energy_table();
   print_fidelity_table();
-  std::printf("\n-- timings --\n");
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return cfds::bench::run_timings(argc, argv);
 }

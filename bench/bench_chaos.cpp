@@ -273,8 +273,5 @@ int main(int argc, char** argv) {
                                   dump_plans, !dump_plans.empty());
   if (status != 0) return status;
 
-  std::printf("\n-- timings --\n");
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return cfds::bench::run_timings(argc, argv);
 }

@@ -42,12 +42,7 @@ void print_study() {
     RunningStats knowledge_delay;
     Rng offsets(0xDE1 + std::uint64_t(p * 100));
 
-    ScenarioConfig config;
-    config.width = 550.0;
-    config.height = 400.0;
-    config.node_count = 300;
-    config.loss_p = p;
-    config.seed = 7;
+    const auto config = bench::scenario_config(550.0, 400.0, 300, p, 7);
     Scenario scenario(config);
     scenario.setup();
     scenario.run_epochs(1);
@@ -130,12 +125,7 @@ struct VariantPoint {
 /// the detector must NOT flag, not in what it must catch.
 VariantPoint run_variant(const char* label, const LossRegime& regime,
                          bool adaptive, std::uint32_t threshold_milli) {
-  ScenarioConfig config;
-  config.width = 550.0;
-  config.height = 400.0;
-  config.node_count = 120;
-  config.loss_p = regime.base_loss;
-  config.seed = 7;
+  auto config = bench::scenario_config(550.0, 400.0, 120, regime.base_loss, 7);
   // Falsely-dropped members must be able to resubscribe, or the first burst
   // would permanently shrink the rosters and deflate later FP counts.
   config.fds.recovery_enabled = true;
@@ -234,12 +224,7 @@ void print_pareto_study() {
 }
 
 void BM_DetectionRound(benchmark::State& state) {
-  ScenarioConfig config;
-  config.width = 550.0;
-  config.height = 400.0;
-  config.node_count = 300;
-  config.loss_p = 0.1;
-  config.seed = 7;
+  const auto config = bench::scenario_config(550.0, 400.0, 300, 0.1, 7);
   Scenario scenario(config);
   scenario.setup();
   for (auto _ : state) {
@@ -254,8 +239,5 @@ int main(int argc, char** argv) {
   cfds::bench::parse_common_args(argc, argv);
   print_study();
   print_pareto_study();
-  std::printf("\n-- timings --\n");
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return cfds::bench::run_timings(argc, argv);
 }

@@ -1,40 +1,52 @@
-// Figures 5, 6 and 7: the paper's per-cluster measures vs message-loss
-// probability p, for cluster populations N = 50, 75, 100.
+// Every evaluation artifact of PAPER.md §2 as one row of one driver (kRows,
+// in §2 order): Figures 5-7, the DCH-reachability study, the two §4.2
+// ablations, the §4.3 inter-cluster study and the baseline comparison.
 //
-// Each figure is one row of kFigures, regenerated four ways:
-//   analytic    — the closed form (analysis/figures.h)
-//   paper-sum   — the paper's literal double-sum expression (log space)
-//   semantic MC — protocol-rule Monte-Carlo over sampled geometry/losses
-//   protocol MC — full protocol-stack spot checks (event queue, real frames)
-//                 at points where the probability is large enough to sample
-//                 in reasonable time.
+// The figure and ablation rows are Sweeps: a table per population over the
+// paper's p sweep whose columns are closed forms or Monte-Carlo arms on the
+// parallel runner, then full protocol-stack spot checks. Per-shard seeding
+// makes the estimates and the --out JSONL identical at any thread count. The
+// other rows run their own worlds (figures_*.cpp); docs/RUNNER.md lists the
+// flags each row honours.
 //
-// Both Monte-Carlo passes run on the parallel experiment runner: each grid
-// is sharded across --threads workers with counter-based per-shard seeding,
-// so estimates (and the --out JSONL) are identical at any thread count.
+//   bench_figures [row] [runner flags] [--benchmark_* flags]
 //
-//   bench_figures [fig5|fig6|fig7] [--trials T] [--threads W] [--seed S]
-//                 [--out F] [--no-wall-time] [--no-calendar]
-//                 [--benchmark_* flags]
-//
-// Without a figure name it prints, and writes to --out, all three in order.
+// Without a row name it runs every row.
 
 #include <benchmark/benchmark.h>
 
-#include <array>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "analysis/figures.h"
 #include "bench/bench_util.h"
+#include "bench/figures_rows.h"
 #include "runner/executor.h"
 
 namespace {
 
 using namespace cfds;
+using runner::EstimatorKind;
+
+using Curve = double (*)(double p, int n);
 
 const std::vector<int> kPopulations = {50, 75, 100};
+
+/// One column of a sweep table: `curve` itself, or — for an arm, which names
+/// its JSONL `experiment` — the runner's estimate of `kind` under the given
+/// protocol knobs, printed only where `curve` (the expected value) predicts
+/// >= ~10 events in the trial budget. A spot-check arm fills the analytic
+/// column with `curve` and labels its lines with `header` (if set).
+struct Column {
+  const char* header;
+  Curve curve;
+  const char* timing = nullptr;  ///< BM_Figure/<row>/<timing>; null = untimed
+  const char* experiment = nullptr;
+  EstimatorKind kind = EstimatorKind::kMcFalseDetection;
+  RuleMode rule_mode = RuleMode::kFull;
+  bool peer_forwarding = true;
+};
 
 struct SpotCheck {
   int n;
@@ -42,23 +54,27 @@ struct SpotCheck {
   long trials;
 };
 
-struct Figure {
-  const char* name;  ///< command-line name; prefixes the stack spec name
+/// A table per population over the paper's p sweep, an optional reading,
+/// then every full-stack arm at every spot check.
+struct Sweep {
   const char* title;
   const char* measure;
-  const char* sweep_name;  ///< JSONL experiment name of the semantic sweep
-  runner::EstimatorKind mc_kind;
-  runner::EstimatorKind stack_kind;
-  double (*closed_form)(double p, int n);
-  double (*paper_sum)(double p, int n);
+  std::vector<int> populations;
   long default_trials;
   std::uint64_t mc_seed;
   std::uint64_t stack_seed;
-  /// Run the semantic sweep only where the estimate is printed.
-  bool sampleable_grid_only;
+  bool sampleable_grid_only;  ///< run the MC arms only where they print
+  std::vector<Column> columns;
+  void (*reading)();
+  std::vector<Column> stack_arms;
   std::vector<SpotCheck> spot_checks;
-  void (*reading)();  ///< optional commentary after the tables
 };
+
+double loss_p(double p, int /*n*/) { return p; }
+double loss_p_squared(double p, int /*n*/) { return p * p; }
+double forwarding_gain(double p, int n) {
+  return p / analysis::incompleteness_upper_bound(p, n);
+}
 
 void fig6_reading() {
   std::printf("\n-- paper's quantitative reading of the figure --\n");
@@ -94,91 +110,187 @@ void fig7_reading() {
               " to p)\n");
 }
 
-const std::array<Figure, 3> kFigures = {{
-    {"fig5", "Figure 5", "P^(False detection) vs p  (N = 50, 75, 100)",
-     "fig5_false_detection", runner::EstimatorKind::kMcFalseDetection,
-     runner::EstimatorKind::kStackFalseDetection,
-     &analysis::false_detection_upper_bound,
-     &analysis::false_detection_upper_bound_sum, 400000, 0xF15, 0xF5, false,
-     {{20, 0.5, 12000}, {20, 0.4, 12000}, {50, 0.5, 6000}}, nullptr},
-    // The measure plunges to ~1e-120 over the sweep, far beyond any sampling
-    // reach (trials are ~2 draws on average, hence the larger budget).
-    {"fig6", "Figure 6", "P(False detection on CH) vs p  (N = 50, 75, 100)",
-     "fig6_false_detection_on_ch",
-     runner::EstimatorKind::kMcFalseDetectionOnCh,
-     runner::EstimatorKind::kStackFalseDetectionOnCh,
-     &analysis::false_detection_on_ch, &analysis::false_detection_on_ch_sum,
-     40000000, 0xF16, 0xF6, true, {{12, 0.5, 40000}}, &fig6_reading},
-    // The full stack sits slightly BELOW the closed form at high p: peer
-    // forwarding is progressive (a requester rescued early can answer later
-    // requests), a channel the paper's worst-case expression does not credit.
-    {"fig7", "Figure 7", "P^(Incompleteness) vs p  (N = 50, 75, 100)",
-     "fig7_incompleteness", runner::EstimatorKind::kMcIncompleteness,
-     runner::EstimatorKind::kStackIncompleteness,
-     &analysis::incompleteness_upper_bound,
-     &analysis::incompleteness_upper_bound_sum, 400000, 0xF17, 0xF7, false,
-     {{20, 0.5, 12000}, {20, 0.4, 12000}, {50, 0.5, 6000}}, &fig7_reading},
-}};
+void redundancy_reading() {
+  std::printf("\nReading: each redundancy layer buys orders of magnitude —"
+              " p -> p^2 -> p^2*(1-q(1-p)^2)^(N-2).\n");
+  std::printf("Improvement factors at p = 0.30, N = 75:\n");
+  const double p = 0.3;
+  std::printf("  time redundancy:     %8.1fx\n", p / (p * p));
+  std::printf("  spatial redundancy:  %8.1e x\n",
+              (p * p) / analysis::false_detection_upper_bound(p, 75));
+}
 
-void print_figure(const Figure& fig, runner::ResultSink* sink) {
-  const long trials = bench::options().trials_or(fig.default_trials);
-  bench::banner(fig.title, fig.measure);
+const Sweep kFig5 = {
+    "Figure 5", "P^(False detection) vs p  (N = 50, 75, 100)",
+    kPopulations, 400000, 0xF15, 0xF5, false,
+    {{"analytic", &analysis::false_detection_upper_bound, "closed_form"},
+     {"paper-sum", &analysis::false_detection_upper_bound_sum, "paper_sum"},
+     {"semantic MC", &analysis::false_detection_upper_bound, "mc_shard",
+      "fig5_false_detection", EstimatorKind::kMcFalseDetection}},
+    nullptr,
+    {{nullptr, &analysis::false_detection_upper_bound, "stack_shard",
+      "fig5_stack_spot_check", EstimatorKind::kStackFalseDetection}},
+    {{20, 0.5, 12000}, {20, 0.4, 12000}, {50, 0.5, 6000}}};
 
-  // Only print the MC estimate when the expected event count is >= ~10.
-  const auto sampleable = [&](int n, double p) {
-    return fig.closed_form(p, n) * double(trials) >= 10.0;
+// The measure plunges to ~1e-120 over the sweep, far beyond any sampling
+// reach (trials are ~2 draws on average, hence the larger budget).
+const Sweep kFig6 = {
+    "Figure 6", "P(False detection on CH) vs p  (N = 50, 75, 100)",
+    kPopulations, 40000000, 0xF16, 0xF6, true,
+    {{"analytic", &analysis::false_detection_on_ch, "closed_form"},
+     {"paper-sum", &analysis::false_detection_on_ch_sum, "paper_sum"},
+     {"semantic MC", &analysis::false_detection_on_ch, "mc_shard",
+      "fig6_false_detection_on_ch", EstimatorKind::kMcFalseDetectionOnCh}},
+    &fig6_reading,
+    {{nullptr, &analysis::false_detection_on_ch, "stack_shard",
+      "fig6_stack_spot_check", EstimatorKind::kStackFalseDetectionOnCh}},
+    {{12, 0.5, 40000}}};
+
+// The full stack sits slightly BELOW the closed form at high p: peer
+// forwarding is progressive (a requester rescued early can answer later
+// requests), a channel the paper's worst-case expression does not credit.
+const Sweep kFig7 = {
+    "Figure 7", "P^(Incompleteness) vs p  (N = 50, 75, 100)",
+    kPopulations, 400000, 0xF17, 0xF7, false,
+    {{"analytic", &analysis::incompleteness_upper_bound, "closed_form"},
+     {"paper-sum", &analysis::incompleteness_upper_bound_sum, "paper_sum"},
+     {"semantic MC", &analysis::incompleteness_upper_bound, "mc_shard",
+      "fig7_incompleteness", EstimatorKind::kMcIncompleteness}},
+    &fig7_reading,
+    {{nullptr, &analysis::incompleteness_upper_bound, "stack_shard",
+      "fig7_stack_spot_check", EstimatorKind::kStackIncompleteness}},
+    {{20, 0.5, 12000}, {20, 0.4, 12000}, {50, 0.5, 6000}}};
+
+// Section 4.2 claims the rule "simultaneously exploits time, spatial, and
+// message redundancies". Each arm drops layers of evidence:
+//   heartbeat-only  suspect on one missed heartbeat         ->  P = p
+//   + time red.     heartbeat AND the suspect's own digest  ->  P = p^2
+//   + spatial red.  ... AND no witness digest (full rule)   ->  Figure 5
+const Sweep kRedundancy = {
+    "Ablation", "false detection vs evidence policy (N = 75)", {75}, 300000,
+    0xAB1, 0, false,
+    {{"hb-only MC", &loss_p, "heartbeat_only_shard",
+      "ablation_heartbeat_only", EstimatorKind::kMcFalseDetection,
+      RuleMode::kHeartbeatOnly},
+     {"ref p", &loss_p},
+     {"no-spatial MC", &loss_p_squared, "no_spatial_shard",
+      "ablation_no_spatial", EstimatorKind::kMcFalseDetection,
+      RuleMode::kNoSpatial},
+     {"ref p^2", &loss_p_squared},
+     {"full MC", &analysis::false_detection_upper_bound, "full_rule_shard",
+      "ablation_full_rule", EstimatorKind::kMcFalseDetection},
+     {"ref full", &analysis::false_detection_upper_bound}},
+    &redundancy_reading,
+    {},
+    {}};
+
+// Section 4.2's completeness enhancement: without peer forwarding a member
+// misses the health-status update with the raw loss probability p; with it
+// the miss probability collapses to p * (1 - q(1-p)^3)^(N-2).
+const Sweep kPeerForwarding = {
+    "Ablation", "incompleteness with/without peer forwarding", {50, 100},
+    300000, 0xAB2, 0xAB3, false,
+    {{"without MC", &loss_p, "without_shard", "ablation_no_peer_forwarding",
+      EstimatorKind::kMcIncompleteness, RuleMode::kFull, false},
+     {"ref p", &loss_p},
+     {"with MC", &analysis::incompleteness_upper_bound, "with_shard",
+      "ablation_peer_forwarding", EstimatorKind::kMcIncompleteness},
+     {"ref closed", &analysis::incompleteness_upper_bound},
+     {"gain", &forwarding_gain}},
+    nullptr,
+    {{"forwarding ON", &analysis::incompleteness_upper_bound, nullptr,
+      "ablation_peer_forwarding_stack", EstimatorKind::kStackIncompleteness},
+     {"forwarding OFF", &loss_p, nullptr, "ablation_no_peer_forwarding_stack",
+      EstimatorKind::kStackIncompleteness, RuleMode::kFull, false}},
+    {{20, 0.5, 8000}}};
+
+/// The arm's spec (conditioning from for_kind); the caller sets the grid,
+/// trials and seed.
+runner::ExperimentSpec spec_for(const Column& arm) {
+  auto spec = runner::ExperimentSpec::for_kind(arm.kind);
+  spec.name = arm.experiment;
+  spec.rule_mode = arm.rule_mode;
+  spec.peer_forwarding = arm.peer_forwarding;
+  return spec;
+}
+
+void print_sweep(const Sweep& sweep, runner::ResultSink* sink) {
+  const long trials = bench::options().trials_or(sweep.default_trials);
+  bench::banner(sweep.title, sweep.measure);
+
+  // Only print an MC estimate when the expected event count is >= ~10.
+  const auto sampleable = [&](const Column& arm, int n, double p) {
+    return arm.curve(p, n) * double(trials) >= 10.0;
   };
-  const auto in_grid = [&](int n, double p) {
-    return !fig.sampleable_grid_only || sampleable(n, p);
+  const auto in_grid = [&](const Column& arm, int n, double p) {
+    return !sweep.sampleable_grid_only || sampleable(arm, n, p);
   };
-  auto spec = runner::ExperimentSpec::for_kind(fig.mc_kind);
-  spec.name = fig.sweep_name;
-  spec.trials = trials;
-  spec.seed = bench::options().seed_or(fig.mc_seed);
-  for (int n : kPopulations) {
-    for (int i = 0; i < analysis::sweep_points(); ++i) {
-      const double p = analysis::sweep_p(i);
-      if (in_grid(n, p)) spec.grid.push_back(runner::GridPoint{n, p});
-    }
-  }
-  const auto results = runner::run_experiment(spec, bench::pool(), sink);
-
-  auto result = results.begin();
-  for (int n : kPopulations) {
-    std::printf("\n-- N = %d  (semantic MC: %ld trials/point) --\n", n, trials);
-    bench::table_header({"analytic", "paper-sum", "semantic MC"});
-    for (int i = 0; i < analysis::sweep_points(); ++i) {
-      const double p = analysis::sweep_p(i);
-      std::string mc_text = "<sampling floor";
-      if (in_grid(n, p)) {
-        const ProportionEstimator& mc = (result++)->estimator;
-        if (sampleable(n, p)) {
-          mc_text = bench::mc_cell(mc.estimate(), mc.ci99());
-        }
+  // One experiment per MC column, in column order.
+  std::vector<std::vector<runner::PointResult>> estimates;
+  for (const Column& column : sweep.columns) {
+    estimates.emplace_back();
+    if (column.experiment == nullptr) continue;
+    auto spec = spec_for(column);
+    spec.trials = trials;
+    spec.seed = bench::options().seed_or(sweep.mc_seed);
+    for (int n : sweep.populations) {
+      for (int i = 0; i < analysis::sweep_points(); ++i) {
+        const double p = analysis::sweep_p(i);
+        if (in_grid(column, n, p)) spec.grid.push_back(runner::GridPoint{n, p});
       }
-      bench::table_row(p, std::vector<std::string>{
-                              bench::sci_cell(fig.closed_form(p, n)),
-                              bench::sci_cell(fig.paper_sum(p, n)), mc_text});
+    }
+    estimates.back() = runner::run_experiment(spec, bench::pool(), sink);
+  }
+
+  std::vector<std::string> headers;
+  for (const Column& column : sweep.columns) headers.push_back(column.header);
+  std::vector<std::size_t> next(sweep.columns.size(), 0);
+  for (int n : sweep.populations) {
+    std::printf("\n-- N = %d  (semantic MC: %ld trials/point) --\n", n, trials);
+    bench::table_header(headers);
+    for (int i = 0; i < analysis::sweep_points(); ++i) {
+      const double p = analysis::sweep_p(i);
+      std::vector<std::string> cells;
+      for (std::size_t c = 0; c < sweep.columns.size(); ++c) {
+        const Column& column = sweep.columns[c];
+        if (column.experiment == nullptr) {
+          cells.push_back(bench::sci_cell(column.curve(p, n)));
+          continue;
+        }
+        std::string text = "<sampling floor";
+        if (in_grid(column, n, p)) {
+          const ProportionEstimator& mc = estimates[c][next[c]++].estimator;
+          if (sampleable(column, n, p)) {
+            text = bench::mc_cell(mc.estimate(), mc.ci99());
+          }
+        }
+        cells.push_back(text);
+      }
+      bench::table_row(p, cells);
     }
   }
 
-  if (fig.reading != nullptr) fig.reading();
+  if (sweep.reading != nullptr) sweep.reading();
+  if (sweep.stack_arms.empty()) return;
 
   std::printf(
       "\n-- full protocol stack spot checks (event-driven, real frames) --\n");
   std::printf("%-18s  %14s  %20s\n", "point", "analytic", "protocol MC");
-  // One experiment per point: each point's shard seeds start at point 0.
-  for (const SpotCheck& check : fig.spot_checks) {
-    auto stack = runner::ExperimentSpec::for_kind(fig.stack_kind);
-    stack.name = std::string(fig.name) + "_stack_spot_check";
-    stack.grid = {runner::GridPoint{check.n, check.p}};
-    stack.trials = check.trials;
-    stack.seed = bench::options().seed_or(fig.stack_seed);
-    const auto estimate =
-        runner::run_experiment(stack, bench::pool(), sink).front().estimator;
-    std::printf("N=%-3d p=%.2f       %14.4e  %20s\n", check.n, check.p,
-                fig.closed_form(check.p, check.n),
-                bench::mc_cell(estimate.estimate(), estimate.ci99()).c_str());
+  for (const Column& arm : sweep.stack_arms) {
+    // One experiment per point: each point's shard seeds start at point 0.
+    for (const SpotCheck& check : sweep.spot_checks) {
+      auto spec = spec_for(arm);
+      spec.grid = {runner::GridPoint{check.n, check.p}};
+      spec.trials = check.trials;
+      spec.seed = bench::options().seed_or(sweep.stack_seed);
+      const auto estimate =
+          runner::run_experiment(spec, bench::pool(), sink).front().estimator;
+      std::printf("N=%-3d p=%.2f       %14.4e  %20s", check.n, check.p,
+                  arm.curve(check.p, check.n),
+                  bench::mc_cell(estimate.estimate(), estimate.ci99()).c_str());
+      if (arm.header != nullptr) std::printf("  %s", arm.header);
+      std::printf("\n");
+    }
   }
 }
 
@@ -186,16 +298,15 @@ void print_figure(const Figure& fig, runner::ResultSink* sink) {
 
 constexpr double kTimedP = 0.3;
 
-void BM_Formula(benchmark::State& state, double (*formula)(double, int)) {
+void BM_Formula(benchmark::State& state, Curve formula) {
   const int n = int(state.range(0));
   double sink = 0.0;
   for (auto _ : state) sink += formula(kTimedP, n);
   benchmark::DoNotOptimize(sink);
 }
 
-void BM_Shard(benchmark::State& state, runner::EstimatorKind kind,
+void BM_Shard(benchmark::State& state, const runner::ExperimentSpec& spec,
               long trials) {
-  const auto spec = runner::ExperimentSpec::for_kind(kind);
   const runner::GridPoint point{int(state.range(0)), kTimedP};
   std::uint64_t seed = 0;
   for (auto _ : state) {
@@ -205,41 +316,70 @@ void BM_Shard(benchmark::State& state, runner::EstimatorKind kind,
   state.SetItemsProcessed(state.iterations() * trials);
 }
 
-void register_timings(const Figure& fig) {
-  const std::string prefix = std::string("BM_Figure/") + fig.name + "/";
-  benchmark::RegisterBenchmark((prefix + "closed_form").c_str(), BM_Formula,
-                               fig.closed_form)
-      ->Arg(50)->Arg(100);
-  benchmark::RegisterBenchmark((prefix + "paper_sum").c_str(), BM_Formula,
-                               fig.paper_sum)
-      ->Arg(50)->Arg(100);
-  benchmark::RegisterBenchmark((prefix + "mc_shard").c_str(), BM_Shard,
-                               fig.mc_kind, 1000L)
-      ->Arg(50)->Arg(100);
-  benchmark::RegisterBenchmark((prefix + "stack_shard").c_str(), BM_Shard,
-                               fig.stack_kind, 1L)
-      ->Arg(50)->Arg(100);
+/// Times each column that names a timing: a closed form per evaluation, an
+/// MC arm per 1000-trial shard, a stack arm per one-trial shard.
+void register_timings(const char* row, const Sweep& sweep) {
+  const auto timed = [row](const Column& column, long trials) {
+    if (column.timing == nullptr) return;
+    const std::string name =
+        std::string("BM_Figure/") + row + "/" + column.timing;
+    if (column.experiment == nullptr) {
+      benchmark::RegisterBenchmark(name.c_str(), BM_Formula, column.curve)
+          ->Arg(50)->Arg(100);
+    } else {
+      benchmark::RegisterBenchmark(name.c_str(), BM_Shard, spec_for(column),
+                                   trials)
+          ->Arg(50)->Arg(100);
+    }
+  };
+  for (const Column& column : sweep.columns) timed(column, 1000);
+  for (const Column& arm : sweep.stack_arms) timed(arm, 1);
 }
+
+/// One row: a Sweep, or a row that runs its own world (figures_rows.h).
+struct Row {
+  const char* name;
+  const Sweep* sweep;
+  void (*run)();
+};
+
+const Row kRows[] = {
+    {"fig5", &kFig5, nullptr},
+    {"fig6", &kFig6, nullptr},
+    {"fig7", &kFig7, nullptr},
+    {"dch", nullptr, &bench::dch_row},
+    {"ablation_redundancy", &kRedundancy, nullptr},
+    {"ablation_peer_forwarding", &kPeerForwarding, nullptr},
+    {"intercluster", nullptr, &bench::intercluster_row},
+    {"baselines", nullptr, &bench::baselines_row},
+};
 
 }  // namespace
 
 int main(int argc, char** argv) {
   cfds::bench::parse_common_args(argc, argv);
   benchmark::Initialize(&argc, argv);
-  std::vector<const Figure*> selected;
-  for (const Figure& fig : kFigures) {
-    if (argc == 1 || (argc == 2 && std::strcmp(argv[1], fig.name) == 0)) {
-      selected.push_back(&fig);
+  std::vector<const Row*> selected;
+  for (const Row& row : kRows) {
+    if (argc == 1 || (argc == 2 && std::strcmp(argv[1], row.name) == 0)) {
+      selected.push_back(&row);
     }
   }
   if (selected.empty()) {
-    std::fprintf(stderr, "usage: %s [fig5|fig6|fig7] [runner flags]\n",
-                 argv[0]);
+    std::fprintf(stderr, "usage: %s [row] [runner flags]\nrows:", argv[0]);
+    for (const Row& row : kRows) std::fprintf(stderr, " %s", row.name);
+    std::fprintf(stderr, "\n");
     return 2;
   }
   const auto sink = cfds::bench::make_sink();
-  for (const Figure* fig : selected) print_figure(*fig, sink.get());
-  for (const Figure* fig : selected) register_timings(*fig);
+  for (const Row* row : selected) {
+    if (row->sweep == nullptr) {
+      row->run();
+      continue;
+    }
+    print_sweep(*row->sweep, sink.get());
+    register_timings(row->name, *row->sweep);
+  }
   std::printf("\n-- timings --\n");
   benchmark::RunSpecifiedBenchmarks();
   return 0;

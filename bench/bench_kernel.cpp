@@ -22,7 +22,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <vector>
@@ -41,18 +40,6 @@ namespace {
 
 using namespace cfds;
 using Clock = std::chrono::steady_clock;
-
-double ms_since(Clock::time_point t0) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
-}
-
-/// Field dimensions for n nodes at ~constant density (bench_scalability's
-/// 500 <-> 700 x 450 regime), so end-to-end numbers are comparable.
-void field_for(std::size_t n, double& width, double& height) {
-  const double scale = std::sqrt(double(n) / 500.0);
-  width = 700.0 * scale;
-  height = 450.0 * scale;
-}
 
 std::vector<PayloadPtr> dispatch_frames() {
   std::vector<PayloadPtr> frames;
@@ -144,7 +131,7 @@ void print_study(runner::JsonlResultSink* sink, bool smoke) {
   const auto seed = bench::options().seed_or(19);
   for (std::size_t n : graph_sizes) {
     double width = 0.0, height = 0.0;
-    field_for(n, width, height);
+    bench::field_for(n, width, height);
     Rng rng(seed);
     const auto points = uniform_rect(n, width, height, rng);
     {  // warm-up
@@ -157,13 +144,13 @@ void print_study(runner::JsonlResultSink* sink, bool smoke) {
       UnitDiskGraph graph(points, 100.0);
       benchmark::DoNotOptimize(graph.degree(0));
     }
-    const double grid_ms = ms_since(t0) / reps;
+    const double grid_ms = bench::ms_since(t0) / reps;
     t0 = Clock::now();
     for (int r = 0; r < reps; ++r) {
       auto graph = UnitDiskGraph::brute_force(points, 100.0);
       benchmark::DoNotOptimize(graph.degree(0));
     }
-    const double brute_ms = ms_since(t0) / reps;
+    const double brute_ms = bench::ms_since(t0) / reps;
     std::printf("%-24s %8zu %16.4f\n", "graph_build_ms", n, grid_ms);
     std::printf("%-24s %8zu %16.4f\n", "graph_build_brute_ms", n, brute_ms);
     emit(sink, "graph_build", "ms", int(n), grid_ms);
@@ -182,7 +169,7 @@ void print_study(runner::JsonlResultSink* sink, bool smoke) {
       sim.schedule_at(sim.now() + SimTime::micros(1), [] {});
       (void)sim.step();  // exactly one event is queued
     }
-    const double rate = ops / ms_since(t0) * 1000.0;
+    const double rate = ops / bench::ms_since(t0) * 1000.0;
     std::printf("%-24s %8s %16.0f\n", "sched_fire_ops_per_sec", "-", rate);
     emit(sink, "sched_fire", "ops_per_sec", 0, rate);
   }
@@ -198,7 +185,7 @@ void print_study(runner::JsonlResultSink* sink, bool smoke) {
       cancelled.cancel();
       sim.run_until(sim.now() + SimTime::micros(2));
     }
-    const double rate = ops / ms_since(t0) * 1000.0;
+    const double rate = ops / bench::ms_since(t0) * 1000.0;
     std::printf("%-24s %8s %16.0f\n", "sched_cancel_ops_per_sec", "-", rate);
     emit(sink, "sched_cancel", "ops_per_sec", 0, rate);
   }
@@ -238,7 +225,7 @@ void print_study(runner::JsonlResultSink* sink, bool smoke) {
       sim.run_until(sim.now() + ChannelConfig{}.t_hop);
     }
     const double rate =
-        double(sends) * double(fanout) / ms_since(t0) * 1000.0;
+        double(sends) * double(fanout) / bench::ms_since(t0) * 1000.0;
     std::printf("%-24s %8zu %16.0f\n", "broadcast_fanout_deliveries_per_sec",
                 fanout, rate);
     emit(sink, "broadcast_fanout", "deliveries_per_sec", int(fanout), rate);
@@ -264,7 +251,7 @@ void print_study(runner::JsonlResultSink* sink, bool smoke) {
             [] {});
         (void)sim.step();
       }
-      return double(ops) / ms_since(t0) * 1000.0;
+      return double(ops) / bench::ms_since(t0) * 1000.0;
     };
     const double calendar_rate = run_queue(QueueMode::kCalendar);
     const double heap_rate = run_queue(QueueMode::kHeap);
@@ -289,7 +276,7 @@ void print_study(runner::JsonlResultSink* sink, bool smoke) {
       else if (payload_cast_shared<HealthUpdatePayload>(p)) ++hits;
     }
     benchmark::DoNotOptimize(hits);
-    const double rate = double(iters) / ms_since(t0) * 1000.0;
+    const double rate = double(iters) / bench::ms_since(t0) * 1000.0;
     std::printf("%-24s %8s %16.0f\n", "payload_dispatch_ops_per_sec", "-",
                 rate);
     emit(sink, "payload_dispatch", "ops_per_sec", 0, rate);
@@ -307,7 +294,7 @@ void print_study(runner::JsonlResultSink* sink, bool smoke) {
       std::size_t losses = loss_round(model, lists, rng);  // warm-up
       const auto t0 = Clock::now();
       for (int r = 0; r < rounds; ++r) losses += loss_round(model, lists, rng);
-      const double ms = ms_since(t0);
+      const double ms = bench::ms_since(t0);
       benchmark::DoNotOptimize(losses);
       return ms * 1e6 / (double(rounds) * double(senders) * double(fanout));
     };
@@ -329,13 +316,8 @@ void print_study(runner::JsonlResultSink* sink, bool smoke) {
             : std::vector<std::size_t>{500, 2000};
   for (std::size_t n : e2e_sizes) {
     double width = 0.0, height = 0.0;
-    field_for(n, width, height);
-    ScenarioConfig config;
-    config.width = width;
-    config.height = height;
-    config.node_count = n;
-    config.loss_p = 0.1;
-    config.seed = seed;
+    bench::field_for(n, width, height);
+    const auto config = bench::scenario_config(width, height, n, 0.1, seed);
     Scenario scenario(config);
     scenario.setup();
     scenario.run_epochs(1);  // warm-up
@@ -344,7 +326,7 @@ void print_study(runner::JsonlResultSink* sink, bool smoke) {
     const std::uint64_t epochs = smoke ? 1 : (n <= 500 ? 6 : 3);
     const auto t0 = Clock::now();
     scenario.run_epochs(epochs);
-    const double ms = ms_since(t0);
+    const double ms = bench::ms_since(t0);
     const std::uint64_t events =
         scenario.network().simulator().events_executed() - before;
     const double rate = double(events) / ms * 1000.0;
@@ -380,7 +362,7 @@ BENCHMARK(BM_ScheduleCancelFire);
 void BM_GraphBuildGrid(benchmark::State& state) {
   const auto n = std::size_t(state.range(0));
   double width = 0.0, height = 0.0;
-  field_for(n, width, height);
+  bench::field_for(n, width, height);
   Rng rng(19);
   const auto points = uniform_rect(n, width, height, rng);
   for (auto _ : state) {
@@ -393,7 +375,7 @@ BENCHMARK(BM_GraphBuildGrid)->Arg(500)->Arg(2000)->Unit(benchmark::kMillisecond)
 void BM_GraphBuildBrute(benchmark::State& state) {
   const auto n = std::size_t(state.range(0));
   double width = 0.0, height = 0.0;
-  field_for(n, width, height);
+  bench::field_for(n, width, height);
   Rng rng(19);
   const auto points = uniform_rect(n, width, height, rng);
   for (auto _ : state) {
@@ -491,8 +473,5 @@ int main(int argc, char** argv) {
   const bool smoke = opts.trials > 0 && opts.trials < 100;
   const auto sink = cfds::bench::make_sink();
   print_study(sink.get(), smoke);
-  std::printf("\n-- timings --\n");
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return cfds::bench::run_timings(argc, argv);
 }

@@ -27,10 +27,7 @@
 // BENCH_megascale.json holds the committed baseline rows; check_megascale.py
 // gates fresh runs against them (floor on events/s, ceiling on bytes/node).
 
-#include <sys/resource.h>
-
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -49,28 +46,6 @@ namespace {
 
 using namespace cfds;
 
-/// Field dimensions for n nodes at the paper's density (500 <-> 700x450).
-void field_for(std::size_t n, double& width, double& height) {
-  const double scale = std::sqrt(double(n) / 500.0);
-  width = 700.0 * scale;
-  height = 450.0 * scale;
-}
-
-[[nodiscard]] double wall_ms_since(
-    std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
-
-/// Peak resident set size of this process, in bytes (ru_maxrss is KiB on
-/// Linux).
-[[nodiscard]] std::uint64_t peak_rss_bytes() {
-  struct rusage usage{};
-  getrusage(RUSAGE_SELF, &usage);
-  return std::uint64_t(usage.ru_maxrss) * 1024;
-}
-
 struct Row {
   std::size_t n = 0;
   std::size_t clusters = 0;
@@ -84,7 +59,7 @@ Row run_decade(std::size_t n, std::uint64_t epochs, std::uint64_t seed) {
   row.n = n;
 
   double width = 0.0, height = 0.0;
-  field_for(n, width, height);
+  bench::field_for(n, width, height);
 
   NetworkConfig net_config;
   net_config.seed = seed;
@@ -106,7 +81,7 @@ Row run_decade(std::size_t n, std::uint64_t epochs, std::uint64_t seed) {
     views.push_back(owned_views.back().get());
   }
   directory.install(network, views);
-  row.formation_ms = wall_ms_since(t_formation);
+  row.formation_ms = bench::ms_since(t_formation);
   row.clusters = directory.clusters().size();
 
   FdsConfig config;  // defaults: the simulator hard-boundary path
@@ -130,11 +105,11 @@ Row run_decade(std::size_t n, std::uint64_t epochs, std::uint64_t seed) {
   const std::uint64_t events_before = network.simulator().events_executed();
   const auto t_epochs = std::chrono::steady_clock::now();
   run_epochs(epochs);
-  const double epochs_ms = wall_ms_since(t_epochs);
+  const double epochs_ms = bench::ms_since(t_epochs);
   const std::uint64_t events =
       network.simulator().events_executed() - events_before;
   row.events_per_sec = double(events) / epochs_ms * 1000.0;
-  row.bytes_per_node = double(peak_rss_bytes()) / double(n);
+  row.bytes_per_node = double(bench::peak_rss_bytes()) / double(n);
   return row;
 }
 

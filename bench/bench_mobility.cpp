@@ -27,12 +27,7 @@ struct Outcome {
 };
 
 Outcome run(double speed_mps, std::uint64_t seed) {
-  ScenarioConfig config;
-  config.width = 550.0;
-  config.height = 400.0;
-  config.node_count = 300;
-  config.loss_p = 0.05;
-  config.seed = seed;
+  const auto config = bench::scenario_config(550.0, 400.0, 300, 0.05, seed);
   Scenario scenario(config);
   scenario.setup();
 
@@ -93,12 +88,7 @@ void print_study() {
 }
 
 void BM_MobileEpoch(benchmark::State& state) {
-  ScenarioConfig config;
-  config.width = 550.0;
-  config.height = 400.0;
-  config.node_count = 300;
-  config.loss_p = 0.05;
-  config.seed = 97;
+  const auto config = bench::scenario_config(550.0, 400.0, 300, 0.05, 97);
   Scenario scenario(config);
   scenario.setup();
   WaypointConfig wp;
@@ -117,8 +107,5 @@ BENCHMARK(BM_MobileEpoch)->Unit(benchmark::kMillisecond);
 int main(int argc, char** argv) {
   cfds::bench::parse_common_args(argc, argv);
   print_study();
-  std::printf("\n-- timings --\n");
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return cfds::bench::run_timings(argc, argv);
 }

@@ -124,12 +124,7 @@ void print_skew_study() {
   std::printf("%-14s %16s %14s\n", "max skew (ms)", "false detections",
               "crash caught");
   for (std::int64_t skew_ms : {0, 10, 25, 50, 100, 200, 400}) {
-    ScenarioConfig config;
-    config.width = 550.0;
-    config.height = 400.0;
-    config.node_count = 300;
-    config.loss_p = 0.1;
-    config.seed = 83;
+    auto config = bench::scenario_config(550.0, 400.0, 300, 0.1, 83);
     config.fds.max_clock_skew = SimTime::millis(skew_ms);
     Scenario scenario(config);
     scenario.setup();
@@ -154,12 +149,7 @@ void print_skew_study() {
 }
 
 void BM_SkewedEpoch(benchmark::State& state) {
-  ScenarioConfig config;
-  config.width = 550.0;
-  config.height = 400.0;
-  config.node_count = 300;
-  config.loss_p = 0.1;
-  config.seed = 83;
+  auto config = bench::scenario_config(550.0, 400.0, 300, 0.1, 83);
   config.fds.max_clock_skew = SimTime::millis(state.range(0));
   Scenario scenario(config);
   scenario.setup();
@@ -175,8 +165,5 @@ int main(int argc, char** argv) {
   cfds::bench::parse_common_args(argc, argv);
   print_loss_model_study();
   print_skew_study();
-  std::printf("\n-- timings --\n");
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return cfds::bench::run_timings(argc, argv);
 }

@@ -8,10 +8,7 @@
 
 #include <benchmark/benchmark.h>
 
-#include <sys/resource.h>
-
 #include <chrono>
-#include <cmath>
 
 #include "baseline/flooding.h"
 #include "bench/bench_util.h"
@@ -21,24 +18,6 @@
 namespace {
 
 using namespace cfds;
-
-/// Field dimensions for n nodes at ~constant density.
-void field_for(std::size_t n, double& width, double& height) {
-  // 500 nodes <-> 700 x 450; scale the area linearly.
-  const double scale = std::sqrt(double(n) / 500.0);
-  width = 700.0 * scale;
-  height = 450.0 * scale;
-}
-
-/// Peak resident set size of this process in bytes (ru_maxrss is KiB on
-/// Linux). Process-wide and monotone: with --threads > 1 the trials share
-/// one peak, so the per-trial attribution below is an upper bound. Run with
-/// --threads 1 for clean per-size numbers (check_perf.sh does).
-[[nodiscard]] std::uint64_t peak_rss_bytes() {
-  struct rusage usage{};
-  getrusage(RUSAGE_SELF, &usage);
-  return std::uint64_t(usage.ru_maxrss) * 1024;
-}
 
 void print_study(runner::JsonlResultSink* sink) {
   bench::banner("Scalability", "per-node cost and dissemination vs size");
@@ -63,14 +42,9 @@ void print_study(runner::JsonlResultSink* sink) {
   bench::pool().parallel_for(sizes.size(), [&](std::size_t index) {
     const std::size_t n = sizes[index];
     double width = 0.0, height = 0.0;
-    field_for(n, width, height);
+    bench::field_for(n, width, height);
 
-    ScenarioConfig config;
-    config.width = width;
-    config.height = height;
-    config.node_count = n;
-    config.loss_p = 0.1;
-    config.seed = seed;
+    const auto config = bench::scenario_config(width, height, n, 0.1, seed);
     Scenario scenario(config);
     scenario.setup();
 
@@ -79,9 +53,7 @@ void print_study(runner::JsonlResultSink* sink) {
         scenario.network().simulator().events_executed();
     const auto t0 = std::chrono::steady_clock::now();
     scenario.run_epochs(1);
-    const double epoch_ms = std::chrono::duration<double, std::milli>(
-                                std::chrono::steady_clock::now() - t0)
-                                .count();
+    const double epoch_ms = bench::ms_since(t0);
     const std::uint64_t epoch_events =
         scenario.network().simulator().events_executed() - events_before;
     const auto after_epoch = traffic_totals(scenario.network());
@@ -116,7 +88,9 @@ void print_study(runner::JsonlResultSink* sink) {
     rows[index] = Row{scenario.cluster_count(), fds_frames,
                       flood.total_rebroadcasts() + 1, backbone_forwards,
                       double(epoch_events) / epoch_ms * 1000.0,
-                      peak_rss_bytes()};
+                      // Shared by concurrent trials, so an upper bound; run
+                      // --threads 1 for clean per-size numbers.
+                      bench::peak_rss_bytes()};
   });
 
   for (std::size_t index = 0; index < sizes.size(); ++index) {
@@ -153,13 +127,8 @@ void print_study(runner::JsonlResultSink* sink) {
 void BM_FdsEpochAtScale(benchmark::State& state) {
   const auto n = std::size_t(state.range(0));
   double width = 0.0, height = 0.0;
-  field_for(n, width, height);
-  ScenarioConfig config;
-  config.width = width;
-  config.height = height;
-  config.node_count = n;
-  config.loss_p = 0.1;
-  config.seed = 19;
+  bench::field_for(n, width, height);
+  const auto config = bench::scenario_config(width, height, n, 0.1, 19);
   Scenario scenario(config);
   scenario.setup();
   for (auto _ : state) {
@@ -178,7 +147,7 @@ BENCHMARK(BM_FdsEpochAtScale)
 void BM_CentralizedFormationAtScale(benchmark::State& state) {
   const auto n = std::size_t(state.range(0));
   double width = 0.0, height = 0.0;
-  field_for(n, width, height);
+  bench::field_for(n, width, height);
   Rng rng(19);
   const auto positions = uniform_rect(n, width, height, rng);
   for (auto _ : state) {
@@ -197,8 +166,5 @@ int main(int argc, char** argv) {
   cfds::bench::parse_common_args(argc, argv);
   const auto sink = cfds::bench::make_sink();
   print_study(sink.get());
-  std::printf("\n-- timings --\n");
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return cfds::bench::run_timings(argc, argv);
 }

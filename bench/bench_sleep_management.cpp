@@ -26,12 +26,7 @@ struct Outcome {
 
 Outcome run(double sleep_fraction, bool announce, bool digest_relay,
             double loss_p, std::uint64_t seed) {
-  ScenarioConfig config;
-  config.width = 550.0;
-  config.height = 400.0;
-  config.node_count = 300;
-  config.loss_p = loss_p;
-  config.seed = seed;
+  auto config = bench::scenario_config(550.0, 400.0, 300, loss_p, seed);
   config.fds.relay_sleep_notices = digest_relay;
   Scenario scenario(config);
   scenario.setup();
@@ -97,8 +92,5 @@ BENCHMARK(BM_SleepWindow)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 int main(int argc, char** argv) {
   cfds::bench::parse_common_args(argc, argv);
   print_study();
-  std::printf("\n-- timings --\n");
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return cfds::bench::run_timings(argc, argv);
 }

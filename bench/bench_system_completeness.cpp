@@ -50,12 +50,7 @@ analysis::BackboneGraph backbone_of(Scenario& scenario,
 }
 
 double measured_ch_coverage(double p, std::uint64_t seed) {
-  ScenarioConfig config;
-  config.width = 700.0;
-  config.height = 450.0;
-  config.node_count = 500;
-  config.loss_p = p;
-  config.seed = seed;
+  const auto config = bench::scenario_config(700.0, 450.0, 500, p, seed);
   Scenario scenario(config);
   scenario.setup();
   scenario.run_epochs(1);
@@ -83,12 +78,7 @@ void print_study() {
                 "model vs full stack over the real backbone (500 nodes)");
 
   // One representative topology for the model side.
-  ScenarioConfig config;
-  config.width = 700.0;
-  config.height = 450.0;
-  config.node_count = 500;
-  config.loss_p = 0.0;
-  config.seed = 13;
+  const auto config = bench::scenario_config(700.0, 450.0, 500, 0.0, 13);
   Scenario scenario(config);
   scenario.setup();
   std::vector<ClusterId> index;
@@ -156,8 +146,5 @@ BENCHMARK(BM_BackboneReliability);
 int main(int argc, char** argv) {
   cfds::bench::parse_common_args(argc, argv);
   print_study();
-  std::printf("\n-- timings --\n");
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return cfds::bench::run_timings(argc, argv);
 }

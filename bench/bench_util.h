@@ -1,21 +1,24 @@
 // Shared helpers for the benchmark binaries.
 //
 // Every bench binary regenerates one or more of the paper's evaluation
-// artifacts (bench_figures holds all of Figures 5-7): it first prints the
-// data series (analytic sweep plus Monte-Carlo cross-checks where the
-// probabilities are sampleable), then runs its google-benchmark timings.
+// artifacts (bench_figures holds every PAPER.md §2 artifact): it first
+// prints the data series (analytic sweep plus Monte-Carlo cross-checks where
+// the probabilities are sampleable), then runs its google-benchmark timings.
 // Output is aligned plain text so the series can be diffed against
 // EXPERIMENTS.md or piped into a plotting script.
 //
-// All benches accept the uniform runner flags — --trials, --threads, --seed,
-// --out, --no-wall-time, --no-calendar — parsed by runner/cli_args before
-// google-benchmark sees argv. bench_figures and the other sweeps on the
-// parallel runner honor all of them; the remaining benches accept them so
-// the invocation syntax is uniform across binaries (docs/RUNNER.md documents
-// which benches use which).
+// Every bench parses the uniform runner flags — --trials, --threads, --seed,
+// --out, --no-wall-time, --no-calendar, --label — through runner/cli_args
+// before google-benchmark sees argv. Not every bench acts on every flag: a
+// flag a bench has no use for is accepted and ignored. docs/RUNNER.md lists,
+// per binary and per bench_figures row, which flags change the output.
 
 #pragma once
 
+#include <sys/resource.h>
+
+#include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -29,6 +32,7 @@
 #include "runner/cli_args.h"
 #include "runner/result_sink.h"
 #include "runner/thread_pool.h"
+#include "sim/scenario.h"
 
 namespace cfds::bench {
 
@@ -71,6 +75,15 @@ inline void parse_common_args(
     std::exit(2);
   }
   return sink;
+}
+
+/// The tail of a bench main: prints the "-- timings --" divider, hands the
+/// remaining argv to google-benchmark and runs the registered timings.
+inline int run_timings(int& argc, char** argv) {
+  std::printf("\n-- timings --\n");
+  benchmark::Initialize(&argc, argv);
+  benchmark::RunSpecifiedBenchmarks();
+  return 0;
 }
 
 /// Prints a banner for one reproduced artifact.
@@ -119,6 +132,47 @@ inline void table_row(double p, const std::vector<std::string>& cells) {
   char buffer[64];
   std::snprintf(buffer, sizeof buffer, "%.*f", precision, value);
   return buffer;
+}
+
+/// A Scenario world: `nodes` nodes uniform over a width x height field with
+/// Bernoulli(loss_p) message loss. Callers set further knobs on the result.
+[[nodiscard]] inline ScenarioConfig scenario_config(double width,
+                                                    double height,
+                                                    std::size_t nodes,
+                                                    double loss_p,
+                                                    std::uint64_t seed) {
+  ScenarioConfig config;
+  config.width = width;
+  config.height = height;
+  config.node_count = nodes;
+  config.loss_p = loss_p;
+  config.seed = seed;
+  return config;
+}
+
+/// Wall-clock milliseconds since `start` (reporting only: no simulated
+/// behaviour may depend on it).
+[[nodiscard]] inline double ms_since(
+    std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+/// Field dimensions for n nodes at the paper's density (~50 nodes per
+/// transmission disk): 500 nodes <-> 700 x 450 m, area scaled linearly.
+inline void field_for(std::size_t n, double& width, double& height) {
+  const double scale = std::sqrt(double(n) / 500.0);
+  width = 700.0 * scale;
+  height = 450.0 * scale;
+}
+
+/// Peak resident set size of this process in bytes (ru_maxrss is KiB on
+/// Linux). Process-wide and monotone: concurrent trials share one peak.
+[[nodiscard]] inline std::uint64_t peak_rss_bytes() {
+  struct rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return std::uint64_t(usage.ru_maxrss) * 1024;
 }
 
 }  // namespace cfds::bench

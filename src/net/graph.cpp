@@ -117,69 +117,6 @@ UnitDiskGraph UnitDiskGraph::brute_force(const std::vector<Vec2>& positions,
   return graph;
 }
 
-MobileGrid::MobileGrid(std::vector<Vec2> positions, double range)
-    : range_(range), positions_(std::move(positions)) {
-  CFDS_EXPECT(range_ > 0.0, "MobileGrid needs a positive range");
-  const std::size_t n = positions_.size();
-  CFDS_EXPECT(n < std::numeric_limits<std::uint32_t>::max(),
-              "node count exceeds graph index width");
-  next_.assign(n, kNone);
-  prev_.assign(n, kNone);
-  cell_.resize(n);
-  head_.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    cell_[i] = cell_of(positions_[i]);
-    auto [it, inserted] = head_.try_emplace(cell_[i], i);
-    if (!inserted) {
-      next_[i] = it->second;
-      prev_[it->second] = i;
-      it->second = i;
-    }
-  }
-}
-
-void MobileGrid::move(std::size_t i, Vec2 new_position) {
-  positions_[i] = new_position;
-  const std::int64_t key = cell_of(new_position);
-  if (key == cell_[i]) return;  // stayed within its cell: nothing to relink
-  const auto idx = std::uint32_t(i);
-  // Unlink from the old chain (the head keeps its map entry, possibly with a
-  // kNone head: cells a node ever occupied are revisited under mobility).
-  if (prev_[idx] != kNone) {
-    next_[prev_[idx]] = next_[idx];
-  } else {
-    head_[cell_[idx]] = next_[idx];
-  }
-  if (next_[idx] != kNone) prev_[next_[idx]] = prev_[idx];
-  // Link at the head of the new chain.
-  auto [it, inserted] = head_.try_emplace(key, kNone);
-  (void)inserted;
-  next_[idx] = it->second;
-  prev_[idx] = kNone;
-  if (it->second != kNone) prev_[it->second] = idx;
-  it->second = idx;
-  cell_[idx] = key;
-}
-
-UnitDiskGraph MobileGrid::graph() const {
-  const std::size_t n = positions_.size();
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
-  // Same enumeration as UnitDiskGraph's constructor: each node probes its
-  // 3x3 block and emits j > i once per pair. Chain order differs from a
-  // fresh build's (moves reorder chains), but the edge *set* is equal and
-  // build_csr sorts each slice, so the CSR arrays come out byte-identical.
-  for (std::uint32_t i = 0; i < n; ++i) {
-    probe(positions_[i], [&](std::uint32_t j) {
-      if (j > i && within_range(positions_[i], positions_[j], range_)) {
-        edges.emplace_back(i, j);
-      }
-    });
-  }
-  UnitDiskGraph out;
-  out.build_csr(n, edges);
-  return out;
-}
-
 std::vector<std::size_t> UnitDiskGraph::hop_distances(std::size_t from) const {
   std::vector<std::size_t> dist(size(), std::numeric_limits<std::size_t>::max());
   std::queue<std::size_t> frontier;

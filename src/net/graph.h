@@ -2,9 +2,10 @@
 //
 // The paper models the network as G = (V, E) with an edge whenever two hosts
 // are within the common transmission range (Section 2.3). These helpers are
-// used by topology validation, by tests of clustering invariants (every OM
-// one hop from its CH; any two co-members at most two hops apart), and by
-// the scalability bench.
+// used by centralized clustering (ClusterDirectory), by tests of clustering
+// invariants (every OM one hop from its CH; any two co-members at most two
+// hops apart), and by bench_kernel's spatial-layer timings. The grid that
+// runs under mobility is Channel's (radio/channel.h), not this one.
 //
 // Construction uses a uniform grid with cell size = range (the same 3x3-probe
 // scheme Channel uses for frame delivery), so building the graph costs
@@ -16,10 +17,8 @@
 
 #pragma once
 
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "common/geometry.h"
@@ -80,20 +79,7 @@ class UnitDiskGraph {
   /// nodes, which clustering legitimately leaves uncovered.
   [[nodiscard]] std::vector<std::size_t> isolated_nodes() const;
 
-  /// Raw CSR arrays. build_csr sorts every neighbour slice ascending, so two
-  /// graphs over the same edge set have byte-identical arrays no matter how
-  /// their edges were enumerated — the property tests compare these directly
-  /// to prove the incremental grid equals a from-scratch rebuild.
-  [[nodiscard]] const std::vector<std::size_t>& csr_offsets() const {
-    return offsets_;
-  }
-  [[nodiscard]] const std::vector<std::uint32_t>& csr_neighbors() const {
-    return flat_;
-  }
-
  private:
-  friend class MobileGrid;
-
   UnitDiskGraph() = default;
 
   /// Builds the CSR arrays from an i<j edge list (destroys `edges`).
@@ -103,90 +89,5 @@ class UnitDiskGraph {
   std::vector<std::size_t> offsets_{0};  // size() + 1 entries
   std::vector<std::uint32_t> flat_;
 };
-
-/// Incrementally maintained uniform grid over mobile node positions.
-///
-/// UnitDiskGraph's constructor buckets every node on every build; under a
-/// mobility model that moves a handful of nodes per step, rebucketing the
-/// whole world each step is the dominant cost at 10^5+ nodes. MobileGrid
-/// keeps the same range-sized cells as doubly-linked chains and updates only
-/// the moved node's cell on move() — O(1) when the node stays in its cell
-/// (the common case for small steps), O(1) unlink + relink otherwise.
-///
-/// graph() materialises the adjacency of the current placement through the
-/// same 3x3-probe enumeration as a fresh build, so its CSR arrays are
-/// byte-identical to UnitDiskGraph(positions(), range) — the from-scratch
-/// build stays the property-test oracle for any move sequence.
-class MobileGrid {
- public:
-  MobileGrid(std::vector<Vec2> positions, double range);
-
-  /// Moves node i, relinking its cell chain membership if the move crossed
-  /// a cell boundary.
-  void move(std::size_t i, Vec2 new_position);
-
-  [[nodiscard]] std::size_t size() const { return positions_.size(); }
-  [[nodiscard]] Vec2 position(std::size_t i) const { return positions_[i]; }
-  [[nodiscard]] const std::vector<Vec2>& positions() const {
-    return positions_;
-  }
-  [[nodiscard]] double range() const { return range_; }
-
-  /// Adjacency of the current placement (see class comment).
-  [[nodiscard]] UnitDiskGraph graph() const;
-
-  /// Calls fn(j) for every node j != i within range of node i. Probes only
-  /// the 3x3 cell block — the per-step query the megascale bench pairs with
-  /// move() so neither end of a mobility step touches the whole world.
-  template <typename F>
-  void for_each_in_range(std::size_t i, F&& fn) const {
-    probe(positions_[i], [&](std::uint32_t j) {
-      if (j != i && within_range(positions_[i], positions_[j], range_)) {
-        fn(j);
-      }
-    });
-  }
-
- private:
-  static constexpr std::uint32_t kNone = 0xFFFFFFFFu;
-
-  /// Same packing as UnitDiskGraph's builder (and Channel::cell_key):
-  /// coordinates biased so negative positions stay well-defined.
-  [[nodiscard]] static std::int64_t pack_cell(std::int64_t cx,
-                                              std::int64_t cy) {
-    return ((cx + 0x40000000) << 32) |
-           std::int64_t(std::uint32_t(cy + 0x40000000));
-  }
-  [[nodiscard]] std::int64_t cell_of(Vec2 p) const {
-    return pack_cell(std::int64_t(std::floor(p.x / range_)),
-                     std::int64_t(std::floor(p.y / range_)));
-  }
-
-  template <typename F>
-  void probe(Vec2 around, F&& fn) const;
-
-  double range_;
-  std::vector<Vec2> positions_;
-  /// Cell chains: head_ maps packed cell key -> first node, next_/prev_
-  /// thread the nodes of one cell (kNone-terminated both ways). Emptied
-  /// cells keep their map entry with a kNone head.
-  std::unordered_map<std::int64_t, std::uint32_t> head_;
-  std::vector<std::uint32_t> next_;
-  std::vector<std::uint32_t> prev_;
-  std::vector<std::int64_t> cell_;  ///< packed key of each node's cell
-};
-
-template <typename F>
-void MobileGrid::probe(Vec2 around, F&& fn) const {
-  const auto ccx = std::int64_t(std::floor(around.x / range_));
-  const auto ccy = std::int64_t(std::floor(around.y / range_));
-  for (std::int64_t cx = ccx - 1; cx <= ccx + 1; ++cx) {
-    for (std::int64_t cy = ccy - 1; cy <= ccy + 1; ++cy) {
-      const auto it = head_.find(pack_cell(cx, cy));
-      if (it == head_.end()) continue;
-      for (std::uint32_t j = it->second; j != kNone; j = next_[j]) fn(j);
-    }
-  }
-}
 
 }  // namespace cfds

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstring>
 #include <limits>
 
 #include "common/statistics.h"
@@ -210,66 +209,67 @@ TEST(UnitDiskGraph, GridMatchesBruteForceOnClusteredFields) {
   expect_same_adjacency(pts, 100.0);
 }
 
-// --- Incremental grid vs full-rebuild oracle --------------------------
+// --- Channel grid under mobility vs the unit-disk oracle ---------------
 
-/// Asserts the incremental grid's adjacency is *byte-identical* to a
-/// from-scratch UnitDiskGraph over the same placement: build_csr sorts every
-/// neighbour slice, so equal edge sets must yield equal CSR arrays, and any
-/// stale chain link after a move() shows up as a hard mismatch here.
-void expect_csr_identical(const MobileGrid& grid) {
-  const UnitDiskGraph incremental = grid.graph();
-  const UnitDiskGraph rebuilt(grid.positions(), grid.range());
-  ASSERT_EQ(incremental.csr_offsets().size(), rebuilt.csr_offsets().size());
-  ASSERT_EQ(incremental.csr_neighbors().size(),
-            rebuilt.csr_neighbors().size());
-  EXPECT_EQ(0, std::memcmp(incremental.csr_offsets().data(),
-                           rebuilt.csr_offsets().data(),
-                           rebuilt.csr_offsets().size() * sizeof(std::size_t)));
-  EXPECT_EQ(0, std::memcmp(
-                   incremental.csr_neighbors().data(),
-                   rebuilt.csr_neighbors().data(),
-                   rebuilt.csr_neighbors().size() * sizeof(std::uint32_t)));
-}
-
-TEST(MobileGrid, IncrementalMovesMatchFullRebuild) {
+/// Channel::reindex maintains the delivery grid incrementally as radios
+/// move. After bursts of random moves, every radio's zero-loss broadcast
+/// must reach exactly its neighbours in a from-scratch UnitDiskGraph over
+/// the final placement; a stale cell entry or cell-block cache shows up as
+/// a missing or extra receiver.
+TEST(ChannelGrid, MovedRadiosReachExactlyTheirUnitDiskNeighbours) {
+  struct Ping final : Payload {
+    Ping() : Payload(PayloadKind::kTest) {}
+    [[nodiscard]] std::string_view kind() const override { return "ping"; }
+    [[nodiscard]] std::size_t size_bytes() const override { return 1; }
+  };
+  constexpr std::uint32_t kNodes = 300;
   for (std::uint64_t seed : {1u, 7u, 23u}) {
     Rng rng(seed);
-    MobileGrid grid(uniform_rect(300, 700.0, 450.0, rng), 100.0);
-    // Interleave bursts of random moves with oracle checks: short jitters
-    // that mostly stay inside a cell, plus long teleports that cross many
-    // cell boundaries (including into never-occupied cells and back).
+    Network net(small_config(), std::make_unique<PerfectLinks>());
+    net.add_nodes(uniform_rect(kNodes, 700.0, 450.0, rng));
+    std::vector<std::vector<std::uint32_t>> heard(kNodes);
+    for (std::uint32_t i = 0; i < kNodes; ++i) {
+      net.node(NodeId{i}).radio().set_receive_handler(
+          [&heard, i](const Reception& r) {
+            heard[i].push_back(r.sender.value());
+          });
+    }
+    // Interleave bursts of moves with oracle checks, so later moves run
+    // against cell-block caches the earlier broadcasts filled. Short
+    // jitters mostly stay inside a cell; teleports cross many cell
+    // boundaries, including into cells no radio occupied before.
     for (int burst = 0; burst < 4; ++burst) {
       for (int k = 0; k < 100; ++k) {
-        const std::size_t i = grid.size() == 0 ? 0 : rng.below(grid.size());
-        Vec2 p = grid.position(i);
+        Radio& radio =
+            net.node(NodeId{std::uint32_t(rng.below(kNodes))}).radio();
+        Vec2 p = radio.position();
         if (rng.bernoulli(0.25)) {
           p = Vec2{rng.uniform(-300.0, 1000.0), rng.uniform(-300.0, 750.0)};
         } else {
           p.x += rng.uniform(-30.0, 30.0);
           p.y += rng.uniform(-30.0, 30.0);
         }
-        grid.move(i, p);
+        radio.set_position(p);
       }
-      expect_csr_identical(grid);
+      std::vector<Vec2> positions;
+      for (std::uint32_t i = 0; i < kNodes; ++i) {
+        heard[i].clear();
+        positions.push_back(net.node(NodeId{i}).position());
+      }
+      for (std::uint32_t i = 0; i < kNodes; ++i) {
+        net.node(NodeId{i}).radio().send(std::make_shared<Ping>());
+      }
+      net.simulator().run_to_completion();
+      const UnitDiskGraph oracle(positions, net.channel().config().range);
+      for (std::uint32_t i = 0; i < kNodes; ++i) {
+        std::sort(heard[i].begin(), heard[i].end());
+        const auto expected = oracle.neighbors(i);
+        ASSERT_EQ(heard[i].size(), expected.size())
+            << "seed " << seed << " burst " << burst << " node " << i;
+        EXPECT_TRUE(
+            std::equal(heard[i].begin(), heard[i].end(), expected.begin()));
+      }
     }
-  }
-}
-
-TEST(MobileGrid, ForEachInRangeMatchesGraphNeighbors) {
-  Rng rng(5);
-  MobileGrid grid(uniform_rect(200, 500.0, 500.0, rng), 100.0);
-  for (int k = 0; k < 50; ++k) {
-    grid.move(rng.below(grid.size()),
-              Vec2{rng.uniform(0.0, 500.0), rng.uniform(0.0, 500.0)});
-  }
-  const UnitDiskGraph oracle = grid.graph();
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    std::vector<std::uint32_t> heard;
-    grid.for_each_in_range(i, [&](std::uint32_t j) { heard.push_back(j); });
-    std::sort(heard.begin(), heard.end());
-    const auto expected = oracle.neighbors(i);
-    ASSERT_EQ(heard.size(), expected.size()) << "node " << i;
-    EXPECT_TRUE(std::equal(heard.begin(), heard.end(), expected.begin()));
   }
 }
 

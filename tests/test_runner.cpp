@@ -397,6 +397,30 @@ TEST(ExperimentSpec, FigureFactoriesSetTheAnalysisConditioning) {
   EXPECT_EQ(fig6.num_deputies, 1u);
 }
 
+TEST(ExperimentSpec, AblationKnobsReachTheEstimators) {
+  // Suspecting on one missed heartbeat makes false detection the raw loss
+  // probability p; so does dropping peer forwarding for incompleteness. At
+  // N = 75, p = 0.3 the full rule (~1.6e-8) and forwarding (~1e-5) sit
+  // orders of magnitude below p, so an executor that ignored either knob
+  // would land far outside the interval.
+  auto heartbeat_only =
+      ExperimentSpec::for_kind(EstimatorKind::kMcFalseDetection);
+  heartbeat_only.rule_mode = RuleMode::kHeartbeatOnly;
+  auto no_forwarding =
+      ExperimentSpec::for_kind(EstimatorKind::kMcIncompleteness);
+  no_forwarding.peer_forwarding = false;
+  ThreadPool pool(2);
+  for (ExperimentSpec* spec : {&heartbeat_only, &no_forwarding}) {
+    spec->grid = {GridPoint{75, 0.3}};
+    spec->trials = 20000;
+    spec->seed = 11;
+    const ProportionInterval wilson =
+        run_experiment(*spec, pool).front().estimator.wilson99();
+    EXPECT_LE(wilson.lo, 0.3) << spec->name;
+    EXPECT_GE(wilson.hi, 0.3) << spec->name;
+  }
+}
+
 // --- FlagSet ----------------------------------------------------------
 
 std::vector<char*> make_argv(std::initializer_list<const char*> args) {
