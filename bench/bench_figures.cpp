@@ -1,6 +1,9 @@
-// Every evaluation artifact of PAPER.md §2 as one row of one driver (kRows,
+// Every evaluation artifact of DESIGN.md §2 as one row of one driver (kRows,
 // in §2 order): Figures 5-7, the DCH-reachability study, the two §4.2
-// ablations, the §4.3 inter-cluster study and the baseline comparison.
+// ablations, the §4.3 inter-cluster study, the baseline comparison, and the
+// seven further studies (scalability, system-level completeness,
+// robustness, aggregation sharing, sleep management, mobility, detection
+// latency).
 //
 // The figure and ablation rows are Sweeps: a table per population over the
 // paper's p sweep whose columns are closed forms or Monte-Carlo arms on the
@@ -11,17 +14,21 @@
 //
 //   bench_figures [row] [runner flags] [--benchmark_* flags]
 //
-// Without a row name it runs every row.
+// Without a row name it runs every row. Each row registers its timings as
+// BM_Figure/<row>/<timing>, and only when it is selected.
 
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "analysis/figures.h"
 #include "bench/bench_util.h"
 #include "bench/figures_rows.h"
+#include "net/mobility.h"
 #include "runner/executor.h"
 
 namespace {
@@ -257,7 +264,7 @@ void print_sweep(const Sweep& sweep, runner::ResultSink* sink) {
           cells.push_back(bench::sci_cell(column.curve(p, n)));
           continue;
         }
-        std::string text = "<sampling floor";
+        std::string text = "below floor";
         if (in_grid(column, n, p)) {
           const ProportionEstimator& mc = estimates[c][next[c]++].estimator;
           if (sampleable(column, n, p)) {
@@ -285,9 +292,12 @@ void print_sweep(const Sweep& sweep, runner::ResultSink* sink) {
       spec.seed = bench::options().seed_or(sweep.stack_seed);
       const auto estimate =
           runner::run_experiment(spec, bench::pool(), sink).front().estimator;
-      std::printf("N=%-3d p=%.2f       %14.4e  %20s", check.n, check.p,
-                  arm.curve(check.p, check.n),
-                  bench::mc_cell(estimate.estimate(), estimate.ci99()).c_str());
+      char point[32];
+      std::snprintf(point, sizeof point, "N=%-3d p=%.2f", check.n, check.p);
+      std::printf(
+          "%-18s  %14.4e  %s", point, arm.curve(check.p, check.n),
+          bench::right(bench::mc_cell(estimate.estimate(), estimate.ci99()), 20)
+              .c_str());
       if (arm.header != nullptr) std::printf("  %s", arm.header);
       std::printf("\n");
     }
@@ -321,14 +331,12 @@ void BM_Shard(benchmark::State& state, const runner::ExperimentSpec& spec,
 void register_timings(const char* row, const Sweep& sweep) {
   const auto timed = [row](const Column& column, long trials) {
     if (column.timing == nullptr) return;
-    const std::string name =
-        std::string("BM_Figure/") + row + "/" + column.timing;
     if (column.experiment == nullptr) {
-      benchmark::RegisterBenchmark(name.c_str(), BM_Formula, column.curve)
+      bench::register_timing(row, column.timing, BM_Formula, column.curve)
           ->Arg(50)->Arg(100);
     } else {
-      benchmark::RegisterBenchmark(name.c_str(), BM_Shard, spec_for(column),
-                                   trials)
+      bench::register_timing(row, column.timing, BM_Shard, spec_for(column),
+                             trials)
           ->Arg(50)->Arg(100);
     }
   };
@@ -352,12 +360,56 @@ const Row kRows[] = {
     {"ablation_peer_forwarding", &kPeerForwarding, nullptr},
     {"intercluster", nullptr, &bench::intercluster_row},
     {"baselines", nullptr, &bench::baselines_row},
+    {"scalability", nullptr, &bench::scalability_row},
+    {"system_completeness", nullptr, &bench::system_completeness_row},
+    {"robustness", nullptr, &bench::robustness_row},
+    {"aggregation_sharing", nullptr, &bench::aggregation_sharing_row},
+    {"sleep_management", nullptr, &bench::sleep_management_row},
+    {"mobility", nullptr, &bench::mobility_row},
+    {"detection_latency", nullptr, &bench::detection_latency_row},
 };
+
+void print_rows(std::FILE* out) {
+  std::fprintf(out, "rows (none given: all, in this order):");
+  for (const Row& row : kRows) std::fprintf(out, " %s", row.name);
+  std::fprintf(out, "\n");
+}
+
+/// --help: the rows, then google-benchmark's flags.
+void print_help() {
+  print_rows(stdout);
+  benchmark::PrintDefaultHelp();
+}
+
+void BM_Epoch(benchmark::State& state, const ScenarioConfig& config,
+              bool mobile) {
+  Scenario scenario(config);
+  scenario.setup();
+  std::optional<RandomWaypointMobility> mobility;
+  if (mobile) {
+    WaypointConfig waypoints;
+    waypoints.width = config.width;
+    waypoints.height = config.height;
+    mobility.emplace(scenario.network(), waypoints, Rng(1));
+    mobility->run(SimTime::zero(), SimTime::seconds(3600));
+  }
+  for (auto _ : state) scenario.run_epochs(1);
+  state.SetItemsProcessed(state.iterations() *
+                          std::int64_t(config.node_count));
+}
 
 }  // namespace
 
+void cfds::bench::register_epoch_timing(const char* row,
+                                        const std::string& timing,
+                                        const ScenarioConfig& config,
+                                        bool mobile) {
+  register_timing(row, timing, BM_Epoch, config, mobile)
+      ->Unit(benchmark::kMillisecond);
+}
+
 int main(int argc, char** argv) {
-  cfds::bench::parse_common_args(argc, argv);
+  cfds::bench::parse_common_args(argc, argv, {}, &print_help);
   benchmark::Initialize(&argc, argv);
   std::vector<const Row*> selected;
   for (const Row& row : kRows) {
@@ -366,9 +418,8 @@ int main(int argc, char** argv) {
     }
   }
   if (selected.empty()) {
-    std::fprintf(stderr, "usage: %s [row] [runner flags]\nrows:", argv[0]);
-    for (const Row& row : kRows) std::fprintf(stderr, " %s", row.name);
-    std::fprintf(stderr, "\n");
+    std::fprintf(stderr, "usage: %s [row] [runner flags]\n", argv[0]);
+    print_rows(stderr);
     return 2;
   }
   const auto sink = cfds::bench::make_sink();

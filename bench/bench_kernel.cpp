@@ -98,6 +98,45 @@ std::size_t loss_fanout(LossModel& model, std::size_t sender,
   return losses;
 }
 
+/// A sender and `fanout` receivers inside one 50 m box: the whole
+/// population is in range of the sender (range 100 m), so every broadcast
+/// fans out to `fanout`. Loss-free.
+struct FanoutRig {
+  FanoutRig(std::size_t fanout, std::uint64_t seed)
+      : channel(sim, loss, ChannelConfig{}, Rng(seed + 1)) {
+    Rng placement(seed);
+    for (std::size_t i = 0; i <= fanout; ++i) {
+      const Vec2 pos{placement.uniform(0.0, 50.0),
+                     placement.uniform(0.0, 50.0)};
+      const std::uint32_t slot = store.add(pos, 1e9);
+      radios.push_back(
+          std::make_unique<Radio>(store, slot, NodeId{std::uint32_t(i)}));
+      channel.attach(*radios.back());
+    }
+    hb->sender = radios[0]->id();
+  }
+
+  /// One broadcast, run until its deliveries have fired.
+  void broadcast() {
+    radios[0]->send(hb);
+    sim.run_until(sim.now() + ChannelConfig{}.t_hop);
+  }
+
+  Simulator sim;
+  BernoulliLoss loss{0.0};
+  Channel channel;
+  NodeStore store;
+  std::vector<std::unique_ptr<Radio>> radios;
+  std::shared_ptr<HeartbeatPayload> hb = std::make_shared<HeartbeatPayload>();
+};
+
+/// Schedules a no-op at a uniform delay in [0, 100 ms): the bounded-delay
+/// workload of the calendar-vs-heap comparison.
+void schedule_random_delay(Simulator& sim, Rng& delays) {
+  sim.schedule_after(
+      SimTime::micros(std::int64_t(delays.uniform(0.0, 100000.0))), [] {});
+}
+
 /// One round: every sender transmits once.
 std::size_t loss_round(LossModel& model,
                        const std::vector<std::vector<NodeId>>& lists,
@@ -194,36 +233,13 @@ void print_study(runner::JsonlResultSink* sink, bool smoke) {
   // the Transmission slab + batch-scheduling path end to end (loss p = 0 so
   // every candidate becomes a delivery).
   {
-    Simulator sim;
-    BernoulliLoss loss(0.0);
-    Rng placement(seed);
-    Channel channel(sim, loss, ChannelConfig{}, Rng(seed + 1));
     const std::size_t fanout = smoke ? 16 : 256;
-    NodeStore store;
-    std::vector<std::unique_ptr<Radio>> radios;
-    for (std::size_t i = 0; i <= fanout; ++i) {
-      // Everyone within a 50 m box: the whole population is in range of the
-      // sender (range 100 m), so every broadcast fans out to `fanout`.
-      const Vec2 pos{placement.uniform(0.0, 50.0),
-                     placement.uniform(0.0, 50.0)};
-      const std::uint32_t slot = store.add(pos, 1e9);
-      radios.push_back(
-          std::make_unique<Radio>(store, slot, NodeId{std::uint32_t(i)}));
-      channel.attach(*radios.back());
-    }
-    auto hb = std::make_shared<HeartbeatPayload>();
-    hb->sender = radios[0]->id();
+    FanoutRig rig(fanout, seed);
     const int warm = smoke ? 10 : 200;
-    for (int i = 0; i < warm; ++i) {
-      radios[0]->send(hb);
-      sim.run_until(sim.now() + ChannelConfig{}.t_hop);
-    }
+    for (int i = 0; i < warm; ++i) rig.broadcast();
     const int sends = smoke ? 100 : 10000;
     const auto t0 = Clock::now();
-    for (int i = 0; i < sends; ++i) {
-      radios[0]->send(hb);
-      sim.run_until(sim.now() + ChannelConfig{}.t_hop);
-    }
+    for (int i = 0; i < sends; ++i) rig.broadcast();
     const double rate =
         double(sends) * double(fanout) / bench::ms_since(t0) * 1000.0;
     std::printf("%-24s %8zu %16.0f\n", "broadcast_fanout_deliveries_per_sec",
@@ -239,16 +255,10 @@ void print_study(runner::JsonlResultSink* sink, bool smoke) {
       Rng delays(seed);
       const int population = 4096;
       const int ops = smoke ? 10000 : 1000000;
-      for (int i = 0; i < population; ++i) {
-        sim.schedule_after(
-            SimTime::micros(std::int64_t(delays.uniform(0.0, 100000.0))),
-            [] {});
-      }
+      for (int i = 0; i < population; ++i) schedule_random_delay(sim, delays);
       const auto t0 = Clock::now();
       for (int i = 0; i < ops; ++i) {
-        sim.schedule_after(
-            SimTime::micros(std::int64_t(delays.uniform(0.0, 100000.0))),
-            [] {});
+        schedule_random_delay(sim, delays);
         (void)sim.step();
       }
       return double(ops) / bench::ms_since(t0) * 1000.0;
@@ -315,10 +325,7 @@ void print_study(runner::JsonlResultSink* sink, bool smoke) {
       smoke ? std::vector<std::size_t>{200}
             : std::vector<std::size_t>{500, 2000};
   for (std::size_t n : e2e_sizes) {
-    double width = 0.0, height = 0.0;
-    bench::field_for(n, width, height);
-    const auto config = bench::scenario_config(width, height, n, 0.1, seed);
-    Scenario scenario(config);
+    Scenario scenario(bench::paper_density_config(n, 0.1, seed));
     scenario.setup();
     scenario.run_epochs(1);  // warm-up
     const std::uint64_t before =
@@ -359,54 +366,28 @@ void BM_ScheduleCancelFire(benchmark::State& state) {
 }
 BENCHMARK(BM_ScheduleCancelFire);
 
-void BM_GraphBuildGrid(benchmark::State& state) {
+void BM_GraphBuild(benchmark::State& state) {
+  // Args: n, then 0 = the grid build, 1 = the all-pairs reference.
   const auto n = std::size_t(state.range(0));
   double width = 0.0, height = 0.0;
   bench::field_for(n, width, height);
   Rng rng(19);
   const auto points = uniform_rect(n, width, height, rng);
   for (auto _ : state) {
-    UnitDiskGraph graph(points, 100.0);
+    const auto graph = state.range(1) == 0
+                           ? UnitDiskGraph(points, 100.0)
+                           : UnitDiskGraph::brute_force(points, 100.0);
     benchmark::DoNotOptimize(graph.degree(0));
   }
 }
-BENCHMARK(BM_GraphBuildGrid)->Arg(500)->Arg(2000)->Unit(benchmark::kMillisecond);
-
-void BM_GraphBuildBrute(benchmark::State& state) {
-  const auto n = std::size_t(state.range(0));
-  double width = 0.0, height = 0.0;
-  bench::field_for(n, width, height);
-  Rng rng(19);
-  const auto points = uniform_rect(n, width, height, rng);
-  for (auto _ : state) {
-    auto graph = UnitDiskGraph::brute_force(points, 100.0);
-    benchmark::DoNotOptimize(graph.degree(0));
-  }
-}
-BENCHMARK(BM_GraphBuildBrute)->Arg(500)->Arg(2000)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GraphBuild)
+    ->ArgsProduct({{500, 2000}, {0, 1}})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_BroadcastFanout(benchmark::State& state) {
   const auto fanout = std::size_t(state.range(0));
-  Simulator sim;
-  BernoulliLoss loss(0.0);
-  Rng placement(19);
-  Channel channel(sim, loss, ChannelConfig{}, Rng(20));
-  NodeStore store;
-  std::vector<std::unique_ptr<Radio>> radios;
-  for (std::size_t i = 0; i <= fanout; ++i) {
-    const Vec2 pos{placement.uniform(0.0, 50.0),
-                   placement.uniform(0.0, 50.0)};
-    const std::uint32_t slot = store.add(pos, 1e9);
-    radios.push_back(
-        std::make_unique<Radio>(store, slot, NodeId{std::uint32_t(i)}));
-    channel.attach(*radios.back());
-  }
-  auto hb = std::make_shared<HeartbeatPayload>();
-  hb->sender = radios[0]->id();
-  for (auto _ : state) {
-    radios[0]->send(hb);
-    sim.run_until(sim.now() + ChannelConfig{}.t_hop);
-  }
+  FanoutRig rig(fanout, 19);
+  for (auto _ : state) rig.broadcast();
   state.SetItemsProcessed(std::int64_t(state.iterations()) *
                           std::int64_t(fanout));
 }
@@ -417,13 +398,9 @@ void BM_QueueScheduleFire(benchmark::State& state) {
   // workload against a standing population of pending timers.
   Simulator sim(state.range(0) == 0 ? QueueMode::kCalendar : QueueMode::kHeap);
   Rng delays(19);
-  for (int i = 0; i < 4096; ++i) {
-    sim.schedule_after(
-        SimTime::micros(std::int64_t(delays.uniform(0.0, 100000.0))), [] {});
-  }
+  for (int i = 0; i < 4096; ++i) schedule_random_delay(sim, delays);
   for (auto _ : state) {
-    sim.schedule_after(
-        SimTime::micros(std::int64_t(delays.uniform(0.0, 100000.0))), [] {});
+    schedule_random_delay(sim, delays);
     (void)sim.step();
   }
   state.SetItemsProcessed(state.iterations());
@@ -451,8 +428,9 @@ void BM_LossDraw(benchmark::State& state) {
   const auto lists = fanout_lists(2000, 48, 19);
   BernoulliLoss bernoulli(0.1);
   GilbertElliottLoss gilbert_elliott(GilbertElliottLoss::Params{});
-  LossModel& model =
-      state.range(0) == 0 ? static_cast<LossModel&>(bernoulli) : gilbert_elliott;
+  LossModel& model = state.range(0) == 0
+                         ? static_cast<LossModel&>(bernoulli)
+                         : gilbert_elliott;
   Rng rng(21);
   std::size_t s = 0;
   std::size_t losses = 0;

@@ -1,11 +1,11 @@
 // Shared helpers for the benchmark binaries.
 //
-// Every bench binary regenerates one or more of the paper's evaluation
-// artifacts (bench_figures holds every PAPER.md §2 artifact): it first
-// prints the data series (analytic sweep plus Monte-Carlo cross-checks where
-// the probabilities are sampleable), then runs its google-benchmark timings.
-// Output is aligned plain text so the series can be diffed against
-// EXPERIMENTS.md or piped into a plotting script.
+// bench_figures is the one driver for every DESIGN.md §2 artifact, one row
+// each; bench_kernel, bench_megascale and bench_chaos are the performance
+// and fault-injection harnesses. Each prints its tables first (analytic
+// sweeps, Monte-Carlo cross-checks, full-stack studies), then runs its
+// google-benchmark timings. Output is aligned plain text so the series can
+// be diffed against EXPERIMENTS.md or piped into a plotting script.
 //
 // Every bench parses the uniform runner flags — --trials, --threads, --seed,
 // --out, --no-wall-time, --no-calendar, --label — through runner/cli_args
@@ -29,6 +29,7 @@
 #include <benchmark/benchmark.h>
 
 #include "event/simulator.h"
+#include "net/topology.h"
 #include "runner/cli_args.h"
 #include "runner/result_sink.h"
 #include "runner/thread_pool.h"
@@ -88,9 +89,9 @@ inline int run_timings(int& argc, char** argv) {
 
 /// Prints a banner for one reproduced artifact.
 inline void banner(const char* figure, const char* what) {
-  std::printf("\n================================================================\n");
-  std::printf("%s — %s\n", figure, what);
-  std::printf("================================================================\n");
+  constexpr char kRule[] =
+      "================================================================";
+  std::printf("\n%s\n%s — %s\n%s\n", kRule, figure, what, kRule);
 }
 
 /// Prints a table header: first column "p", then the given column names.
@@ -100,17 +101,22 @@ inline void table_header(const std::vector<std::string>& columns) {
   std::printf("\n");
 }
 
-/// Prints one table row: p followed by values in scientific notation.
-inline void table_row(double p, const std::vector<double>& values) {
-  std::printf("%-6.2f", p);
-  for (double v : values) std::printf("  %14.4e", v);
-  std::printf("\n");
+/// `text` right-aligned in `width` display columns. printf's %Ns pads by
+/// bytes, so it pads a cell holding a multi-byte character such as the '±'
+/// of mc_cell one column short.
+[[nodiscard]] inline std::string right(const std::string& text,
+                                       std::size_t width) {
+  std::size_t columns = 0;
+  for (unsigned char c : text) columns += (c & 0xC0) != 0x80;
+  return std::string(width > columns ? width - columns : 0, ' ') + text;
 }
 
-/// Prints one table row with string cells (for "n/a" style entries).
+/// Prints one table row under table_header: p, then the cells.
 inline void table_row(double p, const std::vector<std::string>& cells) {
   std::printf("%-6.2f", p);
-  for (const std::string& c : cells) std::printf("  %14s", c.c_str());
+  for (const std::string& c : cells) {
+    std::printf("  %s", right(c, 14).c_str());
+  }
   std::printf("\n");
 }
 
@@ -150,6 +156,22 @@ inline void table_row(double p, const std::vector<std::string>& cells) {
   return config;
 }
 
+/// A bare Network (no clustering) of `nodes` nodes uniform over a width x
+/// height field with Bernoulli(loss_p) loss; the network and the placement
+/// are both seeded by `seed`. The flat-baseline worlds; a Scenario places
+/// its nodes from the network's own stream instead.
+[[nodiscard]] inline std::unique_ptr<Network> uniform_network(
+    std::size_t nodes, double width, double height, double loss_p,
+    std::uint64_t seed) {
+  NetworkConfig config;
+  config.seed = seed;
+  auto network = std::make_unique<Network>(
+      config, std::make_unique<BernoulliLoss>(loss_p));
+  Rng placement(seed);
+  network->add_nodes(uniform_rect(nodes, width, height, placement));
+  return network;
+}
+
 /// Wall-clock milliseconds since `start` (reporting only: no simulated
 /// behaviour may depend on it).
 [[nodiscard]] inline double ms_since(
@@ -165,6 +187,16 @@ inline void field_for(std::size_t n, double& width, double& height) {
   const double scale = std::sqrt(double(n) / 500.0);
   width = 700.0 * scale;
   height = 450.0 * scale;
+}
+
+/// A Scenario world of `nodes` nodes at the paper's density (field_for)
+/// with Bernoulli(loss_p) message loss.
+[[nodiscard]] inline ScenarioConfig paper_density_config(std::size_t nodes,
+                                                         double loss_p,
+                                                         std::uint64_t seed) {
+  double width = 0.0, height = 0.0;
+  field_for(nodes, width, height);
+  return scenario_config(width, height, nodes, loss_p, seed);
 }
 
 /// Peak resident set size of this process in bytes (ru_maxrss is KiB on

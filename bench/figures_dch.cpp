@@ -71,11 +71,10 @@ void dch_row() {
   std::printf("\nReading: reachability stays >0.99 for N >= 50 until d/R ~"
               " 0.8 — matching the paper's 'high probability unless density"
               " is low and d is big'.\n");
-  benchmark::RegisterBenchmark("BM_DchReachabilityEvaluation",
-                               BM_DchReachabilityEvaluation)
+  register_timing("dch", "reachability", BM_DchReachabilityEvaluation)
       ->Arg(50)->Arg(100);
-  benchmark::RegisterBenchmark("BM_TripleDiskIntersection",
-                               BM_TripleDiskIntersection);
+  register_timing("dch", "triple_disk_intersection",
+                  BM_TripleDiskIntersection);
 }
 
 }  // namespace cfds::bench

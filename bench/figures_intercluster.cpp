@@ -162,7 +162,7 @@ void intercluster_row() {
   std::printf("\nReading: BGW assistance holds delivery near 1 deep into the"
               " loss range at sub-explicit frame cost; the explicit scheme"
               " pays two acknowledgements per hop even at p = 0.\n");
-  benchmark::RegisterBenchmark("BM_BridgeTrial", BM_BridgeTrial);
+  register_timing("intercluster", "bridge_trial", BM_BridgeTrial);
 }
 
 }  // namespace cfds::bench

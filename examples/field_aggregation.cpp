@@ -72,6 +72,7 @@ int main() {
   for (const ClusterView& cluster : directory.clusters()) {
     if (!cluster.members.empty()) victim = cluster.members.back();
   }
+  SimTime crashed_at = SimTime::zero();
 
   for (std::uint64_t epoch = 0; epoch < 10; ++epoch) {
     if (epoch == 4) {
@@ -80,11 +81,13 @@ int main() {
     }
     if (epoch == 6) {
       network.crash(victim);
+      crashed_at = network.simulator().now();
       std::printf("       *** sensor %u burns out ***\n", victim.value());
     }
     aggregation.schedule_epoch(epoch,
                                SimTime::seconds(2 * std::int64_t(epoch)));
-    network.simulator().run_until(SimTime::seconds(2 * std::int64_t(epoch + 1)));
+    network.simulator().run_until(
+        SimTime::seconds(2 * std::int64_t(epoch + 1)));
 
     // Read the global view at the best-informed clusterhead (any base
     // station would do the same).
@@ -97,12 +100,13 @@ int main() {
     }
     const bool alarm = best.max > 30.0;
     std::printf("%-6llu %8llu %8.2f %8.2f %8s %8zu\n",
-                static_cast<unsigned long long>(epoch), static_cast<unsigned long long>(best.count),
+                static_cast<unsigned long long>(epoch),
+                static_cast<unsigned long long>(best.count),
                 best.average(), best.max, alarm ? "HEAT" : "-",
                 metrics.false_detections());
   }
 
-  const auto detection = metrics.first_detection(victim);
+  const auto detection = metrics.first_detection_since(victim, crashed_at);
   std::printf("\nburned-out sensor %u %s (no dedicated heartbeat frames were"
               " ever sent)\n",
               victim.value(),

@@ -39,13 +39,7 @@ int main() {
   const int kEpochs = 24;
   for (int epoch = 0; epoch < kEpochs; ++epoch) {
     if (attrition.below(5) < 3) {
-      std::vector<NodeId> candidates;
-      for (MembershipView* view : scenario.views()) {
-        if (view->role() == Role::kOrdinaryMember &&
-            scenario.network().node(view->self()).alive()) {
-          candidates.push_back(view->self());
-        }
-      }
+      const std::vector<NodeId> candidates = scenario.alive_ordinary_members();
       if (!candidates.empty()) {
         const NodeId victim = candidates[attrition.below(candidates.size())];
         scenario.network().crash(victim);
@@ -62,7 +56,7 @@ int main() {
   double latency_sum = 0.0;
   std::size_t latency_samples = 0;
   for (const auto& [victim, when] : casualties) {
-    if (const auto d = scenario.metrics().first_detection(victim)) {
+    if (const auto d = scenario.metrics().first_detection_since(victim, when)) {
       ++reported_failures;
       latency_sum += (d->when - when).as_seconds();
       ++latency_samples;

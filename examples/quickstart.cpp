@@ -38,13 +38,7 @@ int main() {
               scenario.metrics().detections().size());
 
   // 4. Kill a node between executions (fail-stop).
-  NodeId victim = NodeId::invalid();
-  for (MembershipView* view : scenario.views()) {
-    if (view->role() == Role::kOrdinaryMember) {
-      victim = view->self();
-      break;
-    }
-  }
+  const NodeId victim = scenario.alive_ordinary_members().front();
   const SimTime crash_time = scenario.network().simulator().now();
   scenario.network().crash(victim);
   std::printf("\n*** node %u crashes at t=%.1fs ***\n\n", victim.value(),
@@ -54,7 +48,8 @@ int main() {
   //    across the backbone.
   scenario.run_epochs(3);
 
-  const auto detection = scenario.metrics().first_detection(victim);
+  const auto detection =
+      scenario.metrics().first_detection_since(victim, crash_time);
   if (detection) {
     std::printf("detected by node %u in epoch %llu, %.1fs after the crash\n",
                 detection->decider.value(),
@@ -70,7 +65,8 @@ int main() {
               scenario.metrics().false_detections());
 
   const auto traffic = traffic_totals(scenario.network());
-  std::printf("\ntotal radio traffic: %llu frames, %llu bytes (%.1f B/node/epoch)\n",
+  std::printf("\ntotal radio traffic: %llu frames, %llu bytes"
+              " (%.1f B/node/epoch)\n",
               static_cast<unsigned long long>(traffic.frames),
               static_cast<unsigned long long>(traffic.bytes),
               double(traffic.bytes) / double(config.node_count) / 4.0);

@@ -12,6 +12,7 @@
 // cluster structure.
 
 #include <cstdio>
+#include <utility>
 #include <vector>
 
 #include "sim/scenario.h"
@@ -35,12 +36,12 @@ int main() {
   Rng chaos(777);
   const std::size_t capacity_threshold = 480;
   std::size_t deployed_total = config.node_count;
-  std::vector<NodeId> casualties;
+  std::vector<std::pair<NodeId, SimTime>> casualties;  // (victim, crash)
 
   auto detected_count = [&] {
     std::size_t n = 0;
-    for (NodeId c : casualties) {
-      if (scenario.metrics().first_detection(c)) ++n;
+    for (const auto& [victim, crashed_at] : casualties) {
+      if (scenario.metrics().first_detection_since(victim, crashed_at)) ++n;
     }
     return n;
   };
@@ -52,17 +53,12 @@ int main() {
     // Attrition: each epoch 0-3 sensors die (battery, weather, wildlife).
     const auto deaths = chaos.below(4);
     for (std::uint64_t d = 0; d < deaths; ++d) {
-      std::vector<NodeId> alive_members;
-      for (MembershipView* view : scenario.views()) {
-        if (view->role() == Role::kOrdinaryMember &&
-            scenario.network().node(view->self()).alive()) {
-          alive_members.push_back(view->self());
-        }
-      }
+      const std::vector<NodeId> alive_members =
+          scenario.alive_ordinary_members();
       if (alive_members.empty()) break;
       const NodeId victim = alive_members[chaos.below(alive_members.size())];
       scenario.network().crash(victim);
-      casualties.push_back(victim);
+      casualties.emplace_back(victim, scenario.network().simulator().now());
     }
 
     scenario.run_epochs(1);
@@ -82,7 +78,7 @@ int main() {
         casualties.empty()
             ? 1.0
             : knowledge_coverage(scenario.fds(), scenario.network(),
-                                 casualties.back());
+                                 casualties.back().first);
 
     std::printf("%-6d %8zu %10zu %10zu %12.2f %10zu\n", epoch, truly_alive,
                 reported_alive, casualties.size() - detected_count(),

@@ -55,7 +55,8 @@ int main() {
                                std::uint64_t epoch) {
     std::printf("  [epoch %llu] UAV-%u: leader UAV-%u silent on all three"
                 " evidence channels -> assuming command\n",
-                static_cast<unsigned long long>(epoch), who.value(), old_ch.value());
+                static_cast<unsigned long long>(epoch), who.value(),
+                old_ch.value());
   }));
   chain_hook(scenario.fds().hooks().on_detection,
              std::function([&](NodeId decider, std::uint64_t epoch,
@@ -98,9 +99,11 @@ int main() {
   // The new leader keeps the formation running: lose a wingman.
   const NodeId wingman = deputy_view->cluster()->members.front();
   std::printf("\n*** wingman UAV-%u is lost next ***\n\n", wingman.value());
+  const SimTime wingman_lost = scenario.network().simulator().now();
   scenario.network().crash(wingman);
   scenario.run_epochs(2);
-  const auto detection = scenario.metrics().first_detection(wingman);
+  const auto detection =
+      scenario.metrics().first_detection_since(wingman, wingman_lost);
   if (detection && detection->decider == deputy) {
     std::printf("\nthe new leader detected and reported the loss — command"
                 " transfer is complete.\n");

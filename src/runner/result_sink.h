@@ -44,7 +44,7 @@ struct PointRecord {
 [[nodiscard]] std::string to_jsonl(const PointRecord& record,
                                    bool include_wall_time);
 
-/// One microbenchmark measurement (bench_kernel, bench_scalability):
+/// One microbenchmark measurement (bench_kernel, bench_megascale):
 ///
 ///   {"bench":"graph_build","metric":"ms","n":2000,"value":3.1,
 ///    "label":"current"}

@@ -2,7 +2,7 @@
 //
 // The experiment executor shards independent Monte-Carlo trials across these
 // workers; nothing about the pool is experiment-specific, so it is equally
-// usable for any embarrassingly parallel sweep (see bench_scalability).
+// usable for any embarrassingly parallel sweep (see bench_figures scalability).
 //
 // Shutdown is graceful by construction: the destructor lets every task that
 // was already submitted run to completion before the workers join. Dropping

@@ -29,11 +29,11 @@ std::size_t MetricsCollector::true_detections() const {
   return detections_.size() - false_detections();
 }
 
-std::optional<DetectionEvent> MetricsCollector::first_detection(
-    NodeId suspect) const {
+std::optional<DetectionEvent> MetricsCollector::first_detection_since(
+    NodeId suspect, SimTime since) const {
   std::optional<DetectionEvent> best;
   for (const DetectionEvent& e : detections_) {
-    if (e.suspect != suspect) continue;
+    if (e.suspect != suspect || e.when < since) continue;
     if (!best || e.when < best->when) best = e;
   }
   return best;

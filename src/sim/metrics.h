@@ -42,7 +42,15 @@ class MetricsCollector {
 
   /// Earliest detection of `suspect` by anyone, if any.
   [[nodiscard]] std::optional<DetectionEvent> first_detection(
-      NodeId suspect) const;
+      NodeId suspect) const {
+    return first_detection_since(suspect, SimTime::zero());
+  }
+
+  /// Earliest detection of `suspect` at or after `since` (its crash time),
+  /// if any: the detection a crash latency is measured to. A false
+  /// detection of the node from before its crash does not count.
+  [[nodiscard]] std::optional<DetectionEvent> first_detection_since(
+      NodeId suspect, SimTime since) const;
 
   void clear() { detections_.clear(); }
 

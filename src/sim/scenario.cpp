@@ -37,6 +37,17 @@ std::vector<MembershipView*> Scenario::views() {
   return out;
 }
 
+std::vector<NodeId> Scenario::alive_ordinary_members() {
+  std::vector<NodeId> out;
+  for (MembershipView* view : views()) {
+    if (view->role() == Role::kOrdinaryMember &&
+        network_->node(view->self()).alive()) {
+      out.push_back(view->self());
+    }
+  }
+  return out;
+}
+
 SimTime Scenario::setup() {
   CFDS_EXPECT(fds_ == nullptr, "setup() must be called exactly once");
 

@@ -82,6 +82,9 @@ class Scenario {
   [[nodiscard]] ForwarderService* forwarder() { return forwarder_.get(); }
   [[nodiscard]] MetricsCollector& metrics() { return metrics_; }
   [[nodiscard]] std::vector<MembershipView*> views();
+  /// Alive nodes whose role is Role::kOrdinaryMember (no CH, deputy or
+  /// gateway duty), in NID order: the candidates for an injected crash.
+  [[nodiscard]] std::vector<NodeId> alive_ordinary_members();
   [[nodiscard]] const ScenarioConfig& config() const { return config_; }
 
   /// Clusters currently believed in by at least one node.

@@ -179,6 +179,41 @@ TEST(Metrics, DetectionEventsCarryGroundTruth) {
             scenario.network().simulator().now());
 }
 
+TEST(Metrics, CrashLatencyIgnoresEarlierFalseDetections) {
+  ScenarioConfig config;
+  config.width = 400.0;
+  config.height = 300.0;
+  config.node_count = 120;
+  config.loss_p = 0.0;
+  config.seed = 3;
+  // Falsely dropped members re-subscribe, so they can be crashed later.
+  config.fds.recovery_enabled = true;
+  Scenario scenario(config);
+  scenario.setup();
+  // A total-loss epoch: every CH hears no member and falsely detects them.
+  scenario.network().channel().set_loss_override(1.0);
+  scenario.run_epochs(1);
+  scenario.network().channel().clear_loss_override();
+  scenario.run_epochs(4);
+
+  const NodeId victim = scenario.alive_ordinary_members().front();
+  const auto false_detection = scenario.metrics().first_detection(victim);
+  ASSERT_TRUE(false_detection.has_value());
+  EXPECT_TRUE(false_detection->suspect_was_alive);
+
+  const SimTime crash = scenario.network().simulator().now();
+  scenario.network().crash(victim);
+  scenario.run_epochs(2);
+  // The earliest detection overall is still the false one...
+  EXPECT_LT(scenario.metrics().first_detection(victim)->when, crash);
+  // ...and the crash is measured to the first detection after it.
+  const auto detection =
+      scenario.metrics().first_detection_since(victim, crash);
+  ASSERT_TRUE(detection.has_value());
+  EXPECT_FALSE(detection->suspect_was_alive);
+  EXPECT_GE((detection->when - crash).as_seconds(), 0.0);
+}
+
 TEST(Metrics, CoverageCountsOnlyEligibleObservers) {
   ScenarioConfig config;
   config.width = 400.0;

@@ -218,9 +218,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ScheduleEquivalence,
                                            std::uint64_t{77},
                                            std::uint64_t{1234}));
 
-// Pins bench_robustness's clock-skew study: offsets at and past Thop push
-// heartbeats into the wrong round, and the false-detection counts of that
-// table must not move when the round schedule is refactored.
+// Pins the clock-skew study of `bench_figures robustness`: offsets at and
+// past Thop push heartbeats into the wrong round, and the false-detection
+// counts of that table must not move when the round schedule is refactored.
 TEST(SkewStudy, FalseDetectionsAtAndPastThop) {
   auto false_detections = [](std::int64_t skew_ms) {
     ScenarioConfig config;

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "sim/scenario.h"
 
 namespace cfds {
@@ -37,6 +40,20 @@ TEST(Scenario, EpochCounterAdvances) {
   EXPECT_EQ(scenario.epochs_run(), 3u);
   scenario.run_epochs(2);
   EXPECT_EQ(scenario.epochs_run(), 5u);
+}
+
+TEST(Scenario, AliveOrdinaryMembersAreInNidOrderAndSkipTheDead) {
+  Scenario scenario(small_config());
+  scenario.setup();
+  const std::vector<NodeId> before = scenario.alive_ordinary_members();
+  ASSERT_GE(before.size(), 2u);
+  EXPECT_TRUE(std::is_sorted(before.begin(), before.end()));
+  for (NodeId id : before) {
+    EXPECT_EQ(scenario.views()[id.value()]->role(), Role::kOrdinaryMember);
+  }
+  scenario.network().crash(before.front());
+  EXPECT_EQ(scenario.alive_ordinary_members(),
+            std::vector<NodeId>(before.begin() + 1, before.end()));
 }
 
 TEST(Scenario, ScheduledCrashHappensMidRun) {

@@ -17,6 +17,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "event/simulator.h"
@@ -141,23 +142,17 @@ int main(int argc, char** argv) {
   }
 
   Rng chaos(options.scenario.seed ^ 0xC4A5);
-  std::vector<NodeId> casualties;
+  std::vector<std::pair<NodeId, SimTime>> casualties;  // (victim, crash)
   std::uint64_t frames_before = 0;
 
   for (std::uint64_t epoch = 0; epoch < options.epochs; ++epoch) {
     const std::uint64_t crashes = poisson(options.crash_rate, chaos);
     for (std::uint64_t c = 0; c < crashes; ++c) {
-      std::vector<NodeId> candidates;
-      for (MembershipView* view : scenario.views()) {
-        if (view->role() == Role::kOrdinaryMember &&
-            scenario.network().node(view->self()).alive()) {
-          candidates.push_back(view->self());
-        }
-      }
+      const std::vector<NodeId> candidates = scenario.alive_ordinary_members();
       if (candidates.empty()) break;
       const NodeId victim = candidates[chaos.below(candidates.size())];
       scenario.network().crash(victim);
-      casualties.push_back(victim);
+      casualties.emplace_back(victim, scenario.network().simulator().now());
     }
 
     scenario.run_epochs(1);
@@ -166,21 +161,23 @@ int main(int argc, char** argv) {
         casualties.empty()
             ? 1.0
             : knowledge_coverage(scenario.fds(), scenario.network(),
-                                 casualties.back());
+                                 casualties.back().first);
     const auto totals = traffic_totals(scenario.network());
     const std::uint64_t epoch_frames = totals.frames - frames_before;
     frames_before = totals.frames;
 
     if (!options.csv) {
       std::printf("%-7llu %7zu %8llu %8zu %8zu %10.3f %10llu\n",
-                  static_cast<unsigned long long>(epoch), scenario.network().alive_count(),
+                  static_cast<unsigned long long>(epoch),
+                  scenario.network().alive_count(),
                   static_cast<unsigned long long>(crashes),
                   scenario.metrics().true_detections(),
                   scenario.metrics().false_detections(), coverage,
                   static_cast<unsigned long long>(epoch_frames));
     } else {
       std::printf("%llu,%zu,%llu,%zu,%zu,%.4f,%llu\n",
-                  static_cast<unsigned long long>(epoch), scenario.network().alive_count(),
+                  static_cast<unsigned long long>(epoch),
+                  scenario.network().alive_count(),
                   static_cast<unsigned long long>(crashes),
                   scenario.metrics().true_detections(),
                   scenario.metrics().false_detections(), coverage,
@@ -190,8 +187,10 @@ int main(int argc, char** argv) {
 
   if (!options.csv) {
     std::size_t undetected = 0;
-    for (NodeId c : casualties) {
-      if (!scenario.metrics().first_detection(c)) ++undetected;
+    for (const auto& [victim, crashed_at] : casualties) {
+      if (!scenario.metrics().first_detection_since(victim, crashed_at)) {
+        ++undetected;
+      }
     }
     std::printf("\nsummary: %zu crashes, %zu detections (%zu false),"
                 " %zu undetected\n",

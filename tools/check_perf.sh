@@ -6,9 +6,10 @@
 # data races on the schedule/cancel/fire paths), then checks that Figure 5's
 # JSONL, whose full-stack spot checks run on the event queue, matches the
 # committed golden at --threads 8 on the calendar queue AND on the
-# --no-calendar binary heap, and finally gates the megascale n=10^5 decade
-# (events/s floor, bytes/node ceiling) against the committed
-# BENCH_megascale.json baseline.
+# --no-calendar binary heap, that the scalability row (whose population
+# sizes run in parallel) matches its golden at --threads 8, and finally
+# gates the megascale n=10^5 decade (events/s floor, bytes/node ceiling)
+# against the committed BENCH_megascale.json baseline.
 #
 # Usage: tools/check_perf.sh [build-dir-prefix]
 #   Build trees land in <prefix>-release/ and <prefix>-tsan/
@@ -29,7 +30,7 @@ build() {
 
 build "$prefix-release" -DCMAKE_BUILD_TYPE=Release
 cmake --build "$prefix-release" -j "$(nproc)" --target bench_megascale \
-    bench_scalability >/dev/null
+    >/dev/null
 build "$prefix-tsan" -DCMAKE_BUILD_TYPE=RelWithDebInfo -DCFDS_SANITIZE=thread
 
 echo "== smoke bench (Release)"
@@ -54,10 +55,21 @@ for queue in "" --no-calendar; do
   fi
 done
 
+golden=tests/golden/figures/scalability.txt
+echo "== determinism: bench_figures scalability at --threads 8 vs $golden"
+"./$prefix-release/bench/bench_figures" scalability --threads 8 \
+    --benchmark_filter=SKIPALL >"$tmp/scalability.txt" 2>/dev/null
+if ! cmp -s "$golden" "$tmp/scalability.txt"; then
+  echo "FAIL: the scalability row at --threads 8 differs from the golden" >&2
+  diff "$golden" "$tmp/scalability.txt" >&2 || true
+  exit 1
+fi
+
 echo "== megascale: n=10^5 decade vs committed BENCH_megascale.json"
 "./$prefix-release/bench/bench_megascale" --max-nodes 100000 \
     --threads 1 --out "$tmp/megascale.jsonl" --no-wall-time
 python3 tools/check_megascale.py --fresh "$tmp/megascale.jsonl"
 
 echo "OK: smoke benches passed, fig5 JSONL matches the golden on both" \
-     "queue implementations, megascale within floor/ceiling"
+     "queue implementations, the scalability row matches its golden," \
+     "megascale within floor/ceiling"
