@@ -228,12 +228,12 @@ BENCHMARK(BM_ChaosTrial)->Unit(benchmark::kMillisecond);
 int main(int argc, char** argv) {
   std::string dump_plans;
   std::string replay_plan;
-  long long replay_seed = -1;
+  long replay_seed = -1;
   bool adaptive = false;
   bool checkpoint = false;
   bool rejoin_compare = false;
   long loss_bursts = 0;
-  runner::FlagSet extra;
+  FlagSet extra;
   extra.add_value("--dump-plans", &dump_plans,
                   "directory for per-trial FaultPlan JSONL files");
   extra.add_value("--replay-seed", &replay_seed,

@@ -116,9 +116,9 @@ Row run_decade(std::size_t n, std::uint64_t epochs, std::uint64_t seed) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  long long max_nodes = 1'000'000;
-  long long epochs = 10;
-  cfds::runner::FlagSet extra;
+  std::uint64_t max_nodes = 1'000'000;
+  std::uint64_t epochs = 10;
+  cfds::FlagSet extra;
   extra.add_value("--max-nodes", &max_nodes, "largest decade to run");
   extra.add_value("--epochs", &epochs, "timed epochs per decade");
   // No google-benchmark timings here, so --help lists no further flags.
@@ -134,8 +134,8 @@ int main(int argc, char** argv) {
 
   for (std::size_t n : {std::size_t{10'000}, std::size_t{100'000},
                         std::size_t{1'000'000}}) {
-    if (static_cast<long long>(n) > max_nodes) break;
-    const Row row = run_decade(n, std::uint64_t(epochs), seed);
+    if (n > max_nodes) break;
+    const Row row = run_decade(n, epochs, seed);
     std::printf("%-10zu %10zu %14.1f %16.0f %16.0f\n", row.n, row.clusters,
                 row.formation_ms, row.events_per_sec, row.bytes_per_node);
     std::fflush(stdout);

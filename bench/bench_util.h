@@ -8,10 +8,11 @@
 // be diffed against EXPERIMENTS.md or piped into a plotting script.
 //
 // Every bench parses the uniform runner flags — --trials, --threads, --seed,
-// --out, --no-wall-time, --no-calendar, --label — through runner/cli_args
-// before google-benchmark sees argv. Not every bench acts on every flag: a
-// flag a bench has no use for is accepted and ignored. docs/RUNNER.md lists,
-// per binary and per bench_figures row, which flags change the output.
+// --out, --no-wall-time, --no-calendar, --fault-plan, --label — on the one
+// FlagSet (common/flags.h) before google-benchmark sees argv. Not every
+// bench acts on every flag: a flag a bench has no use for is accepted and
+// ignored. docs/RUNNER.md lists, per binary and per bench_figures row,
+// which flags change the output.
 
 #pragma once
 
@@ -48,7 +49,7 @@ namespace cfds::bench {
 /// (and validates) the rest. --help/-h lists both sets of flags, then
 /// `more_help` (google-benchmark's flags), and exits 0 before any work.
 inline void parse_common_args(
-    int& argc, char** argv, runner::FlagSet flags = {},
+    int& argc, char** argv, FlagSet flags = {},
     void (*more_help)() = &benchmark::PrintDefaultHelp) {
   runner::add_runner_flags(flags, options());
   flags.parse_or_exit(argc, argv, more_help);

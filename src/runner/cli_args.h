@@ -1,15 +1,5 @@
-// Minimal shared command-line parsing for the experiment tooling.
-//
-// FlagSet is a registry of typed "--name value" (and presence-only) flags.
-// parse() consumes the flags it knows from argv — compacting the array in
-// place — and leaves everything else untouched, so it composes with other
-// parsers: the benches run it first and hand the remainder to
-// benchmark::Initialize, while cfds_cli registers every flag it has and
-// treats leftovers as an error.
-//
-// Every FlagSet answers --help / -h: parse() consumes it and sets
-// help_requested(), and parse_or_exit() then prints the usage and exits 0
-// before the caller does any work.
+// The uniform experiment flags, registered on the shared FlagSet
+// (common/flags.h).
 //
 // RunnerOptions bundles the four flags every experiment entry point shares
 // (--threads, --trials, --seed, --out) plus --no-wall-time for
@@ -18,62 +8,11 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
-#include <vector>
+
+#include "common/flags.h"
 
 namespace cfds::runner {
-
-class FlagSet {
- public:
-  /// Presence flag: "--name" sets *target to true.
-  void add_flag(const std::string& name, bool* target, const std::string& help);
-
-  /// Valued flags: "--name V" parses V into *target. Parse failure (bad
-  /// number, missing value) fails the whole parse() call.
-  void add_value(const std::string& name, long* target, const std::string& help);
-  void add_value(const std::string& name, long long* target,
-                 const std::string& help);
-  void add_value(const std::string& name, int* target, const std::string& help);
-  void add_value(const std::string& name, std::uint64_t* target,
-                 const std::string& help);
-  void add_value(const std::string& name, double* target,
-                 const std::string& help);
-  void add_value(const std::string& name, std::string* target,
-                 const std::string& help);
-
-  /// Consumes recognized flags from argv (argv[0] is never touched) and
-  /// shifts the survivors down; argc is updated. Returns false and fills
-  /// *error on a malformed or missing value. Unrecognized arguments are not
-  /// an error — they stay in argv for the next parser. --help and -h are
-  /// always recognized and set help_requested().
-  [[nodiscard]] bool parse(int& argc, char** argv, std::string* error);
-
-  /// parse() that prints the error plus usage() to stderr and exits(2). On
-  /// --help/-h it prints usage() to stdout, then calls `more_help` (if set)
-  /// for the flags of the next parser, and exits(0).
-  void parse_or_exit(int& argc, char** argv, void (*more_help)() = nullptr);
-
-  /// True once parse() has consumed --help or -h.
-  [[nodiscard]] bool help_requested() const { return help_requested_; }
-
-  /// One "  --name  help" line per registered flag.
-  [[nodiscard]] std::string usage() const;
-
- private:
-  struct Flag {
-    std::string name;
-    bool takes_value;
-    std::function<bool(const char*)> apply;
-    std::string help;
-  };
-
-  void add(std::string name, bool takes_value,
-           std::function<bool(const char*)> apply, std::string help);
-
-  std::vector<Flag> flags_;
-  bool help_requested_ = false;
-};
 
 /// The uniform experiment flags. `trials` and `threads` keep 0 as "caller
 /// decides" (benches fall back to their historical per-figure budgets;

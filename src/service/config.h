@@ -12,8 +12,13 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "common/sim_time.h"
+
+namespace cfds {
+class FlagSet;
+}  // namespace cfds
 
 namespace cfds::service {
 
@@ -51,6 +56,18 @@ struct ServiceConfig {
     if (node_count == 0 || cluster_size == 0) return 0;
     return (node_count + cluster_size - 1) / cluster_size;
   }
+
+  bool operator==(const ServiceConfig&) const = default;
 };
+
+/// Registers the flags every service tool (cfds_serve, soak_harness) takes:
+/// one per ServiceConfig field, plus --port-base, the UDP port of NID 0.
+void add_service_flags(FlagSet& flags, ServiceConfig& config,
+                       std::uint16_t& port_base);
+
+/// The arguments that add_service_flags reads back as exactly `config` and
+/// `port_base`: soak_harness --mode procs starts each cfds_serve with them.
+[[nodiscard]] std::vector<std::string> service_argv(const ServiceConfig& config,
+                                                    std::uint16_t port_base);
 
 }  // namespace cfds::service

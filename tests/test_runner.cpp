@@ -12,10 +12,13 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <thread>
 #include <vector>
 
 #include "analysis/figures.h"
+#include "common/flags.h"
+#include "common/sim_time.h"
 #include "common/statistics.h"
 #include "runner/cli_args.h"
 #include "runner/executor.h"
@@ -464,6 +467,66 @@ TEST(FlagSet, RejectsMalformedAndMissingValues) {
     std::string error;
     EXPECT_FALSE(flags.parse(argc, argv.data(), &error));
   }
+  // Every number is read into its exact target type: a sign on an unsigned
+  // target, a value outside the type's range and trailing characters all
+  // fail, where a strtol-and-cast reader would wrap or truncate.
+  std::uint64_t u64 = 0;
+  std::uint32_t u32 = 0;
+  std::uint16_t u16 = 0;
+  int i32 = 0;
+  double real = 0.0;
+  SimTime ms;
+  FlagSet typed;
+  typed.add_value("--u64", &u64, "");
+  typed.add_value("--u32", &u32, "");
+  typed.add_value("--u16", &u16, "");
+  typed.add_value("--int", &i32, "");
+  typed.add_value("--double", &real, "");
+  typed.add_millis("--ms", &ms, "");
+  for (const auto& [flag, value] :
+       {std::pair{"--u64", "-1"}, {"--u32", "4294967296"}, {"--u16", "70000"},
+        {"--int", "2147483648"}, {"--double", "12x"}, {"--double", "inf"},
+        {"--ms", "-5"}, {"--u32", " 7"}, {"--u32", ""}}) {
+    auto argv = make_argv({"prog", flag, value});
+    int argc = int(argv.size()) - 1;
+    std::string error;
+    EXPECT_FALSE(typed.parse(argc, argv.data(), &error))
+        << flag << ' ' << value;
+  }
+  {
+    auto argv = make_argv({"prog", "--threads", "4294967297"});
+    int argc = int(argv.size()) - 1;
+    std::string error;
+    EXPECT_FALSE(flags.parse(argc, argv.data(), &error));
+  }
+  // The extremes of each type still parse, exactly.
+  auto argv = make_argv({"prog", "--u64", "18446744073709551615", "--u32",
+                         "4294967295", "--u16", "65535", "--int",
+                         "-2147483648", "--double", "5e-07", "--ms", "71"});
+  int argc = int(argv.size()) - 1;
+  std::string error;
+  ASSERT_TRUE(typed.parse(argc, argv.data(), &error)) << error;
+  EXPECT_EQ(u64, 18446744073709551615u);
+  EXPECT_EQ(u32, 4294967295u);
+  EXPECT_EQ(u16, 65535u);
+  EXPECT_EQ(i32, -2147483647 - 1);
+  EXPECT_EQ(real, 5e-07);
+  EXPECT_EQ(ms, SimTime::millis(71));
+}
+
+TEST(FlagSet, GivenRecordsTheFlagsTheParseConsumed) {
+  long trials = 0;
+  bool quiet = false;
+  FlagSet flags;
+  flags.add_value("--trials", &trials, "trials");
+  flags.add_flag("--quiet", &quiet, "quiet");
+  auto argv = make_argv({"prog", "--trials", "0"});
+  int argc = int(argv.size()) - 1;
+  std::string error;
+  ASSERT_TRUE(flags.parse(argc, argv.data(), &error)) << error;
+  EXPECT_TRUE(flags.given("--trials"));  // even at its default value
+  EXPECT_FALSE(flags.given("--quiet"));
+  EXPECT_FALSE(flags.given("--unregistered"));
 }
 
 TEST(FlagSet, HelpIsConsumedAndRecorded) {

@@ -1,19 +1,24 @@
-// Service-mode transport/clock seam: RealTimeScheduler semantics and the
-// in-process loopback medium (tests/test_wire.cpp covers the byte codec;
-// the UDP endpoint is exercised end-to-end by tools/soak_harness).
+// Service-mode transport/clock seam: RealTimeScheduler semantics, the
+// in-process loopback medium and the service flags soak_harness hands each
+// cfds_serve (tests/test_wire.cpp covers the byte codec; the UDP endpoint is
+// exercised end-to-end by tools/soak_harness).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "common/flags.h"
 #include "common/ids.h"
 #include "common/sim_time.h"
 #include "fds/messages.h"
 #include "radio/payload.h"
+#include "service/config.h"
 #include "transport/loopback.h"
 #include "transport/real_time.h"
 #include "transport/reception.h"
@@ -259,6 +264,48 @@ TEST(Loopback, TwoThreadsExchangeFrames) {
   tb.join();
   EXPECT_EQ(got_a, kFrames);
   EXPECT_EQ(got_b, kFrames);
+}
+
+// soak_harness --mode procs starts each cfds_serve with service_argv; the
+// endpoint must read back the very config the harness runs in threads mode,
+// loss probabilities below 1e-6 and with nine digits included.
+TEST(ServiceFlags, ArgvParsesBackToTheSameConfig) {
+  std::vector<std::pair<service::ServiceConfig, std::uint16_t>> cases;
+  cases.emplace_back(service::ServiceConfig{}, 19000);
+  for (double loss_p : {0.0000005, 0.123456789}) {
+    service::ServiceConfig config;
+    config.node_count = 200;
+    config.cluster_size = 7;
+    config.t_hop = SimTime::millis(71);
+    config.phi = SimTime::millis(499);
+    config.epochs = 60;
+    config.warmup_epochs = 3;
+    config.seed = 18446744073709551615u;
+    config.loss_p = loss_p;
+    config.adaptive = true;
+    config.checkpoint = true;
+    cases.emplace_back(config, 65535);
+  }
+  for (const auto& [config, port_base] : cases) {
+    std::vector<std::string> args = service::service_argv(config, port_base);
+    std::vector<char*> argv = {const_cast<char*>("cfds_serve")};
+    for (std::string& arg : args) argv.push_back(arg.data());
+    argv.push_back(nullptr);
+    int argc = int(argv.size()) - 1;
+
+    service::ServiceConfig parsed;
+    parsed.node_count = 1;  // not the default: every field must be written
+    parsed.loss_p = 0.5;
+    std::uint16_t parsed_port = 0;
+    FlagSet flags;
+    service::add_service_flags(flags, parsed, parsed_port);
+    std::string error;
+    ASSERT_TRUE(flags.parse(argc, argv.data(), &error)) << error;
+    EXPECT_EQ(argc, 1) << argv[1];
+    EXPECT_EQ(parsed, config) << "loss_p " << config.loss_p;
+    EXPECT_EQ(parsed.loss_p, config.loss_p);
+    EXPECT_EQ(parsed_port, port_base);
+  }
 }
 
 }  // namespace

@@ -14,11 +14,9 @@
 // original byte for byte (tools/check_model.sh relies on this).
 //
 // Exit codes: 0 = explored clean within budgets, 2 = violation found (or
-// reproduced), 1 = usage or I/O error.
+// reproduced), 1 = usage or I/O error. `cfds_check --help` lists the flags.
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <optional>
 #include <string>
@@ -26,6 +24,7 @@
 #include "check/explorer.h"
 #include "check/trace.h"
 #include "check/world.h"
+#include "common/flags.h"
 
 // Stamped by the build: the seeded-mutation name compiled into the
 // protocol libraries, or "" for the clean tree (tools/check_model.sh).
@@ -38,38 +37,6 @@ namespace {
 using cfds::check::CheckOptions;
 using cfds::check::CheckTrace;
 using cfds::check::ExploreLimits;
-
-int usage(const char* argv0) {
-  std::fprintf(
-      stderr,
-      "usage: %s [options]\n"
-      "  world:   --nodes N --deputies D --epochs E --perm-max P\n"
-      "           --adaptive --checkpoint --checkpoint-interval I\n"
-      "           --no-reduction --quiesce-max Q --t-hop-ms MS\n"
-      "  faults:  --crashes C --recoveries R --drops K\n"
-      "  budgets: --max-states S --max-runs R\n"
-      "  output:  --out TRACE.jsonl --plan PLAN.jsonl --quiet\n"
-      "  replay:  --replay TRACE.jsonl [--out COPY.jsonl]\n"
-      "exit: 0 clean, 2 violation, 1 error\n",
-      argv0);
-  return 1;
-}
-
-bool parse_u32(const char* s, std::uint32_t* out) {
-  char* end = nullptr;
-  const unsigned long v = std::strtoul(s, &end, 10);
-  if (end == s || *end != '\0' || v > 0xFFFFFFFFul) return false;
-  *out = static_cast<std::uint32_t>(v);
-  return true;
-}
-
-bool parse_u64(const char* s, std::uint64_t* out) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0') return false;
-  *out = v;
-  return true;
-}
 
 bool write_file(const std::string& path, const std::string& content) {
   std::ofstream out(path, std::ios::binary);
@@ -87,89 +54,49 @@ void describe(const cfds::check::Violation& v) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  constexpr int kUsageError = 1;
   CheckOptions opts;
   ExploreLimits limits;
   std::string out_path;
   std::string plan_path;
   std::string replay_path;
+  bool no_reduction = false;
   bool quiet = false;
 
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    auto value = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    bool ok = true;
-    std::uint32_t ms = 0;
-    if (std::strcmp(arg, "--nodes") == 0) {
-      const char* v = value();
-      ok = v && parse_u32(v, &opts.nodes);
-    } else if (std::strcmp(arg, "--deputies") == 0) {
-      const char* v = value();
-      ok = v && parse_u32(v, &opts.deputies);
-    } else if (std::strcmp(arg, "--epochs") == 0) {
-      const char* v = value();
-      ok = v && parse_u64(v, &opts.epochs);
-    } else if (std::strcmp(arg, "--crashes") == 0) {
-      const char* v = value();
-      ok = v && parse_u32(v, &opts.max_crashes);
-    } else if (std::strcmp(arg, "--recoveries") == 0) {
-      const char* v = value();
-      ok = v && parse_u32(v, &opts.max_recoveries);
-    } else if (std::strcmp(arg, "--drops") == 0) {
-      const char* v = value();
-      ok = v && parse_u32(v, &opts.max_drops);
-    } else if (std::strcmp(arg, "--perm-max") == 0) {
-      const char* v = value();
-      ok = v && parse_u32(v, &opts.perm_max);
-    } else if (std::strcmp(arg, "--adaptive") == 0) {
-      opts.adaptive = true;
-    } else if (std::strcmp(arg, "--checkpoint") == 0) {
-      opts.checkpoint = true;
-    } else if (std::strcmp(arg, "--checkpoint-interval") == 0) {
-      const char* v = value();
-      ok = v && parse_u32(v, &opts.checkpoint_interval);
-    } else if (std::strcmp(arg, "--no-reduction") == 0) {
-      opts.reduction = false;
-    } else if (std::strcmp(arg, "--quiesce-max") == 0) {
-      const char* v = value();
-      ok = v && parse_u32(v, &opts.quiesce_max);
-    } else if (std::strcmp(arg, "--t-hop-ms") == 0) {
-      const char* v = value();
-      ok = v && parse_u32(v, &ms) && ms > 0;
-      if (ok) opts.t_hop = cfds::SimTime::millis(ms);
-    } else if (std::strcmp(arg, "--max-states") == 0) {
-      const char* v = value();
-      ok = v && parse_u64(v, &limits.max_states);
-    } else if (std::strcmp(arg, "--max-runs") == 0) {
-      const char* v = value();
-      ok = v && parse_u64(v, &limits.max_runs);
-    } else if (std::strcmp(arg, "--out") == 0) {
-      const char* v = value();
-      ok = v != nullptr;
-      if (ok) out_path = v;
-    } else if (std::strcmp(arg, "--plan") == 0) {
-      const char* v = value();
-      ok = v != nullptr;
-      if (ok) plan_path = v;
-    } else if (std::strcmp(arg, "--replay") == 0) {
-      const char* v = value();
-      ok = v != nullptr;
-      if (ok) replay_path = v;
-    } else if (std::strcmp(arg, "--quiet") == 0) {
-      quiet = true;
-    } else if (std::strcmp(arg, "--help") == 0) {
-      usage(argv[0]);
-      return 0;
-    } else {
-      std::fprintf(stderr, "unknown option: %s\n", arg);
-      return usage(argv[0]);
-    }
-    if (!ok) {
-      std::fprintf(stderr, "bad value for %s\n", arg);
-      return usage(argv[0]);
-    }
+  cfds::FlagSet flags;
+  flags.add_value("--nodes", &opts.nodes, "cluster population, CH included");
+  flags.add_value("--deputies", &opts.deputies, "ranked DCHs");
+  flags.add_value("--epochs", &opts.epochs, "FDS executions with open choices");
+  flags.add_value("--perm-max", &opts.perm_max,
+                  "largest delivery batch given every order");
+  flags.add_flag("--adaptive", &opts.adaptive, "self-tuning accrual detection");
+  flags.add_flag("--checkpoint", &opts.checkpoint,
+                 "checkpointed CH/DCH recovery");
+  flags.add_value("--checkpoint-interval", &opts.checkpoint_interval,
+                  "epochs between checkpoints");
+  flags.add_flag("--no-reduction", &no_reduction,
+                 "explore every order, without partial-order reduction");
+  flags.add_value("--quiesce-max", &opts.quiesce_max,
+                  "quiescence probe epochs (0 = off)");
+  flags.add_millis("--t-hop-ms", &opts.t_hop, "one-hop bound Thop, ms (> 0)");
+  flags.add_value("--crashes", &opts.max_crashes, "crashes to inject");
+  flags.add_value("--recoveries", &opts.max_recoveries,
+                  "recoveries to inject");
+  flags.add_value("--drops", &opts.max_drops, "frame drops to inject");
+  flags.add_value("--max-states", &limits.max_states,
+                  "budget: unique fingerprints");
+  flags.add_value("--max-runs", &limits.max_runs, "budget: schedules run");
+  flags.add_value("--out", &out_path, "counterexample trace JSONL");
+  flags.add_value("--plan", &plan_path,
+                  "counterexample FaultPlan JSONL (bench_chaos --replay-plan)");
+  flags.add_flag("--quiet", &quiet, "print nothing");
+  flags.add_value("--replay", &replay_path,
+                  "re-run a trace JSONL; --out writes the reproduced copy");
+  flags.parse_all_or_exit(argc, argv, kUsageError);
+  if (opts.t_hop <= cfds::SimTime::zero()) {
+    flags.usage_error(argv[0], "--t-hop-ms must be > 0", kUsageError);
   }
+  opts.reduction = !no_reduction;
 
   if (!replay_path.empty()) {
     std::string error;

@@ -2,28 +2,23 @@
 //
 // Runs a full deployment (placement, clustering, FDS, inter-cluster
 // forwarding) with a Poisson crash process and prints per-epoch health
-// telemetry, optionally as CSV for plotting.
-//
-//   cfds_cli [--nodes N] [--width W] [--height H] [--range R]
-//            [--loss P] [--epochs K] [--seed S] [--interval-ms MS]
-//            [--crash-rate LAMBDA] [--distributed-formation]
-//            [--mobility SPEED_MPS] [--csv] [--trace]
+// telemetry, optionally as CSV for plotting. `cfds_cli --help` lists the
+// flags.
 //
 // Examples:
 //   cfds_cli --nodes 500 --loss 0.2 --epochs 20 --crash-rate 1.5
 //   cfds_cli --nodes 300 --mobility 2.0 --epochs 30 --csv > run.csv
 
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/flags.h"
 #include "event/simulator.h"
 #include "net/mobility.h"
 #include "radio/tracer.h"
-#include "runner/cli_args.h"
 #include "sim/scenario.h"
 
 namespace {
@@ -37,19 +32,23 @@ struct CliOptions {
   double mobility_mps = 0.0;
   bool csv = false;
   bool trace = false;
-  runner::RunnerOptions runner;
 };
 
-void register_flags(runner::FlagSet& flags, CliOptions& options,
-                    std::int64_t& interval_ms, std::int64_t& nodes) {
-  flags.add_value("--nodes", &nodes, "deployment size (default 400)");
+CliOptions parse(int argc, char** argv) {
+  CliOptions options;
+  options.scenario.node_count = 400;
+  bool no_calendar = false;
+  FlagSet flags;
+  flags.add_value("--nodes", &options.scenario.node_count,
+                  "deployment size (default 400)");
   flags.add_value("--width", &options.scenario.width, "field width, metres");
   flags.add_value("--height", &options.scenario.height, "field height, metres");
   flags.add_value("--range", &options.scenario.range, "transmission range");
   flags.add_value("--loss", &options.scenario.loss_p,
                   "frame-loss probability");
   flags.add_value("--epochs", &options.epochs, "FDS executions to run");
-  flags.add_value("--interval-ms", &interval_ms, "heartbeat interval phi, ms");
+  flags.add_millis("--interval-ms", &options.scenario.heartbeat_interval,
+                   "heartbeat interval phi, ms");
   flags.add_value("--crash-rate", &options.crash_rate,
                   "expected crashes/epoch");
   flags.add_flag("--distributed-formation",
@@ -59,32 +58,12 @@ void register_flags(runner::FlagSet& flags, CliOptions& options,
                   "random-waypoint speed, m/s (0 = static)");
   flags.add_flag("--csv", &options.csv, "machine-readable output");
   flags.add_flag("--trace", &options.trace, "print the frame-kind mix");
-  runner::add_runner_flags(flags, options.runner);
-}
-
-CliOptions parse(int argc, char** argv) {
-  CliOptions options;
-  options.scenario.node_count = 400;
-  std::int64_t interval_ms = -1;
-  std::int64_t nodes = -1;
-  runner::FlagSet flags;
-  register_flags(flags, options, interval_ms, nodes);
-
-  flags.parse_or_exit(argc, argv);
-  if (argc > 1) {
-    std::fprintf(stderr, "%s: unknown argument %s\nusage: %s [options]\n%s",
-                 argv[0], argv[1], argv[0], flags.usage().c_str());
-    std::exit(2);
-  }
-  if (nodes >= 0) options.scenario.node_count = std::size_t(nodes);
-  if (interval_ms >= 0) {
-    options.scenario.heartbeat_interval = SimTime::millis(interval_ms);
-  }
-  options.scenario.seed = options.runner.seed_or(options.scenario.seed);
+  flags.add_value("--seed", &options.scenario.seed, "RNG seed (default 1)");
+  flags.add_flag("--no-calendar", &no_calendar,
+                 "use the binary-heap event queue (calendar-queue oracle)");
+  flags.parse_all_or_exit(argc, argv, 2);
   // Before the scenario constructs its Simulator.
-  if (options.runner.no_calendar) {
-    Simulator::set_default_queue_mode(QueueMode::kHeap);
-  }
+  if (no_calendar) Simulator::set_default_queue_mode(QueueMode::kHeap);
   return options;
 }
 

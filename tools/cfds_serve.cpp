@@ -8,18 +8,18 @@
 //
 // Exit status: 0 after the configured epochs complete and the status line
 // is written; 64 on usage errors; 70 on runtime failures (bind, plan).
+// `cfds_serve --help` lists the flags.
 
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <fstream>
 #include <iostream>
 #include <optional>
 #include <string>
 
+#include "common/flags.h"
 #include "fault/fault_plan.h"
 #include "service/agent.h"
 #include "service/config.h"
@@ -30,7 +30,6 @@ namespace {
 
 struct ServeOptions {
   std::uint32_t id = 0;
-  bool id_set = false;
   cfds::service::ServiceConfig config;
   std::uint16_t port_base = 19000;
   std::int64_t anchor_us = 0;  ///< CLOCK_REALTIME µs of epoch 0; 0 = now+500ms
@@ -38,97 +37,38 @@ struct ServeOptions {
   std::string status_out;  ///< empty = stdout
 };
 
-void usage(const char* argv0) {
-  std::cerr
-      << "usage: " << argv0 << " --id N --n N [options]\n"
-      << "  --id N             this endpoint's NID (0-based, required)\n"
-      << "  --n N              deployment size (required)\n"
-      << "  --cluster-size N   directory block size          [8]\n"
-      << "  --port-base N      UDP port of NID 0             [19000]\n"
-      << "  --thop-ms N        one-hop bound Thop            [50]\n"
-      << "  --phi-ms N         heartbeat interval phi        [500]\n"
-      << "  --epochs N         FDS executions to run         [10]\n"
-      << "  --warmup N         epochs before the fault phase [2]\n"
-      << "  --anchor-us N      CLOCK_REALTIME microseconds of epoch 0\n"
-      << "                     (all endpoints must agree; default now+500ms)\n"
-      << "  --fault-plan PATH  FaultPlan JSONL to inject     [none]\n"
-      << "  --seed N           loss-stream seed              [1]\n"
-      << "  --loss-p F         per-frame receive loss        [0]\n"
-      << "  --adaptive         self-tuning accrual detection\n"
-      << "  --checkpoint       checkpointed CH/DCH recovery\n"
-      << "  --status-out PATH  status JSONL destination      [stdout]\n";
-}
-
 [[nodiscard]] std::int64_t realtime_now_us() {
   const auto now = std::chrono::system_clock::now().time_since_epoch();
   return std::chrono::duration_cast<std::chrono::microseconds>(now).count();
 }
 
-bool parse_args(int argc, char** argv, ServeOptions* opt) {
-  bool n_set = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    const char* v = nullptr;
-    if (arg == "--help" || arg == "-h") return false;
-    if (arg == "--id" && (v = next())) {
-      opt->id = std::uint32_t(std::stoul(v));
-      opt->id_set = true;
-    } else if (arg == "--n" && (v = next())) {
-      opt->config.node_count = std::uint32_t(std::stoul(v));
-      n_set = true;
-    } else if (arg == "--cluster-size" && (v = next())) {
-      opt->config.cluster_size = std::uint32_t(std::stoul(v));
-    } else if (arg == "--port-base" && (v = next())) {
-      opt->port_base = std::uint16_t(std::stoul(v));
-    } else if (arg == "--thop-ms" && (v = next())) {
-      opt->config.t_hop = cfds::SimTime::millis(std::stoll(v));
-    } else if (arg == "--phi-ms" && (v = next())) {
-      opt->config.phi = cfds::SimTime::millis(std::stoll(v));
-    } else if (arg == "--epochs" && (v = next())) {
-      opt->config.epochs = std::stoull(v);
-    } else if (arg == "--warmup" && (v = next())) {
-      opt->config.warmup_epochs = std::stoull(v);
-    } else if (arg == "--anchor-us" && (v = next())) {
-      opt->anchor_us = std::stoll(v);
-    } else if (arg == "--fault-plan" && (v = next())) {
-      opt->fault_plan_path = v;
-    } else if (arg == "--seed" && (v = next())) {
-      opt->config.seed = std::stoull(v);
-    } else if (arg == "--loss-p" && (v = next())) {
-      opt->config.loss_p = std::stod(v);
-    } else if (arg == "--adaptive") {
-      opt->config.adaptive = true;
-    } else if (arg == "--checkpoint") {
-      opt->config.checkpoint = true;
-    } else if (arg == "--status-out" && (v = next())) {
-      opt->status_out = v;
-    } else {
-      std::cerr << "unknown or incomplete option: " << arg << "\n";
-      return false;
-    }
+ServeOptions parse_args(int argc, char** argv) {
+  constexpr int kUsageError = 64;
+  ServeOptions opt;
+  cfds::FlagSet flags;
+  flags.add_value("--id", &opt.id, "this endpoint's NID, below --n (required)");
+  cfds::service::add_service_flags(flags, opt.config, opt.port_base);
+  flags.add_value("--anchor-us", &opt.anchor_us,
+                  "CLOCK_REALTIME microseconds of epoch 0, the same for "
+                  "every endpoint (default now + 500 ms)");
+  flags.add_value("--fault-plan", &opt.fault_plan_path,
+                  "FaultPlan JSONL to inject (default none)");
+  flags.add_value("--status-out", &opt.status_out,
+                  "status JSONL destination (default stdout)");
+  flags.parse_all_or_exit(argc, argv, kUsageError);
+  if (!flags.given("--id") || !flags.given("--n")) {
+    flags.usage_error(argv[0], "--id and --n are required", kUsageError);
   }
-  if (!opt->id_set || !n_set) {
-    std::cerr << "--id and --n are required\n";
-    return false;
+  if (opt.id >= opt.config.node_count) {
+    flags.usage_error(argv[0], "--id must be < --n", kUsageError);
   }
-  if (opt->id >= opt->config.node_count) {
-    std::cerr << "--id must be < --n\n";
-    return false;
-  }
-  return true;
+  return opt;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  ServeOptions opt;
-  if (!parse_args(argc, argv, &opt)) {
-    usage(argv[0]);
-    return 64;
-  }
+  const ServeOptions opt = parse_args(argc, argv);
 
   std::optional<cfds::fault::FaultPlan> plan;
   if (!opt.fault_plan_path.empty()) {

@@ -17,7 +17,7 @@
 // all close before a quiescence tail of fault-free epochs, then collects
 // every endpoint's status line and runs the invariant checker. Exit
 // status: 0 clean, 1 invariant violations or endpoint failures, 64 usage,
-// 70 setup errors.
+// 70 setup errors. `soak_harness --help` lists the flags.
 
 #include <sys/wait.h>
 #include <unistd.h>
@@ -35,6 +35,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/flags.h"
 #include "fault/fault_plan.h"
 #include "fds/snapshot.h"
 #include "service/agent.h"
@@ -54,99 +55,43 @@ struct SoakOptions {
   std::string mode = "threads";
   ServiceConfig config;
   std::uint64_t quiesce_epochs = 6;  ///< guaranteed fault-free tail
-  bool faults = true;
+  bool no_faults = false;
   std::string chaos = "crash";  ///< "crash" or "full" event mix
   std::uint16_t port_base = 19000;
   std::string out_dir = "/tmp";
   std::string serve_bin;  ///< procs mode; default: <argv0 dir>/cfds_serve
 };
 
-void usage(const char* argv0) {
-  std::cerr
-      << "usage: " << argv0 << " [options]\n"
-      << "  --mode threads|procs  deployment style            [threads]\n"
-      << "  --n N                 endpoints                   [16]\n"
-      << "  --cluster-size N      directory block size        [8]\n"
-      << "  --thop-ms N           one-hop bound Thop          [50]\n"
-      << "  --phi-ms N            heartbeat interval phi      [500]\n"
-      << "  --epochs N            total FDS executions        [10]\n"
-      << "  --warmup N            epochs before fault phase   [2]\n"
-      << "  --quiesce N           fault-free tail epochs      [6]\n"
-      << "  --seed N              plan + loss seed            [1]\n"
-      << "  --loss-p F            per-frame receive loss      [0]\n"
-      << "  --chaos crash|full    fault mix: crashes/recoveries plus\n"
-      << "                        clock drift (crash), or additionally\n"
-      << "                        freezes, link cuts, and jams (full)\n"
-      << "                                                    [crash]\n"
-      << "  --adaptive            self-tuning accrual detection\n"
-      << "  --checkpoint          checkpointed CH/DCH recovery\n"
-      << "  --no-faults           skip fault injection\n"
-      << "  --port-base N         procs mode UDP ports        [19000]\n"
-      << "  --out-dir PATH        procs mode scratch files    [/tmp]\n"
-      << "  --serve-bin PATH      procs mode daemon binary\n";
-}
-
-bool parse_args(int argc, char** argv, SoakOptions* opt) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    const char* v = nullptr;
-    if (arg == "--help" || arg == "-h") return false;
-    if (arg == "--mode" && (v = next())) {
-      opt->mode = v;
-    } else if (arg == "--n" && (v = next())) {
-      opt->config.node_count = std::uint32_t(std::stoul(v));
-    } else if (arg == "--cluster-size" && (v = next())) {
-      opt->config.cluster_size = std::uint32_t(std::stoul(v));
-    } else if (arg == "--thop-ms" && (v = next())) {
-      opt->config.t_hop = SimTime::millis(std::stoll(v));
-    } else if (arg == "--phi-ms" && (v = next())) {
-      opt->config.phi = SimTime::millis(std::stoll(v));
-    } else if (arg == "--epochs" && (v = next())) {
-      opt->config.epochs = std::stoull(v);
-    } else if (arg == "--warmup" && (v = next())) {
-      opt->config.warmup_epochs = std::stoull(v);
-    } else if (arg == "--quiesce" && (v = next())) {
-      opt->quiesce_epochs = std::stoull(v);
-    } else if (arg == "--seed" && (v = next())) {
-      opt->config.seed = std::stoull(v);
-    } else if (arg == "--loss-p" && (v = next())) {
-      opt->config.loss_p = std::stod(v);
-    } else if (arg == "--chaos" && (v = next())) {
-      opt->chaos = v;
-    } else if (arg == "--adaptive") {
-      opt->config.adaptive = true;
-    } else if (arg == "--checkpoint") {
-      opt->config.checkpoint = true;
-    } else if (arg == "--no-faults") {
-      opt->faults = false;
-    } else if (arg == "--port-base" && (v = next())) {
-      opt->port_base = std::uint16_t(std::stoul(v));
-    } else if (arg == "--out-dir" && (v = next())) {
-      opt->out_dir = v;
-    } else if (arg == "--serve-bin" && (v = next())) {
-      opt->serve_bin = v;
-    } else {
-      std::cerr << "unknown or incomplete option: " << arg << "\n";
-      return false;
-    }
+SoakOptions parse_args(int argc, char** argv) {
+  constexpr int kUsageError = 64;
+  SoakOptions opt;
+  cfds::FlagSet flags;
+  flags.add_value("--mode", &opt.mode,
+                  "threads or procs: deployment style (default threads)");
+  cfds::service::add_service_flags(flags, opt.config, opt.port_base);
+  flags.add_value("--quiesce", &opt.quiesce_epochs,
+                  "fault-free tail epochs (default 6)");
+  flags.add_value("--chaos", &opt.chaos,
+                  "crash: crashes, recoveries and clock drift; full: also "
+                  "freezes, link cuts and jams (default crash)");
+  flags.add_flag("--no-faults", &opt.no_faults, "skip fault injection");
+  flags.add_value("--out-dir", &opt.out_dir,
+                  "procs mode scratch files (default /tmp)");
+  flags.add_value("--serve-bin", &opt.serve_bin,
+                  "procs mode daemon binary (default cfds_serve beside this)");
+  flags.parse_all_or_exit(argc, argv, kUsageError);
+  if (opt.mode != "threads" && opt.mode != "procs") {
+    flags.usage_error(argv[0], "--mode must be threads or procs", kUsageError);
   }
-  if (opt->mode != "threads" && opt->mode != "procs") {
-    std::cerr << "--mode must be threads or procs\n";
-    return false;
+  if (opt.chaos != "crash" && opt.chaos != "full") {
+    flags.usage_error(argv[0], "--chaos must be crash or full", kUsageError);
   }
-  if (opt->chaos != "crash" && opt->chaos != "full") {
-    std::cerr << "--chaos must be crash or full\n";
-    return false;
-  }
-  return true;
+  return opt;
 }
 
 /// A seeded plan whose windows all close before the quiescence tail.
 std::optional<cfds::fault::FaultPlan> make_plan(const SoakOptions& opt) {
-  if (!opt.faults) return std::nullopt;
+  if (opt.no_faults) return std::nullopt;
   const std::uint64_t reserved = opt.config.warmup_epochs + opt.quiesce_epochs;
   if (opt.config.epochs <= reserved + 1) {
     std::cerr << "soak: too few epochs for a fault phase, running fault-free\n";
@@ -369,26 +314,15 @@ int run_procs(const SoakOptions& opt,
            std::to_string(id) + ".jsonl";
   };
 
+  const std::vector<std::string> service_args =
+      cfds::service::service_argv(opt.config, opt.port_base);
   std::vector<pid_t> pids;
   pids.reserve(n);
   for (std::uint32_t id = 0; id < n; ++id) {
     std::vector<std::string> args = {
-        serve,
-        "--id", std::to_string(id),
-        "--n", std::to_string(n),
-        "--cluster-size", std::to_string(opt.config.cluster_size),
-        "--port-base", std::to_string(opt.port_base),
-        "--thop-ms", std::to_string(opt.config.t_hop.as_micros() / 1000),
-        "--phi-ms", std::to_string(opt.config.phi.as_micros() / 1000),
-        "--epochs", std::to_string(opt.config.epochs),
-        "--warmup", std::to_string(opt.config.warmup_epochs),
-        "--anchor-us", std::to_string(anchor_us),
-        "--seed", std::to_string(opt.config.seed),
-        "--loss-p", std::to_string(opt.config.loss_p),
-        "--status-out", status_path(id),
-    };
-    if (opt.config.adaptive) args.push_back("--adaptive");
-    if (opt.config.checkpoint) args.push_back("--checkpoint");
+        serve, "--id", std::to_string(id), "--anchor-us",
+        std::to_string(anchor_us), "--status-out", status_path(id)};
+    args.insert(args.end(), service_args.begin(), service_args.end());
     if (!plan_path.empty()) {
       args.push_back("--fault-plan");
       args.push_back(plan_path);
@@ -456,11 +390,7 @@ int run_procs(const SoakOptions& opt,
 }  // namespace
 
 int main(int argc, char** argv) {
-  SoakOptions opt;
-  if (!parse_args(argc, argv, &opt)) {
-    usage(argv[0]);
-    return 64;
-  }
+  const SoakOptions opt = parse_args(argc, argv);
   const std::optional<cfds::fault::FaultPlan> plan = make_plan(opt);
   if (plan) {
     std::cout << "soak: fault plan (seed " << opt.config.seed << "): "
