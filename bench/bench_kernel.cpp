@@ -4,9 +4,11 @@
 //                      slab/freelist kernel, with and without cancellation;
 //   * spatial layer  — grid-built UnitDiskGraph construction vs the O(n^2)
 //                      all-pairs reference build;
-//   * channel layer  — broadcast fan-out batching (one transmit, k batched
-//                      deliveries) and calendar-queue vs binary-heap
-//                      schedule→fire throughput;
+//   * queue layer    — calendar-queue vs binary-heap schedule→fire
+//                      throughput (broadcast delivery cost is measured end
+//                      to end, by perfbench's steady_10k: a rig that sends
+//                      to the same receivers every time keeps them all in
+//                      cache and cannot see delivery locality);
 //   * message layer  — payload_cast tag-dispatch throughput;
 //   * loss layer     — per-candidate loss draw (Bernoulli vs Gilbert-Elliott)
 //                      in the channel's fan-out order;
@@ -32,7 +34,6 @@
 #include "fds/messages.h"
 #include "net/graph.h"
 #include "net/topology.h"
-#include "radio/channel.h"
 #include "radio/loss_model.h"
 #include "sim/scenario.h"
 
@@ -97,38 +98,6 @@ std::size_t loss_fanout(LossModel& model, std::size_t sender,
   }
   return losses;
 }
-
-/// A sender and `fanout` receivers inside one 50 m box: the whole
-/// population is in range of the sender (range 100 m), so every broadcast
-/// fans out to `fanout`. Loss-free.
-struct FanoutRig {
-  FanoutRig(std::size_t fanout, std::uint64_t seed)
-      : channel(sim, loss, ChannelConfig{}, Rng(seed + 1)) {
-    Rng placement(seed);
-    for (std::size_t i = 0; i <= fanout; ++i) {
-      const Vec2 pos{placement.uniform(0.0, 50.0),
-                     placement.uniform(0.0, 50.0)};
-      const std::uint32_t slot = store.add(pos, 1e9);
-      radios.push_back(
-          std::make_unique<Radio>(store, slot, NodeId{std::uint32_t(i)}));
-      channel.attach(*radios.back());
-    }
-    hb->sender = radios[0]->id();
-  }
-
-  /// One broadcast, run until its deliveries have fired.
-  void broadcast() {
-    radios[0]->send(hb);
-    sim.run_until(sim.now() + ChannelConfig{}.t_hop);
-  }
-
-  Simulator sim;
-  BernoulliLoss loss{0.0};
-  Channel channel;
-  NodeStore store;
-  std::vector<std::unique_ptr<Radio>> radios;
-  std::shared_ptr<HeartbeatPayload> hb = std::make_shared<HeartbeatPayload>();
-};
 
 /// Schedules a no-op at a uniform delay in [0, 100 ms): the bounded-delay
 /// workload of the calendar-vs-heap comparison.
@@ -227,24 +196,6 @@ void print_study(runner::JsonlResultSink* sink, bool smoke) {
     const double rate = ops / bench::ms_since(t0) * 1000.0;
     std::printf("%-24s %8s %16.0f\n", "sched_cancel_ops_per_sec", "-", rate);
     emit(sink, "sched_cancel", "ops_per_sec", 0, rate);
-  }
-
-  // Broadcast fan-out: one transmit() batched into k deliveries. Exercises
-  // the Transmission slab + batch-scheduling path end to end (loss p = 0 so
-  // every candidate becomes a delivery).
-  {
-    const std::size_t fanout = smoke ? 16 : 256;
-    FanoutRig rig(fanout, seed);
-    const int warm = smoke ? 10 : 200;
-    for (int i = 0; i < warm; ++i) rig.broadcast();
-    const int sends = smoke ? 100 : 10000;
-    const auto t0 = Clock::now();
-    for (int i = 0; i < sends; ++i) rig.broadcast();
-    const double rate =
-        double(sends) * double(fanout) / bench::ms_since(t0) * 1000.0;
-    std::printf("%-24s %8zu %16.0f\n", "broadcast_fanout_deliveries_per_sec",
-                fanout, rate);
-    emit(sink, "broadcast_fanout", "deliveries_per_sec", int(fanout), rate);
   }
 
   // Calendar queue vs binary heap on an identical bounded-delay workload
@@ -383,15 +334,6 @@ void BM_GraphBuild(benchmark::State& state) {
 BENCHMARK(BM_GraphBuild)
     ->ArgsProduct({{500, 2000}, {0, 1}})
     ->Unit(benchmark::kMillisecond);
-
-void BM_BroadcastFanout(benchmark::State& state) {
-  const auto fanout = std::size_t(state.range(0));
-  FanoutRig rig(fanout, 19);
-  for (auto _ : state) rig.broadcast();
-  state.SetItemsProcessed(std::int64_t(state.iterations()) *
-                          std::int64_t(fanout));
-}
-BENCHMARK(BM_BroadcastFanout)->Arg(16)->Arg(256);
 
 void BM_QueueScheduleFire(benchmark::State& state) {
   // Arg 0 = calendar queue, 1 = binary heap; identical bounded-delay

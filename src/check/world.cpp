@@ -1,6 +1,7 @@
 #include "check/world.h"
 
 #include <algorithm>
+#include <array>
 #include <string>
 #include <utility>
 
@@ -8,6 +9,7 @@
 #include "common/expect.h"
 #include "common/geometry.h"
 #include "fds/messages.h"
+#include "fds/snapshot.h"
 #include "fds/timetable.h"
 #include "radio/payload.h"
 #include "transport/reception.h"
@@ -86,7 +88,7 @@ const std::vector<std::int64_t>& CheckTimerService::pending_deltas() {
 
 CheckWorld::CheckWorld(const CheckOptions& opts, ChoiceSink& sink)
     : opts_(opts), sink_(sink), phi_(opts.t_hop * 7) {
-  CFDS_EXPECT(opts_.nodes >= 2 && opts_.nodes <= 16,
+  CFDS_EXPECT(opts_.nodes >= 2 && opts_.nodes <= kMaxNodes,
               "check world population out of range");
   CFDS_EXPECT(opts_.deputies >= 1 && opts_.deputies < opts_.nodes,
               "deputy count out of range");
@@ -112,7 +114,7 @@ CheckWorld::CheckWorld(const CheckOptions& opts, ChoiceSink& sink)
         by_deputy && sched_upd_[decider.value()] == epoch + 1;
     for (NodeId f : failed) {
       if (f.value() >= opts_.nodes) continue;
-      if (evid_[decider.value()][f.value()] == epoch + 1 || heard_update) {
+      if (evid(decider.value(), f.value()) == epoch + 1 || heard_update) {
         flag("I-V3", "node " + nid(decider) + " declared node " + nid(f) +
                          " failed in epoch " + std::to_string(epoch) +
                          " despite evidence delivered that epoch" +
@@ -123,7 +125,7 @@ CheckWorld::CheckWorld(const CheckOptions& opts, ChoiceSink& sink)
 
   const std::uint32_t n = opts_.nodes;
   recover_count_.assign(n, 0);
-  evid_.assign(n, std::vector<std::uint64_t>(n, 0));
+  evid_.assign(std::size_t{n} * n, 0);
   sched_upd_.assign(n, 0);
 
   // The pre-formed cluster every run starts from: CH = NID 0, everyone
@@ -374,7 +376,7 @@ void CheckWorld::note_evidence(std::uint32_t receiver, const PoolMsg& msg) {
     case PayloadKind::kHeartbeat:
     case PayloadKind::kLeaveNotice:
     case PayloadKind::kSleepNotice:
-      evid_[receiver][msg.sender.value()] = stamp;
+      evid(receiver, msg.sender.value()) = stamp;
       break;
     case PayloadKind::kDigest: {
       const auto* digest = payload_cast<DigestPayload>(msg.payload);
@@ -383,9 +385,9 @@ void CheckWorld::note_evidence(std::uint32_t receiver, const PoolMsg& msg) {
           (!agent.view().is_clusterhead() && !agent.view().is_deputy())) {
         break;
       }
-      evid_[receiver][msg.sender.value()] = stamp;
+      evid(receiver, msg.sender.value()) = stamp;
       for (NodeId heard : digest->heard) {
-        if (heard.value() < opts_.nodes) evid_[receiver][heard.value()] = stamp;
+        if (heard.value() < opts_.nodes) evid(receiver, heard.value()) = stamp;
       }
       break;
     }
@@ -424,21 +426,23 @@ void CheckWorld::fault_point(std::uint64_t epoch, std::uint32_t barrier) {
     bool recover;
     std::uint32_t idx;
   };
-  std::vector<Option> menu;
+  // A node is either down (a recovery option) or up (a crash option), so
+  // the menu never holds more than one option per node.
+  std::array<Option, kMaxNodes> menu;
+  std::uint32_t options = 0;
   if (barrier == 0 && recoveries_left_ > 0) {
     for (std::uint32_t i = 0; i < opts_.nodes; ++i) {
-      if (!nodes_[i]->alive()) menu.push_back({true, i});
+      if (!nodes_[i]->alive()) menu[options++] = {true, i};
     }
   }
   if (crashes_left_ > 0) {
     for (std::uint32_t i = 0; i < opts_.nodes; ++i) {
-      if (nodes_[i]->alive()) menu.push_back({false, i});
+      if (nodes_[i]->alive()) menu[options++] = {false, i};
     }
   }
-  if (menu.empty()) return;
+  if (options == 0) return;
   const std::uint32_t c =
-      choose(std::uint32_t(menu.size()) + 1, ChoiceKind::kFault,
-             epoch * 6 + barrier, 0);
+      choose(options + 1, ChoiceKind::kFault, epoch * 6 + barrier, 0);
   if (c == 0) return;
   const Option& op = menu[c - 1];
   if (op.recover) {
@@ -466,13 +470,11 @@ void CheckWorld::round_actions(std::uint64_t epoch, std::uint32_t barrier) {
 }
 
 void CheckWorld::check_invariants() {
-  // Sized at the first crossing, not in the constructor (most explored runs
-  // are pruned early); the snapshots' vectors are reused after that.
-  snapshots_.resize(opts_.nodes);
+  // On the live agents: no Snapshot is built, so a passing crossing
+  // allocates nothing.
   for (std::uint32_t i = 0; i < opts_.nodes; ++i) {
     if (!nodes_[i]->alive()) continue;
-    fill_snapshot(*agents_[i], *nodes_[i], snapshots_[i]);
-    std::vector<InvariantViolation> found = check_view(snapshots_[i]);
+    std::vector<InvariantViolation> found = check_view(*agents_[i], *nodes_[i]);
     if (!found.empty()) {
       flag(found.front().invariant, std::move(found.front().detail));
       return;
@@ -514,7 +516,7 @@ std::uint64_t CheckWorld::fingerprint(std::uint64_t epoch,
   for (std::uint32_t r = 0; r < opts_.nodes; ++r) {
     const std::uint64_t stamp = agents_[r]->current_epoch() + 1;
     for (std::uint32_t s = 0; s < opts_.nodes; ++s) {
-      h.mix(evid_[r][s] == stamp ? 1U : 0U);
+      h.mix(evid(r, s) == stamp ? 1U : 0U);
     }
     h.mix(sched_upd_[r] == stamp ? 1U : 0U);
   }

@@ -71,7 +71,6 @@
 #include "event/simulator.h"
 #include "fds/agent.h"
 #include "fds/config.h"
-#include "fds/snapshot.h"
 #include "net/node.h"
 #include "transport/transport.h"
 
@@ -241,6 +240,9 @@ class CheckTimerService final : public TimerService {
 /// resettable); run() drives the full schedule once.
 class CheckWorld {
  public:
+  /// Largest population CheckOptions::nodes may ask for.
+  static constexpr std::uint32_t kMaxNodes = 16;
+
   CheckWorld(const CheckOptions& opts, ChoiceSink& sink);
 
   /// Drives the bounded schedule plus the quiescence probe. Returns the
@@ -277,7 +279,8 @@ class CheckWorld {
   void resolve_pool(std::uint64_t epoch, std::uint32_t barrier);
   void fault_point(std::uint64_t epoch, std::uint32_t barrier);
   void round_actions(std::uint64_t epoch, std::uint32_t barrier);
-  /// The view checks I-V7/I-V1/I-V6 (fds/snapshot.h) on every alive agent.
+  /// The view checks I-V7/I-V1/I-V6 (fds/snapshot.h) on every alive
+  /// agent's live state.
   void check_invariants();
   [[nodiscard]] std::uint64_t fingerprint(std::uint64_t epoch,
                                           std::uint32_t barrier);
@@ -325,17 +328,19 @@ class CheckWorld {
   std::vector<FaultEvent> fault_events_;
   /// World-side recovery counts; the oracle for I-V4.
   std::vector<std::uint32_t> recover_count_;
-  /// evid_[receiver][sender] = (epoch at delivery) + 1 of the last
+  /// evid(receiver, sender) = (epoch at delivery) + 1 of the last
   /// evidence-of-life frame delivered receiver <- sender; 0 = never. The
   /// oracle for I-V3. Stamped only for frame kinds the detection rules
-  /// actually consume (see note_evidence).
-  std::vector<std::vector<std::uint64_t>> evid_;
+  /// actually consume (see note_evidence). Row-major nodes x nodes.
+  std::vector<std::uint64_t> evid_;
+  [[nodiscard]] std::uint64_t& evid(std::uint32_t receiver,
+                                    std::uint32_t sender) {
+    return evid_[std::size_t{receiver} * opts_.nodes + sender];
+  }
   /// sched_upd_[receiver] = (epoch at delivery) + 1 of the last scheduled
   /// update delivered to receiver — the deputy-rule side of the I-V3
   /// oracle (a deputy that heard its CH's update must not declare it).
   std::vector<std::uint64_t> sched_upd_;
-  /// Per-node snapshots for the view checks, reused across crossings.
-  std::vector<Snapshot> snapshots_;
 
   std::uint32_t drops_left_ = 0;
   std::uint32_t crashes_left_ = 0;

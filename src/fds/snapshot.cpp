@@ -18,9 +18,14 @@ using jsonl::u32_list;
 
 namespace {
 
-[[nodiscard]] bool contains(const std::vector<std::uint32_t>& v,
-                            std::uint32_t x) {
-  return std::find(v.begin(), v.end(), x) != v.end();
+[[nodiscard]] std::uint32_t raw(std::uint32_t nid) { return nid; }
+[[nodiscard]] std::uint32_t raw(NodeId nid) { return nid.value(); }
+
+/// Whether `list` (of NIDs, as integers or NodeIds) names `nid`.
+template <typename List>
+[[nodiscard]] bool contains(const List& list, std::uint32_t nid) {
+  return std::any_of(list.begin(), list.end(),
+                     [nid](const auto& x) { return raw(x) == nid; });
 }
 
 using Violations = std::vector<InvariantViolation>;
@@ -38,45 +43,97 @@ void report(Violations& out, const char* invariant, const char* fmt,
 }
 #pragma GCC diagnostic pop
 
-void view_checks(const Snapshot& s, Violations& out) {
-  const std::uint32_t n = s.node;
-  if (contains(s.failed, n)) {
+/// The view checks read a node's state through a source: a recorded
+/// Snapshot, or an agent's live state as fill_snapshot would record it
+/// (the model checker runs them at every crossing, where building the
+/// Snapshot would cost more than the checks).
+struct SnapshotSource {
+  const Snapshot& s;
+  [[nodiscard]] std::uint32_t node() const { return s.node; }
+  [[nodiscard]] bool marked() const { return s.marked; }
+  [[nodiscard]] bool affiliated() const { return s.affiliated; }
+  [[nodiscard]] bool is_clusterhead() const { return s.is_clusterhead; }
+  [[nodiscard]] std::uint32_t clusterhead() const { return s.clusterhead; }
+  [[nodiscard]] const std::vector<std::uint32_t>& members() const {
+    return s.members;
+  }
+  [[nodiscard]] const std::vector<std::uint32_t>& deputies() const {
+    return s.deputies;
+  }
+  [[nodiscard]] bool logs_failed(std::uint32_t nid) const {
+    return contains(s.failed, nid);
+  }
+};
+
+/// Live source; the roster accessors are called only when affiliated().
+struct AgentSource {
+  const FdsAgent& agent;
+  const Node& own;
+  [[nodiscard]] std::uint32_t node() const { return own.id().value(); }
+  [[nodiscard]] bool marked() const { return own.marked(); }
+  [[nodiscard]] bool affiliated() const { return agent.view().affiliated(); }
+  [[nodiscard]] bool is_clusterhead() const {
+    return agent.view().is_clusterhead();
+  }
+  [[nodiscard]] std::uint32_t clusterhead() const {
+    return agent.view().cluster()->clusterhead.value();
+  }
+  [[nodiscard]] const std::vector<NodeId>& members() const {
+    return agent.view().cluster()->members;
+  }
+  [[nodiscard]] const std::vector<NodeId>& deputies() const {
+    return agent.view().cluster()->deputies;
+  }
+  [[nodiscard]] bool logs_failed(std::uint32_t nid) const {
+    return agent.log().knows(NodeId{nid});
+  }
+};
+
+template <typename Source>
+void view_checks(const Source& s, Violations& out) {
+  const std::uint32_t n = s.node();
+  if (s.logs_failed(n)) {
     report(out, "I-V7", "node %u lists itself in its own failure log", n);
   }
-  if (!s.affiliated) {
-    if (s.marked) report(out, "I-V1", "node %u: marked but unaffiliated", n);
+  if (!s.affiliated()) {
+    if (s.marked()) report(out, "I-V1", "node %u: marked but unaffiliated", n);
     return;
   }
-  if (s.is_clusterhead && !s.marked) {
+  const std::uint32_t head = s.clusterhead();
+  const auto& members = s.members();
+  const auto& deputies = s.deputies();
+  if (s.is_clusterhead() && !s.marked()) {
     report(out, "I-V1", "node %u: acting clusterhead but unmarked", n);
   }
-  if (contains(s.members, s.clusterhead)) {
+  if (contains(members, head)) {
     report(out, "I-V1", "node %u: clusterhead listed as a member", n);
   }
-  if (contains(s.deputies, s.clusterhead)) {
+  if (contains(deputies, head)) {
     report(out, "I-V1", "node %u: clusterhead listed as a deputy", n);
   }
-  for (std::uint32_t d : s.deputies) {
-    if (!contains(s.members, d)) {
-      report(out, "I-V1", "node %u: deputy %u is not a member", n, d);
+  for (const auto& d : deputies) {
+    if (!contains(members, raw(d))) {
+      report(out, "I-V1", "node %u: deputy %u is not a member", n, raw(d));
     }
   }
-  for (std::size_t x = 0; x < s.members.size(); ++x) {
-    for (std::size_t y = x + 1; y < s.members.size(); ++y) {
-      if (s.members[x] == s.members[y]) {
-        report(out, "I-V1", "node %u: duplicate member %u", n, s.members[x]);
+  for (std::size_t x = 0; x < members.size(); ++x) {
+    for (std::size_t y = x + 1; y < members.size(); ++y) {
+      if (members[x] == members[y]) {
+        report(out, "I-V1", "node %u: duplicate member %u", n,
+               raw(members[x]));
       }
     }
   }
-  if (s.clusterhead != n && !contains(s.members, n)) {
+  if (head != n && !contains(members, n)) {
     report(out, "I-V1", "node %u: affiliated but missing from its own roster",
            n);
   }
-  if (s.is_clusterhead) {
-    for (std::uint32_t m : s.members) {
-      if (contains(s.failed, m)) {
+  if (s.is_clusterhead()) {
+    for (const auto& m : members) {
+      if (s.logs_failed(raw(m))) {
         report(out, "I-V6",
-               "node %u: expects member %u it also records as failed", n, m);
+               "node %u: expects member %u it also records as failed", n,
+               raw(m));
       }
     }
   }
@@ -192,7 +249,14 @@ void fill_snapshot(const FdsAgent& agent, const Node& node, Snapshot& out) {
 
 std::vector<InvariantViolation> check_view(const Snapshot& s) {
   Violations out;
-  view_checks(s, out);
+  view_checks(SnapshotSource{s}, out);
+  return out;
+}
+
+std::vector<InvariantViolation> check_view(const FdsAgent& agent,
+                                           const Node& node) {
+  Violations out;
+  view_checks(AgentSource{agent, node}, out);
   return out;
 }
 
@@ -236,7 +300,7 @@ std::vector<InvariantViolation> check_invariants(
       continue;
     }
     if (!participating(&s)) continue;
-    view_checks(s, out);
+    view_checks(SnapshotSource{s}, out);
     const Snapshot* head = s.affiliated ? find(s.clusterhead) : nullptr;
 
     if (s.affiliated) {

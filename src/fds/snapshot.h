@@ -8,7 +8,8 @@
 //
 // check_invariants() states the paper's per-cluster guarantees (§4.2) once,
 // over a whole deployment; check_view() is its view-local part, run alone
-// by the model checker. The table, with the reach rule of each check, is in
+// by the model checker (on the live agent, through the same statement of
+// the checks). The table, with the reach rule of each check, is in
 // docs/FAULTS.md:
 //
 //   I1  no cluster referenced by a participant lacks an acting head, and
@@ -124,6 +125,12 @@ using Reach = std::function<bool(const Snapshot& a, const Snapshot& b)>;
 
 /// The view-local checks I-V7, I-V1, I-V6 on one snapshot, in that order.
 [[nodiscard]] std::vector<InvariantViolation> check_view(const Snapshot& s);
+
+/// The same checks on `agent`'s live state (`node` is its own node): what
+/// check_view would report on fill_snapshot's record of it, without
+/// building the record. Allocation-free when every check passes.
+[[nodiscard]] std::vector<InvariantViolation> check_view(const FdsAgent& agent,
+                                                         const Node& node);
 
 /// I1-I5 over a whole deployment plus check_view on every participant.
 /// `snapshots` need not be sorted; violations come in ascending-node order.

@@ -62,6 +62,10 @@ ServeOptions parse_args(int argc, char** argv) {
   if (opt.id >= opt.config.node_count) {
     flags.usage_error(argv[0], "--id must be < --n", kUsageError);
   }
+  if (const std::string error = cfds::service::check_config(opt.config);
+      !error.empty()) {
+    flags.usage_error(argv[0], error, kUsageError);
+  }
   return opt;
 }
 

@@ -53,9 +53,13 @@ expect_status(64 ${CFDS_SERVE} --id abc --n 4)
 expect_status(64 ${CFDS_SERVE} --n 4)
 expect_status(64 ${CFDS_SERVE} --id 4 --n 4)
 expect_status(64 ${CFDS_SERVE} --id 0 --n 4 --port-base 70000)
+expect_status(64 ${CFDS_SERVE} --id 0 --n 4 --thop-ms 100 --phi-ms 500)
+expect_status(64 ${CFDS_SERVE} --id 0 --n 4 --thop-ms 0)
 
 expect_help(${SOAK_HARNESS} --mode ${service_flags} --quiesce --chaos
             --no-faults --out-dir --serve-bin)
 expect_status(64 ${SOAK_HARNESS} --n x)
 expect_status(64 ${SOAK_HARNESS} --mode fork)
 expect_status(64 ${SOAK_HARNESS} --chaos none)
+expect_status(64 ${SOAK_HARNESS} --n 4 --cluster-size 0)
+expect_status(64 ${SOAK_HARNESS} --n 4 --thop-ms 0)

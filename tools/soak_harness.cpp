@@ -86,6 +86,10 @@ SoakOptions parse_args(int argc, char** argv) {
   if (opt.chaos != "crash" && opt.chaos != "full") {
     flags.usage_error(argv[0], "--chaos must be crash or full", kUsageError);
   }
+  if (const std::string error = cfds::service::check_config(opt.config);
+      !error.empty()) {
+    flags.usage_error(argv[0], error, kUsageError);
+  }
   return opt;
 }
 
