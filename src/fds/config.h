@@ -155,6 +155,10 @@ struct FdsConfig {
   ///     recovery_enabled.
   /// Every bench/tool entry point calls this before running.
   void validate(SimTime t_hop) const;
+  /// The first of those constraints the configuration breaks, as the
+  /// message validate() aborts with, or nullptr when it satisfies them all.
+  /// Tools that take the parameters as flags report it as a usage error.
+  [[nodiscard]] const char* violation(SimTime t_hop) const;
 };
 
 }  // namespace cfds

@@ -22,21 +22,6 @@ namespace {
   return splitmix64(state);
 }
 
-[[nodiscard]] FdsConfig service_fds_config(const ServiceConfig& config) {
-  FdsConfig fds;
-  fds.heartbeat_interval = config.phi;
-  // Crash-recovery is the point of a soak with injected crashes.
-  fds.recovery_enabled = true;
-  // Real transport: scheduler jitter / clock skew can deliver a neighbour's
-  // round frames before this endpoint's begin_epoch fires; age evidence out
-  // instead of wiping it, and carry subscription heartbeats to R-3 (see
-  // FdsConfig::tolerate_epoch_skew).
-  fds.tolerate_epoch_skew = true;
-  fds.adaptive_enabled = config.adaptive;
-  fds.checkpoint_enabled = config.checkpoint;
-  return fds;
-}
-
 /// Energy is effectively unmetered in service mode (the transport has no
 /// RadioCounters); a large budget keeps every energy fraction at 1.
 constexpr double kServiceEnergyUj = 1e12;
@@ -58,7 +43,7 @@ ServiceAgent::ServiceAgent(const ServiceConfig& config, NodeId self,
       filtered_(raw, filter_, self, config.loss_p,
                 endpoint_seed(config.seed, self), &ServiceAgent::position_thunk,
                 this),
-      fds_config_(service_fds_config(config)),
+      fds_config_(fds_config(config)),
       fds_(node_, view_, filtered_, timers, config.t_hop, fds_config_, hooks_),
       // Every endpoint applies the whole plan's windows to its own filter
       // but crashes and recovers only itself: powering the raw transport
