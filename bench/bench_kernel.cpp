@@ -138,10 +138,9 @@ void print_study(runner::JsonlResultSink* sink, bool smoke) {
             : std::vector<std::size_t>{500, 2000};
   const auto seed = bench::options().seed_or(19);
   for (std::size_t n : graph_sizes) {
-    double width = 0.0, height = 0.0;
-    bench::field_for(n, width, height);
+    const ScenarioConfig field = paper_density(n);
     Rng rng(seed);
-    const auto points = uniform_rect(n, width, height, rng);
+    const auto points = uniform_rect(n, field.width, field.height, rng);
     {  // warm-up
       UnitDiskGraph warm(points, 100.0);
       benchmark::DoNotOptimize(warm.size());
@@ -276,7 +275,9 @@ void print_study(runner::JsonlResultSink* sink, bool smoke) {
       smoke ? std::vector<std::size_t>{200}
             : std::vector<std::size_t>{500, 2000};
   for (std::size_t n : e2e_sizes) {
-    Scenario scenario(bench::paper_density_config(n, 0.1, seed));
+    ScenarioConfig config = paper_density(n);
+    config.seed = seed;  // loss_p keeps its default, 0.1
+    Scenario scenario(config);
     scenario.setup();
     scenario.run_epochs(1);  // warm-up
     const std::uint64_t before =
@@ -320,10 +321,9 @@ BENCHMARK(BM_ScheduleCancelFire);
 void BM_GraphBuild(benchmark::State& state) {
   // Args: n, then 0 = the grid build, 1 = the all-pairs reference.
   const auto n = std::size_t(state.range(0));
-  double width = 0.0, height = 0.0;
-  bench::field_for(n, width, height);
+  const ScenarioConfig field = paper_density(n);
   Rng rng(19);
-  const auto points = uniform_rect(n, width, height, rng);
+  const auto points = uniform_rect(n, field.width, field.height, rng);
   for (auto _ : state) {
     const auto graph = state.range(1) == 0
                            ? UnitDiskGraph(points, 100.0)

@@ -1,9 +1,11 @@
 // Megascale worlds (ROADMAP "Million-node worlds"): one process drives
 // n ∈ {10^4, 10^5, 10^6} through centralized formation plus a ten-epoch
-// FDS trial at the paper's density (~50 nodes per transmission disk) and
-// reports, per decade:
+// FDS trial at the paper's density (paper_density(n): ~50 nodes per
+// transmission disk) on a loss-free channel without the inter-cluster
+// forwarder, and reports, per decade:
 //
-//   formation_ms     wall time of ClusterDirectory::build + install
+//   setup_ms         wall time of Scenario::setup(): placement, directory
+//                    clustering and the FDS build
 //   events_per_sec   simulator throughput over the timed epochs
 //   bytes_per_node   peak RSS (getrusage ru_maxrss) divided by n
 //
@@ -30,17 +32,11 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <memory>
 #include <utility>
-#include <vector>
 
 #include "bench/bench_util.h"
-#include "cluster/directory.h"
-#include "cluster/membership.h"
-#include "fds/agent.h"
-#include "net/network.h"
-#include "net/topology.h"
 #include "runner/result_sink.h"
+#include "sim/scenario.h"
 
 namespace {
 
@@ -49,65 +45,35 @@ using namespace cfds;
 struct Row {
   std::size_t n = 0;
   std::size_t clusters = 0;
-  double formation_ms = 0.0;
+  double setup_ms = 0.0;
   double events_per_sec = 0.0;
   double bytes_per_node = 0.0;
 };
 
 Row run_decade(std::size_t n, std::uint64_t epochs, std::uint64_t seed) {
+  // FDS defaults: the simulator's hard-boundary path.
+  ScenarioConfig config = paper_density(n);
+  config.loss_p = 0.0;
+  config.seed = seed;
+  config.enable_forwarder = false;
+  Scenario scenario(config);
+
   Row row;
   row.n = n;
-
-  double width = 0.0, height = 0.0;
-  bench::field_for(n, width, height);
-
-  NetworkConfig net_config;
-  net_config.seed = seed;
-  Network network(net_config, std::make_unique<BernoulliLoss>(0.0));
-  Rng placement = network.fork_rng();
-  const auto positions = uniform_rect(n, width, height, placement);
-  network.add_nodes(positions);
-
-  const auto t_formation = std::chrono::steady_clock::now();
-  const auto directory =
-      ClusterDirectory::build(positions, net_config.channel.range);
-  std::vector<std::unique_ptr<MembershipView>> owned_views;
-  std::vector<MembershipView*> views;
-  owned_views.reserve(n);
-  views.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    owned_views.push_back(
-        std::make_unique<MembershipView>(NodeId{std::uint32_t(i)}));
-    views.push_back(owned_views.back().get());
-  }
-  directory.install(network, views);
-  row.formation_ms = bench::ms_since(t_formation);
-  row.clusters = directory.clusters().size();
-
-  FdsConfig config;  // defaults: the simulator hard-boundary path
-  config.heartbeat_interval = SimTime::seconds(2);
-  FdsService fds(network, views, config);
+  const auto t_setup = std::chrono::steady_clock::now();
+  scenario.setup();
+  row.setup_ms = bench::ms_since(t_setup);
+  row.clusters = scenario.cluster_count();
   // Modest even-spread pre-size; the calendar queue's spare-vector pool
   // grows and recycles the burst-band buckets from the first epochs on.
-  network.simulator().reserve(std::size_t{1} << 19);
+  Simulator& sim = scenario.network().simulator();
+  sim.reserve(std::size_t{1} << 19);
 
-  const SimTime phi = config.heartbeat_interval;
-  std::uint64_t epoch = 0;
-  SimTime next = phi;
-  auto run_epochs = [&](std::uint64_t count) {
-    for (std::uint64_t k = 0; k < count; ++k) {
-      fds.schedule_epoch(epoch++, next);
-      next += phi;
-    }
-    network.simulator().run_until(next);
-  };
-
-  const std::uint64_t events_before = network.simulator().events_executed();
+  const std::uint64_t events_before = sim.events_executed();
   const auto t_epochs = std::chrono::steady_clock::now();
-  run_epochs(epochs);
+  scenario.run_epochs(epochs);
   const double epochs_ms = bench::ms_since(t_epochs);
-  const std::uint64_t events =
-      network.simulator().events_executed() - events_before;
+  const std::uint64_t events = sim.events_executed() - events_before;
   row.events_per_sec = double(events) / epochs_ms * 1000.0;
   row.bytes_per_node = double(bench::peak_rss_bytes()) / double(n);
   return row;
@@ -128,20 +94,20 @@ int main(int argc, char** argv) {
   const auto sink = cfds::bench::make_sink();
   const auto seed = cfds::bench::options().seed_or(7);
 
-  cfds::bench::banner("Megascale", "formation + FDS epochs per decade");
+  cfds::bench::banner("Megascale", "setup + FDS epochs per decade");
   std::printf("\n%-10s %10s %14s %16s %16s\n", "nodes", "clusters",
-              "formation ms", "events/sec", "bytes/node");
+              "setup ms", "events/sec", "bytes/node");
 
   for (std::size_t n : {std::size_t{10'000}, std::size_t{100'000},
                         std::size_t{1'000'000}}) {
     if (n > max_nodes) break;
     const Row row = run_decade(n, epochs, seed);
     std::printf("%-10zu %10zu %14.1f %16.0f %16.0f\n", row.n, row.clusters,
-                row.formation_ms, row.events_per_sec, row.bytes_per_node);
+                row.setup_ms, row.events_per_sec, row.bytes_per_node);
     std::fflush(stdout);
     if (sink != nullptr) {
       for (const auto& [metric, value] :
-           {std::pair<const char*, double>{"formation_ms", row.formation_ms},
+           {std::pair<const char*, double>{"setup_ms", row.setup_ms},
             {"events_per_sec", row.events_per_sec},
             {"bytes_per_node", row.bytes_per_node}}) {
         cfds::runner::BenchRecord record;

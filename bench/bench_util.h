@@ -19,7 +19,6 @@
 #include <sys/resource.h>
 
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -180,24 +179,6 @@ inline void table_row(double p, const std::vector<std::string>& cells) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - start)
       .count();
-}
-
-/// Field dimensions for n nodes at the paper's density (~50 nodes per
-/// transmission disk): 500 nodes <-> 700 x 450 m, area scaled linearly.
-inline void field_for(std::size_t n, double& width, double& height) {
-  const double scale = std::sqrt(double(n) / 500.0);
-  width = 700.0 * scale;
-  height = 450.0 * scale;
-}
-
-/// A Scenario world of `nodes` nodes at the paper's density (field_for)
-/// with Bernoulli(loss_p) message loss.
-[[nodiscard]] inline ScenarioConfig paper_density_config(std::size_t nodes,
-                                                         double loss_p,
-                                                         std::uint64_t seed) {
-  double width = 0.0, height = 0.0;
-  field_for(nodes, width, height);
-  return scenario_config(width, height, nodes, loss_p, seed);
 }
 
 /// Peak resident set size of this process in bytes (ru_maxrss is KiB on

@@ -38,7 +38,7 @@ double bytes_per_node_interval(const TrafficTotals& before,
 
 Outcome run_cfds(double p, std::uint64_t seed) {
   auto config = scenario_config(kWidth, kHeight, kNodes, p, seed);
-  config.heartbeat_interval = SimTime::seconds(2);
+  config.fds.heartbeat_interval = SimTime::seconds(2);
   Scenario scenario(config);
   scenario.setup();
   scenario.run_epochs(2);

@@ -49,13 +49,13 @@ std::optional<Crash> crash_random_member(Scenario& scenario, Rng& offsets,
   const std::vector<NodeId> candidates = scenario.alive_ordinary_members();
   if (candidates.empty()) return std::nullopt;
   const NodeId victim = candidates[offsets.below(candidates.size())];
-  const auto phi_us = scenario.config().heartbeat_interval.as_micros();
+  const auto phi_us = scenario.config().fds.heartbeat_interval.as_micros();
   Crash crash{victim,
               scenario.network().simulator().now() +
                   SimTime::micros(std::int64_t(offsets.uniform(0.3, 0.95) *
                                                double(phi_us))),
               std::nullopt};
-  scenario.schedule_crash(crash.victim, crash.at);
+  scenario.network().schedule_crash(crash.victim, crash.at);
   scenario.run_epochs(epochs);
   if (const auto first =
           scenario.metrics().first_detection_since(crash.victim, crash.at)) {
@@ -100,7 +100,7 @@ void print_study() {
     }
 
     const double bound =
-        config.heartbeat_interval.as_seconds() + 2 * 0.1;  // phi + 2*Thop
+        config.fds.heartbeat_interval.as_seconds() + 2 * 0.1;  // phi + 2*Thop
     std::printf("%-6.2f %10.2f %10.2f %10.2f %12.2f %14.2f\n", p,
                 latencies.quantile(0.5), latencies.quantile(0.9),
                 latencies.quantile(1.0), bound, knowledge_delay.mean());

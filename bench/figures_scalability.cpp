@@ -23,7 +23,7 @@ const std::vector<std::size_t> kSizes = {125, 250, 500, 1000, 2000};
 
 void BM_CentralizedFormationAtScale(benchmark::State& state) {
   const auto n = std::size_t(state.range(0));
-  const auto config = paper_density_config(n, 0.1, 19);
+  const auto config = paper_density(n);
   Rng rng(19);
   const auto positions =
       uniform_rect(config.node_count, config.width, config.height, rng);
@@ -53,7 +53,8 @@ void scalability_row() {
   std::vector<Row> rows(kSizes.size());
   pool().parallel_for(kSizes.size(), [&](std::size_t index) {
     const std::size_t n = kSizes[index];
-    const auto config = paper_density_config(n, 0.1, seed);
+    ScenarioConfig config = paper_density(n);
+    config.seed = seed;  // loss_p keeps its default, 0.1
     Scenario scenario(config);
     scenario.setup();
 
@@ -96,8 +97,9 @@ void scalability_row() {
       "\ncluster versus one frame per NODE for flat flooding.\n");
 
   for (std::size_t n : kSizes) {
-    register_epoch_timing("scalability", "epoch/" + std::to_string(n),
-                          paper_density_config(n, 0.1, 19));
+    ScenarioConfig config = paper_density(n);
+    config.seed = 19;
+    register_epoch_timing("scalability", "epoch/" + std::to_string(n), config);
   }
   register_timing("scalability", "centralized_formation",
                   BM_CentralizedFormationAtScale)

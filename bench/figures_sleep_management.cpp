@@ -44,7 +44,7 @@ Outcome run(double sleep_fraction, bool announce, bool digest_relay,
     outcome.sleepers +=
         scheduler
             .begin_window(scenario.network().simulator().now(),
-                          scenario.config().heartbeat_interval)
+                          scenario.config().fds.heartbeat_interval)
             .size();
     scenario.run_epochs(3);
   }

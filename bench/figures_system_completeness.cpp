@@ -49,7 +49,9 @@ analysis::BackboneGraph backbone_of(Scenario& scenario) {
 }
 
 double measured_ch_coverage(double p, std::uint64_t seed) {
-  const auto config = scenario_config(700.0, 450.0, 500, p, seed);
+  ScenarioConfig config = paper_density(500);
+  config.loss_p = p;
+  config.seed = seed;
   Scenario scenario(config);
   scenario.setup();
   scenario.run_epochs(1);
@@ -88,7 +90,9 @@ void system_completeness_row() {
          "model vs full stack over the real backbone (500 nodes)");
 
   // One representative topology for the model side.
-  const auto config = scenario_config(700.0, 450.0, 500, 0.0, 13);
+  ScenarioConfig config = paper_density(500);
+  config.loss_p = 0.0;
+  config.seed = 13;
   Scenario scenario(config);
   scenario.setup();
   const auto graph = backbone_of(scenario);

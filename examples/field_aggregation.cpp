@@ -11,52 +11,35 @@
 
 #include <cmath>
 #include <cstdio>
-#include <memory>
 
 #include "aggregation/service.h"
-#include "cluster/directory.h"
-#include "net/topology.h"
-#include "sim/metrics.h"
+#include "sim/scenario.h"
 
 int main() {
   using namespace cfds;
 
-  constexpr std::size_t kNodes = 350;
-  constexpr double kWidth = 600.0;
-  constexpr double kHeight = 400.0;
-
-  NetworkConfig net_config;
-  net_config.seed = 808;
-  Network network(net_config, std::make_unique<BernoulliLoss>(0.1));
-  Rng placement(808);
-  const auto positions = uniform_rect(kNodes, kWidth, kHeight, placement);
-  network.add_nodes(positions);
-  const auto directory = ClusterDirectory::build(positions, 100.0);
-
-  std::vector<std::unique_ptr<MembershipView>> views;
-  std::vector<MembershipView*> ptrs;
-  for (std::uint32_t i = 0; i < kNodes; ++i) {
-    views.push_back(std::make_unique<MembershipView>(NodeId{i}));
-    ptrs.push_back(views.back().get());
-  }
-  directory.install(network, ptrs);
-
-  FdsConfig fds_config;
-  fds_config.heartbeat_interval = SimTime::seconds(2);
-  fds_config.external_heartbeats = true;  // measurements ARE heartbeats
-  FdsService fds(network, ptrs, fds_config);
-  MetricsCollector metrics;
-  metrics.attach(fds, network);
+  ScenarioConfig config;
+  config.width = 600.0;
+  config.height = 400.0;
+  config.node_count = 350;
+  config.loss_p = 0.1;
+  config.seed = 808;
+  config.fds.external_heartbeats = true;  // measurements ARE heartbeats
+  config.enable_forwarder = false;  // aggregates flood the backbone instead
+  Scenario scenario(config);
+  scenario.setup();
+  Network& network = scenario.network();
+  const std::vector<MembershipView*>& views = scenario.views();
 
   // Temperature field: ambient 18C; from epoch 4, a hot spot grows around
   // the north-east corner.
   bool heat_event = false;
   AggregationService aggregation(
-      network, fds, ptrs, [&](NodeId node, std::uint64_t) {
+      network, scenario.fds(), views, [&](NodeId node, std::uint64_t) {
         const Vec2 pos = network.node(node).position();
         double temperature = 18.0 + 0.01 * pos.y;
         if (heat_event) {
-          const double d = distance(pos, {kWidth, kHeight});
+          const double d = distance(pos, {config.width, config.height});
           temperature += 25.0 * std::exp(-d / 120.0);
         }
         return temperature;
@@ -64,15 +47,13 @@ int main() {
 
   std::printf("field up: %zu sensors, %zu clusters; measurements double as"
               " heartbeats\n\n",
-              kNodes, directory.clusters().size());
+              config.node_count, scenario.cluster_count());
   std::printf("%-6s %8s %8s %8s %8s %8s\n", "epoch", "sensors", "avg C",
               "max C", "alarms", "false+");
 
-  NodeId victim = NodeId::invalid();
-  for (const ClusterView& cluster : directory.clusters()) {
-    if (!cluster.members.empty()) victim = cluster.members.back();
-  }
+  const NodeId victim = scenario.alive_ordinary_members().back();
   SimTime crashed_at = SimTime::zero();
+  const SimTime phi = config.fds.heartbeat_interval;
 
   for (std::uint64_t epoch = 0; epoch < 10; ++epoch) {
     if (epoch == 4) {
@@ -84,16 +65,14 @@ int main() {
       crashed_at = network.simulator().now();
       std::printf("       *** sensor %u burns out ***\n", victim.value());
     }
-    aggregation.schedule_epoch(epoch,
-                               SimTime::seconds(2 * std::int64_t(epoch)));
-    network.simulator().run_until(
-        SimTime::seconds(2 * std::int64_t(epoch + 1)));
+    aggregation.schedule_epoch(epoch, std::int64_t(epoch) * phi);
+    network.simulator().run_until(std::int64_t(epoch + 1) * phi);
 
     // Read the global view at the best-informed clusterhead (any base
     // station would do the same).
     Aggregate best;
     for (AggregationAgent* agent : aggregation.agents()) {
-      if (!ptrs[agent->id().value()]->is_clusterhead()) continue;
+      if (!views[agent->id().value()]->is_clusterhead()) continue;
       if (!network.node(agent->id()).alive()) continue;
       const Aggregate view = agent->global_view(epoch);
       if (view.count > best.count) best = view;
@@ -103,10 +82,11 @@ int main() {
                 static_cast<unsigned long long>(epoch),
                 static_cast<unsigned long long>(best.count),
                 best.average(), best.max, alarm ? "HEAT" : "-",
-                metrics.false_detections());
+                scenario.metrics().false_detections());
   }
 
-  const auto detection = metrics.first_detection_since(victim, crashed_at);
+  const auto detection =
+      scenario.metrics().first_detection_since(victim, crashed_at);
   std::printf("\nburned-out sensor %u %s (no dedicated heartbeat frames were"
               " ever sent)\n",
               victim.value(),

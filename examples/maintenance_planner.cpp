@@ -24,7 +24,7 @@ int main() {
   config.height = 420.0;
   config.node_count = 450;
   config.loss_p = 0.25;  // rough conditions: loss high enough to test accuracy
-  config.heartbeat_interval = SimTime::seconds(2);
+  config.fds.heartbeat_interval = SimTime::seconds(2);
   config.seed = 555;
 
   Scenario scenario(config);

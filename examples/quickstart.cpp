@@ -21,7 +21,7 @@ int main() {
   config.node_count = 300;
   config.range = 100.0;
   config.loss_p = 0.10;
-  config.heartbeat_interval = SimTime::seconds(2);
+  config.fds.heartbeat_interval = SimTime::seconds(2);
   config.seed = 2026;
 
   // 2. Deploy: places the nodes and forms the cluster hierarchy

@@ -25,7 +25,7 @@ int main() {
   config.height = 450.0;
   config.node_count = 500;
   config.loss_p = 0.15;  // harsh RF environment
-  config.heartbeat_interval = SimTime::seconds(2);
+  config.fds.heartbeat_interval = SimTime::seconds(2);
   config.seed = 404;
 
   Scenario scenario(config);

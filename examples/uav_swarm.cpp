@@ -24,7 +24,7 @@ int main() {
   config.height = 420.0;
   config.node_count = 420;
   config.loss_p = 0.20;
-  config.heartbeat_interval = SimTime::seconds(1);
+  config.fds.heartbeat_interval = SimTime::seconds(1);
   config.seed = 1942;
 
   Scenario scenario(config);

@@ -62,7 +62,7 @@ ChaosResult replay_chaos_trial(const ChaosConfig& config, std::uint64_t seed,
   sc.height = config.height;
   sc.node_count = config.node_count;
   sc.range = config.range;
-  sc.heartbeat_interval = config.epoch_interval;
+  sc.fds.heartbeat_interval = config.epoch_interval;
   sc.seed = seed;
   sc.fds.recovery_enabled = true;
   sc.fds.adaptive_enabled = config.adaptive;

@@ -1,22 +1,36 @@
 #include "sim/scenario.h"
 
+#include <cmath>
+#include <utility>
+
 #include "common/expect.h"
 #include "common/flat.h"
 #include "net/topology.h"
 
 namespace cfds {
 
-Scenario::Scenario(ScenarioConfig config) : config_(config) {
-  // Fail loudly at construction, before any simulation time is spent: the
-  // FDS config must satisfy the documented constraints against this
-  // scenario's Thop (FdsService re-validates with the effective phi).
-  FdsConfig effective = config_.fds;
-  effective.heartbeat_interval = config_.heartbeat_interval;
-  effective.validate(config_.t_hop);
+namespace {
+// Rounds of the distributed formation protocol before the FDS starts.
+constexpr std::size_t kFormationIterations = 4;
+}  // namespace
+
+ScenarioConfig paper_density(std::size_t n) {
+  const double scale = std::sqrt(double(n) / 500.0);
+  ScenarioConfig config;
+  config.node_count = n;
+  config.width = 700.0 * scale;
+  config.height = 450.0 * scale;
+  return config;
+}
+
+Scenario::Scenario(ScenarioConfig config) : config_(std::move(config)) {
   NetworkConfig net_config;
   net_config.channel.range = config_.range;
-  net_config.channel.t_hop = config_.t_hop;
   net_config.seed = config_.seed;
+  // Fail loudly at construction, before any simulation time is spent: the
+  // FDS config must satisfy the documented constraints against the
+  // channel's Thop.
+  config_.fds.validate(net_config.channel.t_hop);
   network_ = std::make_unique<Network>(
       net_config, config_.loss_factory
                       ? config_.loss_factory()
@@ -25,21 +39,9 @@ Scenario::Scenario(ScenarioConfig config) : config_(config) {
 
 Scenario::~Scenario() = default;
 
-std::vector<MembershipView*> Scenario::views() {
-  std::vector<MembershipView*> out;
-  if (formation_) {
-    for (FormationAgent* agent : formation_->agents()) {
-      out.push_back(&agent->view());
-    }
-  } else {
-    for (auto& view : owned_views_) out.push_back(view.get());
-  }
-  return out;
-}
-
 std::vector<NodeId> Scenario::alive_ordinary_members() {
   std::vector<NodeId> out;
-  for (MembershipView* view : views()) {
+  for (MembershipView* view : views_) {
     if (view->role() == Role::kOrdinaryMember &&
         network_->node(view->self()).alive()) {
       out.push_back(view->self());
@@ -57,31 +59,34 @@ SimTime Scenario::setup() {
   network_->add_nodes(positions);
 
   SimTime settled = SimTime::zero();
+  views_.reserve(config_.node_count);
   if (config_.distributed_formation) {
     formation_ = std::make_unique<FormationProtocol>(*network_);
-    settled = formation_->run(config_.formation_iterations);
+    settled = formation_->run(kFormationIterations);
+    for (FormationAgent* agent : formation_->agents()) {
+      views_.push_back(&agent->view());
+    }
   } else {
     const auto directory =
         ClusterDirectory::build(positions, config_.range);
+    owned_views_.reserve(config_.node_count);
     for (std::size_t i = 0; i < config_.node_count; ++i) {
       owned_views_.push_back(
           std::make_unique<MembershipView>(NodeId{std::uint32_t(i)}));
+      views_.push_back(owned_views_.back().get());
     }
-    auto view_ptrs = views();
-    directory.install(*network_, view_ptrs);
+    directory.install(*network_, views_);
   }
 
-  FdsConfig fds_config = config_.fds;
-  fds_config.heartbeat_interval = config_.heartbeat_interval;
-  fds_ = std::make_unique<FdsService>(*network_, views(), fds_config);
+  fds_ = std::make_unique<FdsService>(*network_, views_, config_.fds);
   metrics_.attach(*fds_, *network_);
   if (config_.enable_forwarder) {
-    forwarder_ = std::make_unique<ForwarderService>(*network_, *fds_, views(),
+    forwarder_ = std::make_unique<ForwarderService>(*network_, *fds_, views_,
                                                     config_.forwarder);
   }
 
   // First epoch starts one interval after formation settles.
-  next_epoch_time_ = settled + config_.heartbeat_interval;
+  next_epoch_time_ = settled + config_.fds.heartbeat_interval;
   return settled;
 }
 
@@ -89,18 +94,10 @@ SimTime Scenario::run_epochs(std::uint64_t count) {
   CFDS_EXPECT(fds_ != nullptr, "call setup() first");
   for (std::uint64_t k = 0; k < count; ++k) {
     fds_->schedule_epoch(next_epoch_++, next_epoch_time_);
-    next_epoch_time_ += config_.heartbeat_interval;
+    next_epoch_time_ += config_.fds.heartbeat_interval;
   }
   network_->simulator().run_until(next_epoch_time_);
   return next_epoch_time_;
-}
-
-void Scenario::schedule_crash(NodeId id, SimTime when) {
-  network_->schedule_crash(id, when);
-}
-
-void Scenario::schedule_recover(NodeId id, SimTime when) {
-  network_->schedule_recover(id, when);
 }
 
 std::vector<NodeId> Scenario::replenish(std::size_t count) {
@@ -114,9 +111,10 @@ std::vector<NodeId> Scenario::replenish(std::size_t count) {
     Node& node = network_->add_node({placement.uniform(0.0, config_.width),
                                      placement.uniform(0.0, config_.height)});
     owned_views_.push_back(std::make_unique<MembershipView>(node.id()));
-    FdsAgent& agent = fds_->adopt_node(node, *owned_views_.back());
+    views_.push_back(owned_views_.back().get());
+    FdsAgent& agent = fds_->adopt_node(node, *views_.back());
     if (forwarder_) {
-      forwarder_->adopt_node(node, *owned_views_.back(), agent);
+      forwarder_->adopt_node(node, *views_.back(), agent);
     }
     added.push_back(node.id());
   }
@@ -125,8 +123,7 @@ std::vector<NodeId> Scenario::replenish(std::size_t count) {
 
 std::size_t Scenario::cluster_count() const {
   FlatSet<ClusterId> seen;
-  for (const MembershipView* view :
-       const_cast<Scenario*>(this)->views()) {
+  for (const MembershipView* view : views_) {
     if (view->affiliated()) seen.insert(view->cluster()->id);
   }
   return seen.size();
@@ -135,12 +132,10 @@ std::size_t Scenario::cluster_count() const {
 double Scenario::affiliation_rate() const {
   std::size_t alive = 0;
   std::size_t affiliated = 0;
-  auto* self = const_cast<Scenario*>(this);
-  const auto all_views = self->views();
-  for (const Node* node : self->network_->nodes()) {
+  for (const Node* node : network_->nodes()) {
     if (!node->alive()) continue;
     ++alive;
-    if (all_views[node->id().value()]->affiliated()) ++affiliated;
+    if (views_[node->id().value()]->affiliated()) ++affiliated;
   }
   return alive == 0 ? 1.0 : double(affiliated) / double(alive);
 }

@@ -32,19 +32,23 @@ struct ScenarioConfig {
   /// When set, overrides loss_p with a custom loss model (e.g. the chaos
   /// harness's SwitchableLoss, or a Gilbert-Elliott burst model).
   std::function<std::unique_ptr<LossModel>()> loss_factory;
-  SimTime t_hop = SimTime::millis(100);
-  SimTime heartbeat_interval = SimTime::seconds(2);  ///< phi
   std::uint64_t seed = 1;
 
   /// true: run the distributed formation protocol over the lossy channel;
   /// false: install the centralized reference clustering.
   bool distributed_formation = false;
-  std::size_t formation_iterations = 4;
 
-  FdsConfig fds;                   ///< heartbeat_interval is overridden
+  /// The FDS; its heartbeat_interval (phi) is also the epoch spacing.
+  /// Scenarios default phi to 2 s, not FdsConfig's 10 s.
+  FdsConfig fds{.heartbeat_interval = SimTime::seconds(2)};
   ForwarderConfig forwarder;
   bool enable_forwarder = true;
 };
+
+/// A world at the paper's density, ~50 nodes per transmission disk: 500
+/// nodes on 700 x 450 m, the field's sides scaled by sqrt(n / 500). Sets
+/// node_count, width and height; the rest keeps its defaults.
+[[nodiscard]] ScenarioConfig paper_density(std::size_t n);
 
 class Scenario {
  public:
@@ -58,13 +62,6 @@ class Scenario {
   /// Runs `count` further FDS executions (continuing the epoch counter).
   /// Returns the simulated time after the last one.
   SimTime run_epochs(std::uint64_t count);
-
-  /// Schedules a fail-stop crash at an absolute simulated time.
-  void schedule_crash(NodeId id, SimTime when);
-
-  /// Schedules a crash-recovery at an absolute simulated time (the node
-  /// restarts unaffiliated/unmarked and re-subscribes via F5).
-  void schedule_recover(NodeId id, SimTime when);
 
   /// Start time of the next FDS execution to be scheduled. The fault
   /// injector anchors its relative event times here.
@@ -81,7 +78,10 @@ class Scenario {
   [[nodiscard]] FdsService& fds() { return *fds_; }
   [[nodiscard]] ForwarderService* forwarder() { return forwarder_.get(); }
   [[nodiscard]] MetricsCollector& metrics() { return metrics_; }
-  [[nodiscard]] std::vector<MembershipView*> views();
+  /// Every node's view, indexed by NID (empty before setup).
+  [[nodiscard]] const std::vector<MembershipView*>& views() const {
+    return views_;
+  }
   /// Alive nodes whose role is Role::kOrdinaryMember (no CH, deputy or
   /// gateway duty), in NID order: the candidates for an injected crash.
   [[nodiscard]] std::vector<NodeId> alive_ordinary_members();
@@ -101,6 +101,7 @@ class Scenario {
   std::vector<std::unique_ptr<MembershipView>> owned_views_;
   // Distributed path: views live in the formation agents.
   std::unique_ptr<FormationProtocol> formation_;
+  std::vector<MembershipView*> views_;  ///< either path's, by NID
 
   std::unique_ptr<FdsService> fds_;
   std::unique_ptr<ForwarderService> forwarder_;

@@ -276,7 +276,7 @@ TEST(FaultInjectorTest, CrashedNodeRecoversAndRejoins) {
   scenario.setup();
   scenario.run_epochs(2);
   const NodeId victim = find_plain_member(scenario);
-  const SimTime phi = scenario.config().heartbeat_interval;
+  const SimTime phi = scenario.config().fds.heartbeat_interval;
 
   FaultPlan plan;
   FaultEvent crash;
@@ -312,7 +312,7 @@ TEST(FaultInjectorTest, FrozenNodeThawsWithStaleStateAndReconciles) {
   scenario.setup();
   scenario.run_epochs(2);
   const NodeId victim = find_plain_member(scenario);
-  const SimTime phi = scenario.config().heartbeat_interval;
+  const SimTime phi = scenario.config().fds.heartbeat_interval;
 
   FaultPlan plan;
   FaultEvent freeze;
@@ -473,7 +473,8 @@ TEST(FaultRuntimeTest, WindowsMatchAcrossDeployments) {
   scenario.run_epochs(1);
   const SimTime anchor = scenario.next_epoch_time();
   const std::uint64_t base = scenario.epochs_run();
-  const std::int64_t phi_us = scenario.config().heartbeat_interval.as_micros();
+  const std::int64_t phi_us =
+      scenario.config().fds.heartbeat_interval.as_micros();
   Simulator& sim = scenario.network().simulator();
   Channel& channel = scenario.network().channel();
   std::vector<WindowSample> sim_samples;

@@ -113,7 +113,7 @@ TEST(Robustness, CrashDuringExecutionIsStillHandled) {
   // heartbeat, before its digest).
   const SimTime mid_r1 = scenario.network().simulator().now() +
                          SimTime::millis(150);
-  scenario.schedule_crash(victim, mid_r1);
+  scenario.network().schedule_crash(victim, mid_r1);
   scenario.run_epochs(1);
   // Its R-1 heartbeat counts as evidence, so this execution clears it...
   EXPECT_FALSE(scenario.metrics().first_detection(victim).has_value());

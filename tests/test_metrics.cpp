@@ -175,7 +175,7 @@ TEST(Metrics, DetectionEventsCarryGroundTruth) {
   EXPECT_EQ(scenario.metrics().false_detections(), 0u);
 
   // Detection latency: within one heartbeat interval of the crash.
-  EXPECT_LE(first->when - config.heartbeat_interval,
+  EXPECT_LE(first->when - config.fds.heartbeat_interval,
             scenario.network().simulator().now());
 }
 

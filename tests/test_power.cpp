@@ -33,7 +33,8 @@ TEST(DutyCycle, AnnouncedSleepersAreNotFalselyDetected) {
   DutyCycleScheduler scheduler(scenario.network(), scenario.fds(), dc_config,
                                Rng(5));
   const auto sleepers = scheduler.begin_window(
-      scenario.network().simulator().now(), scenario.config().heartbeat_interval);
+      scenario.network().simulator().now(),
+      scenario.config().fds.heartbeat_interval);
   ASSERT_GT(sleepers.size(), 10u);
 
   scenario.run_epochs(4);  // covers the window and the wake-up
@@ -53,7 +54,8 @@ TEST(DutyCycle, SilentSleepersAreFalselyDetected) {
   DutyCycleScheduler scheduler(scenario.network(), scenario.fds(), dc_config,
                                Rng(5));
   const auto sleepers = scheduler.begin_window(
-      scenario.network().simulator().now(), scenario.config().heartbeat_interval);
+      scenario.network().simulator().now(),
+      scenario.config().fds.heartbeat_interval);
   ASSERT_GT(sleepers.size(), 10u);
 
   scenario.run_epochs(2);
@@ -73,7 +75,8 @@ TEST(DutyCycle, SleepersRejoinSeamlesslyAfterWaking) {
   DutyCycleScheduler scheduler(scenario.network(), scenario.fds(), dc_config,
                                Rng(7));
   const auto sleepers = scheduler.begin_window(
-      scenario.network().simulator().now(), scenario.config().heartbeat_interval);
+      scenario.network().simulator().now(),
+      scenario.config().fds.heartbeat_interval);
   scenario.run_epochs(6);
   EXPECT_EQ(scenario.metrics().false_detections(), 0u);
   // After the window, a real crash among former sleepers is still caught.
@@ -98,7 +101,8 @@ TEST(DutyCycle, ExpiredExemptionNoLongerShieldsACrash) {
   DutyCycleScheduler scheduler(scenario.network(), scenario.fds(), dc_config,
                                Rng(9));
   const auto sleepers = scheduler.begin_window(
-      scenario.network().simulator().now(), scenario.config().heartbeat_interval);
+      scenario.network().simulator().now(),
+      scenario.config().fds.heartbeat_interval);
   ASSERT_FALSE(sleepers.empty());
   const NodeId victim = sleepers.front();
   scenario.network().crash(victim);  // dies in its sleep
@@ -126,7 +130,7 @@ TEST(DutyCycle, DigestRelayShieldsLostNotices) {
                                  Rng(11));
     // Side effect only: who sleeps is irrelevant to the detection count.
     (void)scheduler.begin_window(scenario.network().simulator().now(),
-                                 scenario.config().heartbeat_interval);
+                                 scenario.config().fds.heartbeat_interval);
     scenario.run_epochs(3);
     return scenario.metrics().false_detections();
   };

@@ -1,5 +1,5 @@
 // Tests for the Scenario harness itself: setup paths, replenishment,
-// crash scheduling, epoch accounting.
+// crash scheduling, epoch accounting, phi and the paper's density.
 
 #include <gtest/gtest.h>
 
@@ -67,9 +67,9 @@ TEST(Scenario, ScheduledCrashHappensMidRun) {
     }
   }
   // Crash between epochs 2 and 3.
-  scenario.schedule_crash(
-      victim, scenario.config().heartbeat_interval * 2 +
-                  scenario.config().heartbeat_interval);
+  scenario.network().schedule_crash(
+      victim, scenario.config().fds.heartbeat_interval * 2 +
+                  scenario.config().fds.heartbeat_interval);
   scenario.run_epochs(5);
   EXPECT_FALSE(scenario.network().node(victim).alive());
   ASSERT_TRUE(scenario.metrics().first_detection(victim).has_value());
@@ -131,6 +131,29 @@ TEST(Scenario, ViewsComeFromFormationAgentsInDistributedMode) {
   EXPECT_GT(scenario.affiliation_rate(), 0.9);
   scenario.run_epochs(1);
   EXPECT_EQ(scenario.metrics().false_detections(), 0u);
+}
+
+TEST(Scenario, FdsHeartbeatIntervalIsHonoured) {
+  ScenarioConfig config = small_config();
+  config.fds.heartbeat_interval = SimTime::seconds(3);
+  Scenario scenario(config);
+  const SimTime settled = scenario.setup();
+  // Epochs start one phi after formation settles; two epochs end at +3phi,
+  // the start of the third.
+  EXPECT_EQ(scenario.run_epochs(2), settled + SimTime::seconds(9));
+  EXPECT_EQ(scenario.network().simulator().now(),
+            settled + SimTime::seconds(9));
+}
+
+TEST(Scenario, PaperDensity) {
+  const ScenarioConfig base = paper_density(500);
+  EXPECT_EQ(base.node_count, 500u);
+  EXPECT_EQ(base.width, 700.0);
+  EXPECT_EQ(base.height, 450.0);
+  const ScenarioConfig quad = paper_density(2000);
+  EXPECT_EQ(quad.node_count, 2000u);
+  EXPECT_EQ(quad.width, 1400.0);
+  EXPECT_EQ(quad.height, 900.0);
 }
 
 TEST(Scenario, ForwarderCanBeDisabled) {

@@ -8,11 +8,12 @@
 //
 // Scope: the simulator's hard-boundary path under the default config (no
 // epoch-skew tolerance, no adaptive accrual, no checkpoints, no forwarder,
-// no hooks), a clean channel, and no failures — exactly the state an idle
-// deployed world sits in. The skew path's prune_evidence keeps a local
-// scratch vector and is exercised by service-mode tests instead. A second
-// test pins the receive path of a health update that carries only known
-// failures, with the inter-cluster forwarder attached.
+// no hook but the Scenario's detection metrics), a clean channel, and no
+// failures — exactly the state an idle deployed world sits in. The skew
+// path's prune_evidence keeps a local scratch vector and is exercised by
+// service-mode tests instead. A second test pins the receive path of a
+// health update that carries only known failures, with the inter-cluster
+// forwarder attached.
 
 #include <gtest/gtest.h>
 
@@ -24,12 +25,11 @@
 #include <new>
 #include <vector>
 
-#include "cluster/directory.h"
 #include "cluster/membership.h"
 #include "fds/agent.h"
 #include "intercluster/forwarder.h"
 #include "net/network.h"
-#include "net/topology.h"
+#include "sim/scenario.h"
 
 // Global allocation counter (same pattern as test_simulator.cpp): the
 // counter only ticks between begin/end so setup and teardown are unaffected.
@@ -82,33 +82,15 @@ namespace cfds {
 namespace {
 
 TEST(SteadyStateAlloc, EpochsAtTenThousandNodesAreAllocationFree) {
+  // bench_megascale's 10^4 decade: the paper's density, a clean channel, no
+  // forwarder, FDS defaults (the simulator hard-boundary path).
   constexpr std::size_t kNodes = 10'000;
-  // ~50 nodes per transmission disk, the paper's density regime
-  // (500 nodes <-> 700 x 450 at range 100).
-  const double width = 700.0 * 4.4721;
-  const double height = 450.0 * 4.4721;
-
-  NetworkConfig net_config;
-  net_config.seed = 7;
-  Network network(net_config, std::make_unique<BernoulliLoss>(0.0));
-  Rng placement = network.fork_rng();
-  const auto positions = uniform_rect(kNodes, width, height, placement);
-  network.add_nodes(positions);
-
-  const auto directory =
-      ClusterDirectory::build(positions, net_config.channel.range);
-  std::vector<std::unique_ptr<MembershipView>> owned_views;
-  std::vector<MembershipView*> views;
-  for (std::size_t i = 0; i < kNodes; ++i) {
-    owned_views.push_back(
-        std::make_unique<MembershipView>(NodeId{std::uint32_t(i)}));
-    views.push_back(owned_views.back().get());
-  }
-  directory.install(network, views);
-
-  FdsConfig config;  // defaults: the simulator hard-boundary path
-  config.heartbeat_interval = SimTime::seconds(2);
-  FdsService fds(network, views, config);
+  ScenarioConfig config = paper_density(kNodes);
+  config.loss_p = 0.0;
+  config.seed = 7;
+  config.enable_forwarder = false;
+  Scenario scenario(config);
+  scenario.setup();
 
   // Pre-size the event queue. Epoch times are not commensurate with the
   // calendar wheel's period, so each epoch's events land in different
@@ -116,18 +98,7 @@ TEST(SteadyStateAlloc, EpochsAtTenThousandNodesAreAllocationFree) {
   // the first time its turn comes — amortized zero over a long run, but
   // visible in a two-epoch window. reserve() spreads capacity across the
   // wheel (the megascale bench does the same).
-  network.simulator().reserve(std::size_t{1} << 19);
-
-  const SimTime phi = config.heartbeat_interval;
-  std::uint64_t epoch = 0;
-  SimTime next = phi;
-  auto run_epochs = [&](std::uint64_t count) {
-    for (std::uint64_t k = 0; k < count; ++k) {
-      fds.schedule_epoch(epoch++, next);
-      next += phi;
-    }
-    network.simulator().run_until(next);
-  };
+  scenario.network().simulator().reserve(std::size_t{1} << 19);
 
   // Warm-up: capacity growth everywhere (event slab, calendar queue,
   // transmission slab, evidence tables, payload pools) and the first-epoch
@@ -137,11 +108,11 @@ TEST(SteadyStateAlloc, EpochsAtTenThousandNodesAreAllocationFree) {
   // with buckets, transmissions with senders, digest slots with digest
   // sizes), so the capacity population takes a few epochs to cover the
   // worst per-epoch pairing.
-  run_epochs(6);
+  scenario.run_epochs(6);
 
   g_allocations.store(0, std::memory_order_relaxed);
   g_counting.store(true, std::memory_order_relaxed);
-  run_epochs(2);
+  scenario.run_epochs(2);
   g_counting.store(false, std::memory_order_relaxed);
 
 #ifdef CFDS_ALLOC_TRACE
@@ -193,8 +164,8 @@ TEST(SteadyStateAlloc, EpochsAtTenThousandNodesAreAllocationFree) {
 
   // The property must not come from a degenerate world: the clusters formed
   // and every agent stayed in the sweep.
-  EXPECT_GT(directory.clusters().size(), 100u);
-  EXPECT_EQ(fds.active_agents(), kNodes);
+  EXPECT_GT(scenario.cluster_count(), 100u);
+  EXPECT_EQ(scenario.fds().active_agents(), kNodes);
 }
 
 // The receive path of a health update that tells its receivers nothing new:

@@ -47,7 +47,7 @@ CliOptions parse(int argc, char** argv) {
   flags.add_value("--loss", &options.scenario.loss_p,
                   "frame-loss probability");
   flags.add_value("--epochs", &options.epochs, "FDS executions to run");
-  flags.add_millis("--interval-ms", &options.scenario.heartbeat_interval,
+  flags.add_millis("--interval-ms", &options.scenario.fds.heartbeat_interval,
                    "heartbeat interval phi, ms");
   flags.add_value("--crash-rate", &options.crash_rate,
                   "expected crashes/epoch");
@@ -100,9 +100,9 @@ int main(int argc, char** argv) {
     wp.max_speed_mps = options.mobility_mps;
     static RandomWaypointMobility instance(scenario.network(), wp,
                                            Rng(options.scenario.seed ^ 0x40B1));
-    const SimTime horizon =
-        scenario.network().simulator().now() +
-        std::int64_t(options.epochs + 2) * options.scenario.heartbeat_interval;
+    const SimTime phi = options.scenario.fds.heartbeat_interval;
+    const SimTime horizon = scenario.network().simulator().now() +
+                            std::int64_t(options.epochs + 2) * phi;
     instance.run(scenario.network().simulator().now(), horizon);
     mobility = &instance;
   }
@@ -112,7 +112,7 @@ int main(int argc, char** argv) {
                 " p=%.2f, phi=%.1fs\n",
                 options.scenario.node_count, scenario.cluster_count(),
                 100.0 * scenario.affiliation_rate(), options.scenario.loss_p,
-                options.scenario.heartbeat_interval.as_seconds());
+                options.scenario.fds.heartbeat_interval.as_seconds());
     std::printf("%-7s %7s %8s %8s %8s %10s %10s\n", "epoch", "alive",
                 "crashes", "detect", "false", "coverage", "frames");
   } else {
