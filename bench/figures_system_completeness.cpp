@@ -104,8 +104,7 @@ void system_completeness_row() {
               "P(all) model", "E[cov] model", "measured cov");
   for (double p : {0.05, 0.1, 0.2, 0.3, 0.4, 0.5}) {
     const double link = analysis::link_delivery_probability(
-        p, 2, ForwarderConfig{}.max_ch_retransmits,
-        ForwarderConfig{}.max_gw_retries);
+        p, 2, kMaxChRetransmits, kMaxGwRetries);
     const auto model =
         analysis::backbone_completeness(graph, 0, link, 4000, rng);
     std::printf("%-6.2f %12.4f %14.4f %14.4f %14.4f\n", p, link,

@@ -6,6 +6,19 @@
 
 namespace cfds {
 
+namespace {
+
+/// Direct-ack timeout before indirect probing starts.
+constexpr SimTime kAckTimeout = SimTime::millis(300);
+/// Neighbours asked to probe indirectly.
+constexpr std::size_t kIndirect = 3;
+/// Probe-less periods before a suspected node is declared failed.
+constexpr std::uint32_t kSuspicionPeriods = 3;
+/// Declared-failure entries piggybacked per frame.
+constexpr std::size_t kPiggybackLimit = 6;
+
+}  // namespace
+
 SwimAgent::SwimAgent(Node& node, SwimService& service, Rng rng)
     : node_(node), service_(service), rng_(rng) {
   node_.add_frame_handler(
@@ -27,7 +40,7 @@ void SwimAgent::note_alive(NodeId n) {
 std::vector<NodeId> SwimAgent::piggyback() {
   std::vector<NodeId> out;
   for (NodeId dead : declared_failed_) {
-    if (out.size() >= service_.config().piggyback_limit) break;
+    if (out.size() >= kPiggybackLimit) break;
     out.push_back(dead);
   }
   return out;
@@ -64,8 +77,7 @@ void SwimAgent::period() {
   if (probing_.is_valid() && !got_ack_) {
     // Direct and indirect probes both stayed silent: suspect (or advance an
     // existing suspicion toward declaration).
-    auto [it, fresh] = suspicion_.try_emplace(
-        probing_, service_.config().suspicion_periods);
+    auto [it, fresh] = suspicion_.try_emplace(probing_, kSuspicionPeriods);
     if (!fresh && it->second > 0) --it->second;
     if (it->second == 0) declare(probing_);
   }
@@ -97,25 +109,23 @@ void SwimAgent::period() {
   send_ping(target, NodeId::invalid());
 
   // Arm the indirect stage.
-  service_.network().simulator().schedule_after(
-      service_.config().ack_timeout, [this, target] {
-        if (!node_.alive() || got_ack_ || probing_ != target) return;
-        std::vector<NodeId> helpers;
-        for (NodeId n : neighbors_) {
-          if (n != target && !declared_failed_.contains(n)) helpers.push_back(n);
-        }
-        for (std::size_t k = 0;
-             k < service_.config().k_indirect && !helpers.empty(); ++k) {
-          const std::size_t pick = rng_.below(helpers.size());
-          auto request = std::make_shared<SwimPingReqPayload>();
-          request->origin = node_.id();
-          request->helper = helpers[pick];
-          request->target = target;
-          request->sequence = probing_sequence_;
-          node_.radio().send(std::move(request), helpers[pick]);
-          helpers.erase(helpers.begin() + std::ptrdiff_t(pick));
-        }
-      });
+  service_.network().simulator().schedule_after(kAckTimeout, [this, target] {
+    if (!node_.alive() || got_ack_ || probing_ != target) return;
+    std::vector<NodeId> helpers;
+    for (NodeId n : neighbors_) {
+      if (n != target && !declared_failed_.contains(n)) helpers.push_back(n);
+    }
+    for (std::size_t k = 0; k < kIndirect && !helpers.empty(); ++k) {
+      const std::size_t pick = rng_.below(helpers.size());
+      auto request = std::make_shared<SwimPingReqPayload>();
+      request->origin = node_.id();
+      request->helper = helpers[pick];
+      request->target = target;
+      request->sequence = probing_sequence_;
+      node_.radio().send(std::move(request), helpers[pick]);
+      helpers.erase(helpers.begin() + std::ptrdiff_t(pick));
+    }
+  });
 }
 
 void SwimAgent::declare(NodeId n) {
@@ -166,7 +176,7 @@ void SwimAgent::on_frame(const Reception& reception) {
 
 SwimService::SwimService(Network& network, SwimConfig config)
     : network_(network), config_(config) {
-  CFDS_EXPECT(config_.ack_timeout < config_.period,
+  CFDS_EXPECT(kAckTimeout < config_.period,
               "indirect probing must fit inside one period");
   Rng seeder = network_.fork_rng();
   for (Node* node : network_.nodes()) {

@@ -144,8 +144,7 @@ CheckWorld::CheckWorld(const CheckOptions& opts, ChoiceSink& sink)
   transports_.reserve(n);
   agents_.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
-    nodes_.push_back(std::make_unique<Node>(store_, NodeId{i}, Vec2{},
-                                            /*initial_energy_uj=*/1e9));
+    nodes_.push_back(std::make_unique<Node>(store_, NodeId{i}, Vec2{}));
     nodes_.back()->set_marked(true);
     views_.push_back(std::make_unique<MembershipView>(NodeId{i}));
     views_.back()->set_cluster(cluster);

@@ -12,8 +12,7 @@
 namespace cfds {
 
 ClusterDirectory ClusterDirectory::build(const std::vector<Vec2>& positions,
-                                         double range,
-                                         DirectoryConfig config) {
+                                         double range) {
   ClusterDirectory dir;
   const UnitDiskGraph graph(positions, range);
   const std::size_t n = positions.size();
@@ -48,8 +47,8 @@ ClusterDirectory ClusterDirectory::build(const std::vector<Vec2>& positions,
     });
     cluster.deputies.assign(
         ranked.begin(),
-        ranked.begin() + static_cast<std::ptrdiff_t>(std::min(
-                             config.num_deputies, ranked.size())));
+        ranked.begin() + static_cast<std::ptrdiff_t>(
+                             std::min(kDeputies, ranked.size())));
   }
 
   // Gateways: for each cluster pair, candidates are the nodes within range
@@ -113,7 +112,7 @@ ClusterDirectory ClusterDirectory::build(const std::vector<Vec2>& positions,
       link.neighbor_clusterhead = to.clusterhead;
       link.gateway = pool.front();
       for (std::size_t i = 1;
-           i < pool.size() && link.backups.size() < config.max_backup_gateways;
+           i < pool.size() && link.backups.size() < kMaxBackupGateways;
            ++i) {
         link.backups.push_back(pool[i]);
       }
@@ -126,14 +125,14 @@ ClusterDirectory ClusterDirectory::build(const std::vector<Vec2>& positions,
 }
 
 ClusterDirectory ClusterDirectory::single_cluster(std::size_t n,
-                                                  DirectoryConfig config) {
+                                                  std::size_t num_deputies) {
   CFDS_EXPECT(n >= 2, "a cluster needs a CH and at least one member");
   ClusterDirectory dir;
   ClusterView cluster;
   cluster.id = ClusterId{0};
   cluster.clusterhead = NodeId{0};
   for (std::uint32_t i = 1; i < n; ++i) cluster.members.push_back(NodeId{i});
-  for (std::size_t i = 0; i < std::min(config.num_deputies, n - 1); ++i) {
+  for (std::size_t i = 0; i < std::min(num_deputies, n - 1); ++i) {
     cluster.deputies.push_back(cluster.members[i]);
   }
   dir.clusters_.push_back(std::move(cluster));

@@ -23,24 +23,20 @@
 
 namespace cfds {
 
-/// Parameters mirrored from FormationConfig.
-struct DirectoryConfig {
-  std::size_t num_deputies = 2;
-  std::size_t max_backup_gateways = 3;
-};
-
 /// Global cluster structure plus lookup helpers.
 class ClusterDirectory {
  public:
-  /// Runs the centralized algorithm over `positions` (index = NID value).
+  /// Runs the centralized algorithm over `positions` (index = NID value),
+  /// with kDeputies deputies per cluster and up to kMaxBackupGateways
+  /// backups per link, as the formation protocol elects them.
   static ClusterDirectory build(const std::vector<Vec2>& positions,
-                                double range, DirectoryConfig config = {});
+                                double range);
 
   /// Builds a single cluster by fiat: node 0 is the CH, nodes 1..n-1 are
-  /// members, the first `config.num_deputies` members are deputies in NID
-  /// order. Matches the paper's single-cluster analysis setting.
+  /// members, the first `num_deputies` members are deputies in NID order.
+  /// Matches the paper's single-cluster analysis setting.
   static ClusterDirectory single_cluster(std::size_t n,
-                                         DirectoryConfig config = {});
+                                         std::size_t num_deputies = kDeputies);
 
   [[nodiscard]] const std::vector<ClusterView>& clusters() const {
     return clusters_;

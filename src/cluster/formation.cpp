@@ -8,9 +8,8 @@
 
 namespace cfds {
 
-FormationAgent::FormationAgent(Node& node, Transport& transport,
-                               FormationConfig config)
-    : node_(node), transport_(transport), config_(config), view_(node.id()) {
+FormationAgent::FormationAgent(Node& node, Transport& transport)
+    : node_(node), transport_(transport), view_(node.id()) {
   transport_.add_receive_handler(
       [](void* self, const Reception& reception) {
         static_cast<FormationAgent*>(self)->on_frame(reception);
@@ -114,7 +113,7 @@ void FormationAgent::send_announcement_if_clusterhead() {
   updated.deputies.assign(
       ranked.begin(),
       ranked.begin() + static_cast<std::ptrdiff_t>(std::min<std::size_t>(
-                           config_.num_deputies, ranked.size())));
+                           kDeputies, ranked.size())));
   view_.set_cluster(updated);
 
   auto announce = std::make_shared<AnnouncePayload>();
@@ -181,7 +180,7 @@ void FormationAgent::send_gateway_assignment_if_clusterhead() {
     link.neighbor_clusterhead = neighbor_ch;
     link.gateway = candidates.front();
     for (std::size_t i = 1;
-         i < candidates.size() && link.backups.size() < config_.max_backup_gateways;
+         i < candidates.size() && link.backups.size() < kMaxBackupGateways;
          ++i) {
       link.backups.push_back(candidates[i]);
     }
@@ -284,11 +283,10 @@ void FormationAgent::on_frame(const Reception& reception) {
   }
 }
 
-FormationProtocol::FormationProtocol(Network& network, FormationConfig config)
-    : network_(network), config_(config) {
+FormationProtocol::FormationProtocol(Network& network) : network_(network) {
   for (Node* node : network_.nodes()) {
     agents_.push_back(std::make_unique<FormationAgent>(
-        *node, network_.transport(node->id()), config_));
+        *node, network_.transport(node->id())));
   }
 }
 
@@ -303,7 +301,7 @@ void FormationProtocol::adopt_new_nodes() {
   const auto& nodes = network_.nodes();
   for (std::size_t i = agents_.size(); i < nodes.size(); ++i) {
     agents_.push_back(std::make_unique<FormationAgent>(
-        *nodes[i], network_.transport(nodes[i]->id()), config_));
+        *nodes[i], network_.transport(nodes[i]->id())));
   }
 }
 

@@ -47,15 +47,6 @@
 
 namespace cfds {
 
-/// Formation parameters.
-struct FormationConfig {
-  /// Deputies designated per cluster (feature F2). The analysis needs at
-  /// least one; density makes two cheap.
-  std::size_t num_deputies = 2;
-  /// Backup gateways retained per neighbour-cluster link.
-  std::size_t max_backup_gateways = 3;
-};
-
 /// Per-node participant in the distributed formation protocol.
 ///
 /// The agent owns the node's MembershipView; the FDS and forwarding layers
@@ -65,7 +56,7 @@ class FormationAgent {
   /// Frames flow only through `transport` (a SimTransport in simulation, a
   /// real transport in service mode); `node` supplies identity, liveness,
   /// and the marked flag.
-  FormationAgent(Node& node, Transport& transport, FormationConfig config);
+  FormationAgent(Node& node, Transport& transport);
 
   [[nodiscard]] MembershipView& view() { return view_; }
   [[nodiscard]] const MembershipView& view() const { return view_; }
@@ -85,7 +76,6 @@ class FormationAgent {
 
   Node& node_;
   Transport& transport_;
-  FormationConfig config_;
   MembershipView view_;
 
   /// One (sender, home cluster) -> (foreign cluster, its CH) pair of a
@@ -123,7 +113,7 @@ class FormationAgent {
 /// Drives all agents through synchronized formation rounds.
 class FormationProtocol {
  public:
-  FormationProtocol(Network& network, FormationConfig config = {});
+  explicit FormationProtocol(Network& network);
 
   /// The per-node agents, in node order.
   [[nodiscard]] std::vector<FormationAgent*> agents();
@@ -144,7 +134,6 @@ class FormationProtocol {
 
  private:
   Network& network_;
-  FormationConfig config_;
   std::vector<std::unique_ptr<FormationAgent>> agents_;
 };
 

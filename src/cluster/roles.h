@@ -11,6 +11,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <optional>
 #include <vector>
 
@@ -39,6 +40,13 @@ enum class Role {
   }
   return "?";
 }
+
+/// Deputies designated per cluster (feature F2) by the formation protocol,
+/// the centralized directory and the service-mode directory. The analysis
+/// needs at least one; density makes two cheap.
+inline constexpr std::size_t kDeputies = 2;
+/// Backup gateways retained per neighbour-cluster link.
+inline constexpr std::size_t kMaxBackupGateways = 3;
 
 /// The forwarding structure between a cluster and one neighbouring cluster.
 struct GatewayLink {

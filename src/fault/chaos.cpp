@@ -12,6 +12,19 @@ namespace cfds::fault {
 
 namespace {
 
+// The trial deployment: 48 nodes on 520 x 380 m at R = 100 m, phi = 2 s,
+// background loss 0.08 during warmup and faults, then 2 + 6 + 10 epochs of
+// warmup, faults and quiescence.
+constexpr std::uint32_t kNodeCount = 48;
+constexpr double kWidth = 520.0;
+constexpr double kHeight = 380.0;
+constexpr double kRange = 100.0;
+constexpr double kLossP = 0.08;
+constexpr SimTime kEpochInterval = SimTime::seconds(2);
+constexpr std::uint64_t kWarmupEpochs = 2;
+constexpr std::uint64_t kFaultEpochs = 6;
+constexpr std::uint64_t kQuiesceEpochs = 10;
+
 /// One kRecover event under observation: when did the node come back, and
 /// when was it next seen alive + affiliated + marked.
 struct RejoinProbe {
@@ -50,6 +63,17 @@ std::string ChaosResult::summary_json() const {
   return out;
 }
 
+ChaosProfile ChaosConfig::profile() const {
+  ChaosProfile p = mix;
+  p.node_count = kNodeCount;
+  p.width = kWidth;
+  p.height = kHeight;
+  p.range = kRange;
+  p.epoch_interval = kEpochInterval;
+  p.fault_epochs = kFaultEpochs;
+  return p;
+}
+
 ChaosResult run_chaos_trial(const ChaosConfig& config, std::uint64_t seed) {
   return replay_chaos_trial(config, seed,
                             FaultPlan::random(seed, config.profile()));
@@ -58,26 +82,26 @@ ChaosResult run_chaos_trial(const ChaosConfig& config, std::uint64_t seed) {
 ChaosResult replay_chaos_trial(const ChaosConfig& config, std::uint64_t seed,
                                const FaultPlan& plan) {
   ScenarioConfig sc;
-  sc.width = config.width;
-  sc.height = config.height;
-  sc.node_count = config.node_count;
-  sc.range = config.range;
-  sc.fds.heartbeat_interval = config.epoch_interval;
+  sc.width = kWidth;
+  sc.height = kHeight;
+  sc.node_count = kNodeCount;
+  sc.range = kRange;
+  sc.fds.heartbeat_interval = kEpochInterval;
   sc.seed = seed;
   sc.fds.recovery_enabled = true;
   sc.fds.adaptive_enabled = config.adaptive;
   sc.fds.checkpoint_enabled = config.checkpoint;
   SwitchableLoss* switchable = nullptr;
-  sc.loss_factory = [&switchable, p = config.loss_p] {
-    auto loss =
-        std::make_unique<SwitchableLoss>(std::make_unique<BernoulliLoss>(p));
+  sc.loss_factory = [&switchable] {
+    auto loss = std::make_unique<SwitchableLoss>(
+        std::make_unique<BernoulliLoss>(kLossP));
     switchable = loss.get();
     return std::unique_ptr<LossModel>(std::move(loss));
   };
 
   Scenario scenario(sc);
   scenario.setup();
-  scenario.run_epochs(config.warmup_epochs);
+  scenario.run_epochs(kWarmupEpochs);
 
   FaultInjector injector(scenario);
   const SimTime anchor = scenario.next_epoch_time();
@@ -87,10 +111,10 @@ ChaosResult replay_chaos_trial(const ChaosConfig& config, std::uint64_t seed,
   // quarter-epoch granularity from each recovery instant to the end of the
   // trial. Scheduled up front (like the plan itself) so a replay schedules
   // the identical event sequence.
-  const std::int64_t phi_us = config.epoch_interval.as_micros();
+  const std::int64_t phi_us = kEpochInterval.as_micros();
   const std::int64_t step_us = phi_us / 4;
   const std::int64_t tail_us =
-      std::int64_t(config.fault_epochs + config.quiesce_epochs) * phi_us;
+      std::int64_t(kFaultEpochs + kQuiesceEpochs) * phi_us;
   std::vector<std::shared_ptr<RejoinProbe>> probes;
   Simulator& sim = scenario.network().simulator();
   for (const FaultEvent& e : plan.events) {
@@ -111,13 +135,13 @@ ChaosResult replay_chaos_trial(const ChaosConfig& config, std::uint64_t seed,
     }
   }
 
-  scenario.run_epochs(config.fault_epochs);
+  scenario.run_epochs(kFaultEpochs);
 
   // Quiescence: no channel fault survives the horizon and the background
   // loss is switched off, so the oracle judges steady state, not luck.
   injector.clear_channel_faults();
   switchable->set_perfect(true);
-  scenario.run_epochs(config.quiesce_epochs);
+  scenario.run_epochs(kQuiesceEpochs);
 
   ChaosResult result;
   result.seed = seed;

@@ -50,38 +50,20 @@ class SwitchableLoss final : public LossModel {
   bool perfect_ = false;
 };
 
-/// Trial shape. The defaults give a ~10-cluster deployment dense enough for
-/// deputies and gateways everywhere, small enough for sub-second trials.
+/// The trial's feature toggles and fault mix. The deployment itself is
+/// fixed (chaos.cpp): a ~10-cluster field dense enough for deputies and
+/// gateways everywhere, small enough for sub-second trials.
 struct ChaosConfig {
-  std::uint32_t node_count = 48;
-  double width = 520.0;
-  double height = 380.0;
-  double range = 100.0;
-  double loss_p = 0.08;  ///< background loss during warmup + fault phases
-  SimTime epoch_interval = SimTime::seconds(2);  ///< phi
-  std::uint64_t warmup_epochs = 2;
-  std::uint64_t fault_epochs = 6;
-  std::uint64_t quiesce_epochs = 10;
-
   /// Self-tuning (accrual) detection — see FdsConfig::adaptive_enabled.
   bool adaptive = false;
   /// Checkpointed CH/DCH recovery — see FdsConfig::checkpoint_enabled.
   bool checkpoint = false;
 
-  /// Event mix handed to FaultPlan::random (node_count/width/height/range/
-  /// epoch_interval/fault_epochs are filled in from the fields above).
+  /// Event mix handed to FaultPlan::random (profile() fills in the
+  /// deployment's node count, field, range, phi and fault horizon).
   ChaosProfile mix;
 
-  [[nodiscard]] ChaosProfile profile() const {
-    ChaosProfile p = mix;
-    p.node_count = node_count;
-    p.width = width;
-    p.height = height;
-    p.range = range;
-    p.epoch_interval = epoch_interval;
-    p.fault_epochs = fault_epochs;
-    return p;
-  }
+  [[nodiscard]] ChaosProfile profile() const;
 };
 
 struct ChaosResult {
@@ -96,7 +78,7 @@ struct ChaosResult {
   double affiliation = 0.0;
   /// Rejoin-to-consistent: for each kRecover event whose node came back,
   /// the time from the recovery instant until the node is alive, affiliated
-  /// and marked again (polled at epoch_interval/4 granularity). This is the
+  /// and marked again (polled at phi/4 granularity). This is the
   /// metric the checkpointed-recovery path is judged on: a restoring CH/DCH
   /// skips the subscribe/admit handshake, so its rejoin time should drop.
   std::size_t rejoins = 0;        ///< recoveries that reached consistency

@@ -49,8 +49,7 @@ void ForwarderAgent::on_own_update_sent(
   for (const GatewayLink& link : view_.cluster()->links) {
     if (link.neighbor_cluster == update->learned_from) continue;  // damping
     if (!link.gateway.is_valid()) continue;  // link lost all its gateways
-    arm_ch_watch(update, link.neighbor_cluster,
-                 service_.config().max_ch_retransmits);
+    arm_ch_watch(update, link.neighbor_cluster, kMaxChRetransmits);
   }
 }
 
@@ -101,7 +100,7 @@ void ForwarderAgent::consider_link(
       transport_.send(std::move(ack), update->sender);
     }
     forward_across(update, dest_cluster, dest_ch, rank, n_backups,
-                   service_.config().max_gw_retries);
+                   kMaxGwRetries);
     return;
   }
 
@@ -114,7 +113,7 @@ void ForwarderAgent::consider_link(
         if (!node_.alive()) return;
         if (acked(update->report, dest_cluster)) return;
         forward_across(update, dest_cluster, dest_ch, rank, n_backups,
-                       service_.config().max_gw_retries);
+                       kMaxGwRetries);
       });
 }
 
@@ -133,7 +132,7 @@ void ForwarderAgent::forward_across(
   report->failed = merged_failures(*update);
 
   if (my_rank == 0) {
-    if (attempts_left == service_.config().max_gw_retries) {
+    if (attempts_left == kMaxGwRetries) {
       service_.stats().reports_forwarded++;
     } else {
       service_.stats().gw_retries++;

@@ -48,11 +48,12 @@ namespace cfds {
 /// ("which is not acceptable due to energy limitations").
 enum class AckMode { kImplicit, kExplicit };
 
+/// Re-sends of the update by the CH toward an unresponsive gateway.
+inline constexpr int kMaxChRetransmits = 2;
+/// Re-forwards by a GW/BGW that never hears the implicit acknowledgement.
+inline constexpr int kMaxGwRetries = 2;
+
 struct ForwarderConfig {
-  /// Re-sends of the update by the CH toward an unresponsive gateway.
-  int max_ch_retransmits = 2;
-  /// Re-forwards by a GW/BGW that never hears the implicit acknowledgement.
-  int max_gw_retries = 2;
   /// Backup-gateway assistance (ablation knob).
   bool bgw_assist = true;
   AckMode ack_mode = AckMode::kImplicit;

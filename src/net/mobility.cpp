@@ -6,13 +6,19 @@
 
 namespace cfds {
 
+namespace {
+
+/// Position-update granularity.
+constexpr SimTime kTick = SimTime::millis(500);
+
+}  // namespace
+
 RandomWaypointMobility::RandomWaypointMobility(Network& network,
                                                WaypointConfig config, Rng rng)
     : network_(network), config_(config), rng_(rng) {
   CFDS_EXPECT(config_.min_speed_mps > 0.0 &&
                   config_.max_speed_mps >= config_.min_speed_mps,
               "invalid speed range");
-  CFDS_EXPECT(config_.tick > SimTime::zero(), "tick must be positive");
 }
 
 void RandomWaypointMobility::retarget(std::size_t i, Vec2 from) {
@@ -32,7 +38,7 @@ void RandomWaypointMobility::tick() {
              nodes[trajectories_.size() - 1]->position());
   }
   const SimTime now = network_.simulator().now();
-  const double dt = config_.tick.as_seconds();
+  const double dt = kTick.as_seconds();
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     Node& node = *nodes[i];
     if (!node.alive()) continue;  // crashed hosts stay where they fell
@@ -58,7 +64,7 @@ void RandomWaypointMobility::tick() {
 
 void RandomWaypointMobility::run(SimTime from, SimTime until) {
   Simulator& sim = network_.simulator();
-  for (SimTime t = from; t <= until; t += config_.tick) {
+  for (SimTime t = from; t <= until; t += kTick) {
     if (t < sim.now()) continue;
     sim.schedule_at(t, [this] { tick(); });
   }

@@ -29,12 +29,11 @@ struct WaypointConfig {
   double max_speed_mps = 3.0;
   /// Pause at each waypoint before picking the next.
   SimTime pause = SimTime::seconds(2);
-  /// Position-update granularity.
-  SimTime tick = SimTime::millis(500);
 };
 
 /// Moves every alive node of a network along independent random-waypoint
-/// trajectories. Positions update on a fixed tick; crashed nodes freeze.
+/// trajectories. Positions update on a fixed 500 ms tick; crashed nodes
+/// freeze.
 class RandomWaypointMobility {
  public:
   RandomWaypointMobility(Network& network, WaypointConfig config, Rng rng);

@@ -8,15 +8,13 @@ Network::Network(NetworkConfig config, std::unique_ptr<LossModel> loss)
     : config_(config),
       loss_(std::move(loss)),
       rng_(config.seed),
-      channel_(sim_, *loss_, config.channel, Rng(config.seed ^ 0x5EED)),
-      store_(config.energy) {
+      channel_(sim_, *loss_, config.channel, Rng(config.seed ^ 0x5EED)) {
   CFDS_EXPECT(loss_ != nullptr, "loss model required");
 }
 
 Node& Network::add_node(Vec2 position) {
   const NodeId id{next_nid_++};
-  Node& node =
-      nodes_.emplace_back(store_, id, position, config_.initial_energy_uj);
+  Node& node = nodes_.emplace_back(store_, id, position);
   channel_.attach(node.radio());
   transports_.emplace_back(node);
   node_ptrs_.push_back(&node);

@@ -27,9 +27,6 @@ namespace cfds {
 /// Everything needed to stand up a deployment.
 struct NetworkConfig {
   ChannelConfig channel;
-  EnergyModel energy;
-  /// Initial per-node radio energy budget, microjoules.
-  double initial_energy_uj = 1e9;
   std::uint64_t seed = 1;
 };
 

@@ -4,10 +4,9 @@
 
 namespace cfds {
 
-Node::Node(NodeStore& store, NodeId id, Vec2 position,
-           double initial_energy_uj)
+Node::Node(NodeStore& store, NodeId id, Vec2 position)
     : store_(&store),
-      slot_(store.add(position, initial_energy_uj)),
+      slot_(store.add(position)),
       radio_(store, slot_, id) {
   radio_.set_receive_handler(
       [](void* self, const Reception& reception) {
@@ -57,8 +56,8 @@ void Node::recover() {
 }
 
 double Node::remaining_energy_uj() const {
-  return std::max(0.0, initial_energy_uj() -
-                           store_->energy_model().spent_uj(radio_.counters()));
+  return std::max(0.0,
+                  initial_energy_uj() - energy_spent_uj(radio_.counters()));
 }
 
 void Node::dispatch(const Reception& reception) {

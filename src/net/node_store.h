@@ -1,8 +1,8 @@
 // Struct-of-arrays backing store for node/radio state.
 //
 // Per-object node state (position, power, liveness, marking, incarnation,
-// traffic counters, energy budget) lives in dense NodeId-indexed arrays owned
-// by one NodeStore per world. Node and Radio are thin views — a (store, slot)
+// traffic counters) lives in dense NodeId-indexed arrays owned by one
+// NodeStore per world, next to the world's one initial energy budget. Node and Radio are thin views — a (store, slot)
 // pair — so a million-node world is a handful of flat allocations instead of
 // a million heap objects, and whole-world scans (grid rebuilds, alive counts,
 // mobility sweeps) walk contiguous memory instead of chasing pointers.
@@ -35,27 +35,30 @@ struct RadioCounters {
   std::uint64_t bytes_received = 0;
 };
 
-/// Linear radio energy model: cost = base + per_byte * bytes, per frame.
-struct EnergyModel {
-  double tx_base_uj = 50.0;  ///< microjoules per transmitted frame
-  double tx_per_byte_uj = 2.0;
-  double rx_base_uj = 20.0;  ///< microjoules per received frame
-  double rx_per_byte_uj = 1.0;
+// Linear radio energy model: cost = base + per_byte * bytes, per frame.
+inline constexpr double kTxBaseUj = 50.0;  ///< microjoules per sent frame
+inline constexpr double kTxPerByteUj = 2.0;
+inline constexpr double kRxBaseUj = 20.0;  ///< microjoules per heard frame
+inline constexpr double kRxPerByteUj = 1.0;
 
-  /// Total energy implied by the given traffic counters, in microjoules.
-  [[nodiscard]] double spent_uj(const RadioCounters& counters) const {
-    return tx_base_uj * double(counters.frames_sent) +
-           tx_per_byte_uj * double(counters.bytes_sent) +
-           rx_base_uj * double(counters.frames_received) +
-           rx_per_byte_uj * double(counters.bytes_received);
-  }
-};
+/// Total energy implied by the given traffic counters, in microjoules.
+[[nodiscard]] inline double energy_spent_uj(const RadioCounters& counters) {
+  return kTxBaseUj * double(counters.frames_sent) +
+         kTxPerByteUj * double(counters.bytes_sent) +
+         kRxBaseUj * double(counters.frames_received) +
+         kRxPerByteUj * double(counters.bytes_received);
+}
+
+/// Per-node radio energy budget of a simulated world, microjoules.
+inline constexpr double kInitialEnergyUj = 1e9;
 
 /// Dense struct-of-arrays node state. One per world; indexed by slot.
 class NodeStore {
  public:
-  NodeStore() = default;
-  explicit NodeStore(EnergyModel energy) : energy_(energy) {}
+  /// Every node of the store starts with `initial_energy_uj` of radio
+  /// energy.
+  explicit NodeStore(double initial_energy_uj = kInitialEnergyUj)
+      : initial_energy_uj_(initial_energy_uj) {}
 
   NodeStore(const NodeStore&) = delete;
   NodeStore& operator=(const NodeStore&) = delete;
@@ -69,12 +72,11 @@ class NodeStore {
     marked_.reserve(n);
     incarnations_.reserve(n);
     counters_.reserve(n);
-    initial_energy_uj_.reserve(n);
   }
 
   /// Appends one node's state; returns its slot. Nodes start alive and
   /// powered, unmarked, at incarnation 0.
-  std::uint32_t add(Vec2 position, double initial_energy_uj) {
+  std::uint32_t add(Vec2 position) {
     const auto slot = std::uint32_t(positions_.size());
     positions_.push_back(position);
     powered_.push_back(1);
@@ -82,7 +84,6 @@ class NodeStore {
     marked_.push_back(0);
     incarnations_.push_back(0);
     counters_.emplace_back();
-    initial_energy_uj_.push_back(initial_energy_uj);
     return slot;
   }
 
@@ -124,12 +125,7 @@ class NodeStore {
     return counters_[slot];
   }
 
-  [[nodiscard]] double initial_energy_uj(std::uint32_t slot) const {
-    return initial_energy_uj_[slot];
-  }
-
-  [[nodiscard]] const EnergyModel& energy_model() const { return energy_; }
-  void set_energy_model(EnergyModel energy) { energy_ = energy; }
+  [[nodiscard]] double initial_energy_uj() const { return initial_energy_uj_; }
 
   /// Dense views for whole-world scans (grid builds, benches).
   [[nodiscard]] const std::vector<Vec2>& positions() const {
@@ -152,19 +148,17 @@ class NodeStore {
            (powered_.capacity() + alive_.capacity() + marked_.capacity()) *
                sizeof(std::uint8_t) +
            incarnations_.capacity() * sizeof(std::uint32_t) +
-           counters_.capacity() * sizeof(RadioCounters) +
-           initial_energy_uj_.capacity() * sizeof(double);
+           counters_.capacity() * sizeof(RadioCounters);
   }
 
  private:
-  EnergyModel energy_;
+  double initial_energy_uj_;
   std::vector<Vec2> positions_;
   std::vector<std::uint8_t> powered_;
   std::vector<std::uint8_t> alive_;
   std::vector<std::uint8_t> marked_;
   std::vector<std::uint32_t> incarnations_;
   std::vector<RadioCounters> counters_;
-  std::vector<double> initial_energy_uj_;
 };
 
 }  // namespace cfds

@@ -8,6 +8,14 @@
 
 namespace cfds {
 
+namespace {
+
+/// Delivery latency is uniform in [kMinDelayFrac, kMaxDelayFrac]*Thop.
+constexpr double kMinDelayFrac = 0.1;
+constexpr double kMaxDelayFrac = 0.9;
+
+}  // namespace
+
 void Radio::send(PayloadPtr payload, NodeId intended) {
   CFDS_EXPECT(channel_ != nullptr, "radio not attached to a channel");
   if (!powered()) return;  // a crashed node emits nothing (fail-stop)
@@ -28,11 +36,7 @@ void Radio::deliver(const Reception& reception, std::uint64_t payload_bytes) {
   RadioCounters& counters = store_->counters(slot_);
   counters.frames_received++;
   counters.bytes_received += payload_bytes;
-  if (raw_receive_ != nullptr) {
-    raw_receive_(raw_ctx_, reception);
-  } else if (on_receive_) {
-    on_receive_(reception);
-  }
+  if (raw_receive_ != nullptr) raw_receive_(raw_ctx_, reception);
 }
 
 Channel::Channel(Simulator& sim, LossModel& loss, ChannelConfig config, Rng rng)
@@ -42,10 +46,6 @@ Channel::Channel(Simulator& sim, LossModel& loss, ChannelConfig config, Rng rng)
       config_(config),
       rng_(rng) {
   CFDS_EXPECT(config_.range > 0.0, "range must be positive");
-  CFDS_EXPECT(config_.min_delay_frac >= 0.0 &&
-                  config_.max_delay_frac <= 1.0 &&
-                  config_.min_delay_frac <= config_.max_delay_frac,
-              "delay fractions must satisfy 0 <= min <= max <= 1");
 }
 
 std::int64_t Channel::cell_coord(double v) const {
@@ -258,8 +258,7 @@ void Channel::transmit(Radio& sender, PayloadPtr payload, NodeId intended) {
       return;
     }
     stats_.deliveries++;
-    const double frac =
-        rng_.uniform(config_.min_delay_frac, config_.max_delay_frac);
+    const double frac = rng_.uniform(kMinDelayFrac, kMaxDelayFrac);
     const auto delay =
         SimTime::micros(std::int64_t(frac * double(config_.t_hop.as_micros())));
     scratch_slots_.push_back(receiver->slot());

@@ -41,10 +41,9 @@ class Channel;
 /// lifetime.
 class Radio {
  public:
-  using ReceiveHandler = std::function<void(const Reception&)>;
-  /// Allocation-free handler variant for the per-delivery hot path: a raw
-  /// function pointer plus an opaque context (the node runtime uses this;
-  /// tests keep the std::function convenience setter).
+  /// The delivery handler: a raw function pointer plus an opaque context,
+  /// one predictable indirect call per delivery (the owning Node registers
+  /// its dispatcher).
   using RawReceiveHandler = void (*)(void* ctx, const Reception& reception);
 
   Radio(NodeStore& store, std::uint32_t slot, NodeId id)
@@ -62,20 +61,11 @@ class Radio {
   [[nodiscard]] bool powered() const { return store_->powered(slot_); }
   void set_powered(bool on) { store_->set_powered(slot_, on); }
 
-  /// Handler invoked on every frame this radio hears (addressed or overheard).
-  /// Replaces any raw handler.
-  void set_receive_handler(ReceiveHandler handler) {
-    on_receive_ = std::move(handler);
-    raw_receive_ = nullptr;
-    raw_ctx_ = nullptr;
-  }
-
-  /// Raw-pointer variant of set_receive_handler; replaces any std::function
-  /// handler. One predictable indirect call per delivery, no wrapper.
+  /// Handler invoked on every frame this radio hears (addressed or
+  /// overheard). Replaces any previous handler.
   void set_receive_handler(RawReceiveHandler handler, void* ctx) {
     raw_receive_ = handler;
     raw_ctx_ = ctx;
-    on_receive_ = nullptr;
   }
 
   /// Emits a frame. All in-range powered radios are candidates to hear it.
@@ -101,7 +91,6 @@ class Radio {
   std::uint32_t slot_;
   NodeId id_;
   Channel* channel_ = nullptr;
-  ReceiveHandler on_receive_;
   RawReceiveHandler raw_receive_ = nullptr;
   void* raw_ctx_ = nullptr;
 };
@@ -141,11 +130,9 @@ struct Transmission {
 struct ChannelConfig {
   /// Common transmission range R in metres (paper: 100 m).
   double range = 100.0;
-  /// One-hop delivery bound Thop; frames arrive strictly within it.
+  /// One-hop delivery bound Thop; frames arrive strictly within it, after
+  /// a latency uniform in [0.1, 0.9]*Thop.
   SimTime t_hop = SimTime::millis(100);
-  /// Delivery latency is uniform in [min_delay_frac, max_delay_frac]*Thop.
-  double min_delay_frac = 0.1;
-  double max_delay_frac = 0.9;
 };
 
 /// The shared medium. Does not own radios; the Network keeps radios alive for

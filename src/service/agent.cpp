@@ -37,8 +37,8 @@ constexpr std::uint64_t kAdoptionStreak = 3;
 ServiceAgent::ServiceAgent(const ServiceConfig& config, NodeId self,
                            Transport& raw, TimerService& timers)
     : config_(config),
-      node_(store_, self, directory_position(self, config.node_count),
-            kServiceEnergyUj),
+      store_(kServiceEnergyUj),
+      node_(store_, self, directory_position(self, config.node_count)),
       view_(self),
       filtered_(raw, filter_, self, config.loss_p,
                 endpoint_seed(config.seed, self), &ServiceAgent::position_thunk,

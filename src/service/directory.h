@@ -3,9 +3,9 @@
 // Service mode skips the distributed formation protocol: every process
 // computes the same cluster organization from (node_count, cluster_size)
 // alone. NIDs are partitioned into contiguous blocks; within a block the
-// lowest NID is the clusterhead and the next `kDeputies` NIDs are the
-// ranked deputies — the same lowest-NID policy the formation protocol
-// elects, minus the negotiation.
+// lowest NID is the clusterhead and the next `kDeputies` (cluster/roles.h)
+// NIDs are the ranked deputies — the same lowest-NID policy the formation
+// protocol elects, minus the negotiation.
 //
 // Positions are a unit grid (row-major, 10 m pitch). They only matter to
 // the jam-disk fault filter: the transport is a full broadcast domain, so
@@ -20,10 +20,6 @@
 #include "common/ids.h"
 
 namespace cfds::service {
-
-/// Deputies installed per directory cluster (matches FormationConfig's
-/// default num_deputies).
-inline constexpr std::uint32_t kDeputies = 2;
 
 /// Grid pitch of directory positions, metres.
 inline constexpr double kGridPitch = 10.0;

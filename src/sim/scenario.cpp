@@ -82,7 +82,7 @@ SimTime Scenario::setup() {
   metrics_.attach(*fds_, *network_);
   if (config_.enable_forwarder) {
     forwarder_ = std::make_unique<ForwarderService>(*network_, *fds_, views_,
-                                                    config_.forwarder);
+                                                    ForwarderConfig{});
   }
 
   // First epoch starts one interval after formation settles.

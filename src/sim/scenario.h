@@ -41,7 +41,6 @@ struct ScenarioConfig {
   /// The FDS; its heartbeat_interval (phi) is also the epoch spacing.
   /// Scenarios default phi to 2 s, not FdsConfig's 10 s.
   FdsConfig fds{.heartbeat_interval = SimTime::seconds(2)};
-  ForwarderConfig forwarder;
   bool enable_forwarder = true;
 };
 

@@ -14,7 +14,6 @@ SingleClusterExperiment::SingleClusterExperiment(SingleClusterConfig config)
 
   NetworkConfig net_config;
   net_config.channel.range = config_.range;
-  net_config.channel.t_hop = config_.t_hop;
   net_config.seed = config_.seed ^ 0xA11CE;
   network_ = std::make_unique<Network>(
       net_config, config_.loss_factory
@@ -30,15 +29,13 @@ SingleClusterExperiment::SingleClusterExperiment(SingleClusterConfig config)
   for (int i = 0; i < config_.n; ++i) {
     views_.push_back(std::make_unique<MembershipView>(NodeId{std::uint32_t(i)}));
   }
-  DirectoryConfig dir_config;
-  dir_config.num_deputies = config_.num_deputies;
   directory_ = ClusterDirectory::single_cluster(std::size_t(config_.n),
-                                                dir_config);
+                                                config_.num_deputies);
 
   FdsConfig fds_config;
   fds_config.rule_mode = config_.rule_mode;
   fds_config.peer_forwarding = config_.peer_forwarding;
-  fds_config.heartbeat_interval = 8 * config_.t_hop;
+  fds_config.heartbeat_interval = 8 * network_->channel().config().t_hop;
   std::vector<MembershipView*> view_ptrs;
   for (auto& v : views_) view_ptrs.push_back(v.get());
   fds_ = std::make_unique<FdsService>(*network_, view_ptrs, fds_config);
@@ -98,7 +95,7 @@ void SingleClusterExperiment::run_one_trial() {
   Simulator& sim = network_->simulator();
   const SimTime start = sim.now();
   fds_->schedule_epoch(trial_, start);
-  sim.run_until(start + 7 * config_.t_hop);
+  sim.run_until(start + 7 * network_->channel().config().t_hop);
   ++trial_;
 }
 

@@ -36,7 +36,6 @@ struct SingleClusterConfig {
   /// the paper's model). Used by the robustness bench to swap in bursty
   /// (Gilbert-Elliott) and distance-dependent models.
   std::function<std::unique_ptr<LossModel>()> loss_factory;
-  SimTime t_hop = SimTime::millis(100);
   std::uint64_t seed = 1;
   RuleMode rule_mode = RuleMode::kFull;
   bool peer_forwarding = true;

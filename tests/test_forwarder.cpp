@@ -259,7 +259,7 @@ TEST(Forwarder, GwRetriesWithoutImplicitAck) {
   tc.network->crash(NodeId{4});
   tc.run_epochs(2);
   const ForwarderStats& stats = tc.forwarder->stats();
-  EXPECT_EQ(stats.gw_retries, std::uint64_t(ForwarderConfig{}.max_gw_retries));
+  EXPECT_EQ(stats.gw_retries, std::uint64_t(kMaxGwRetries));
   // The reports themselves all arrived (only the ack path was cut).
   EXPECT_TRUE(tc.fds->agent_for(NodeId{1}).log().knows(NodeId{4}));
 }

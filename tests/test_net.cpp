@@ -32,9 +32,8 @@ TEST(Node, EnergyAccountingFollowsTraffic) {
   };
   a.radio().send(std::make_shared<P>());
   net.simulator().run_to_completion();
-  const EnergyModel& model = net.config().energy;
-  EXPECT_NEAR(before - a.remaining_energy_uj(),
-              model.tx_base_uj + 100 * model.tx_per_byte_uj, 1e-9);
+  EXPECT_NEAR(before - a.remaining_energy_uj(), kTxBaseUj + 100 * kTxPerByteUj,
+              1e-9);
 }
 
 TEST(Node, CrashIsFailStop) {
@@ -229,7 +228,7 @@ TEST(ChannelGrid, MovedRadiosReachExactlyTheirUnitDiskNeighbours) {
     net.add_nodes(uniform_rect(kNodes, 700.0, 450.0, rng));
     std::vector<std::vector<std::uint32_t>> heard(kNodes);
     for (std::uint32_t i = 0; i < kNodes; ++i) {
-      net.node(NodeId{i}).radio().set_receive_handler(
+      net.node(NodeId{i}).add_frame_handler(
           [&heard, i](const Reception& r) {
             heard[i].push_back(r.sender.value());
           });

@@ -6,6 +6,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <new>
 #include <unordered_map>
@@ -73,16 +74,39 @@ PayloadPtr make_payload(int value) {
   return p;
 }
 
+/// Owns the tests' receive callbacks and registers each with its radio
+/// through the radio's raw handler.
+class Listeners {
+ public:
+  using Callback = std::function<void(const Reception&)>;
+
+  void listen(Radio& radio, Callback callback) {
+    callbacks_.push_back(std::make_unique<Callback>(std::move(callback)));
+    radio.set_receive_handler(
+        [](void* ctx, const Reception& reception) {
+          (*static_cast<Callback*>(ctx))(reception);
+        },
+        callbacks_.back().get());
+  }
+
+ private:
+  std::vector<std::unique_ptr<Callback>> callbacks_;
+};
+
 class ChannelFixture : public ::testing::Test {
  protected:
   ChannelFixture()
       : loss_(), channel_(sim_, loss_, ChannelConfig{}, Rng(1)) {}
 
   Radio& add_radio(std::uint32_t id, Vec2 pos) {
-    const std::uint32_t slot = store_.add(pos, /*initial_energy_uj=*/1e9);
+    const std::uint32_t slot = store_.add(pos);
     radios_.push_back(std::make_unique<Radio>(store_, slot, NodeId{id}));
     channel_.attach(*radios_.back());
     return *radios_.back();
+  }
+
+  void listen(Radio& radio, Listeners::Callback callback) {
+    listeners_.listen(radio, std::move(callback));
   }
 
   Simulator sim_;
@@ -90,13 +114,14 @@ class ChannelFixture : public ::testing::Test {
   Channel channel_;
   NodeStore store_;
   std::vector<std::unique_ptr<Radio>> radios_;
+  Listeners listeners_;
 };
 
 TEST_F(ChannelFixture, DeliversWithinRange) {
   Radio& a = add_radio(0, {0, 0});
   Radio& b = add_radio(1, {50, 0});
   int received = 0;
-  b.set_receive_handler([&](const Reception& r) {
+  listen(b, [&](const Reception& r) {
     EXPECT_EQ(r.sender, NodeId{0});
     EXPECT_EQ(payload_cast<TestPayload>(r.payload)->value, 42);
     ++received;
@@ -110,7 +135,7 @@ TEST_F(ChannelFixture, DoesNotDeliverBeyondRange) {
   Radio& a = add_radio(0, {0, 0});
   Radio& b = add_radio(1, {150, 0});  // default range is 100
   int received = 0;
-  b.set_receive_handler([&](const Reception&) { ++received; });
+  listen(b, [&](const Reception&) { ++received; });
   a.send(make_payload(1));
   sim_.run_to_completion();
   EXPECT_EQ(received, 0);
@@ -122,7 +147,7 @@ TEST_F(ChannelFixture, PromiscuousDeliveryToAllNeighbors) {
   std::vector<Radio*> listeners;
   for (std::uint32_t i = 1; i <= 5; ++i) {
     Radio& r = add_radio(i, {double(i) * 10.0, 0});
-    r.set_receive_handler([&](const Reception& rec) {
+    listen(r, [&](const Reception& rec) {
       // Addressed to node 3, but everyone in range hears it.
       EXPECT_EQ(rec.intended, NodeId{3});
       ++receptions;
@@ -136,7 +161,7 @@ TEST_F(ChannelFixture, PromiscuousDeliveryToAllNeighbors) {
 TEST_F(ChannelFixture, SenderDoesNotHearItself) {
   Radio& a = add_radio(0, {0, 0});
   int self_receptions = 0;
-  a.set_receive_handler([&](const Reception&) { ++self_receptions; });
+  listen(a, [&](const Reception&) { ++self_receptions; });
   a.send(make_payload(1));
   sim_.run_to_completion();
   EXPECT_EQ(self_receptions, 0);
@@ -146,7 +171,7 @@ TEST_F(ChannelFixture, PoweredOffRadioNeitherSendsNorReceives) {
   Radio& a = add_radio(0, {0, 0});
   Radio& b = add_radio(1, {10, 0});
   int received = 0;
-  b.set_receive_handler([&](const Reception&) { ++received; });
+  listen(b, [&](const Reception&) { ++received; });
 
   b.set_powered(false);
   a.send(make_payload(1));
@@ -165,7 +190,7 @@ TEST_F(ChannelFixture, CrashBetweenEmissionAndArrivalDropsFrame) {
   Radio& a = add_radio(0, {0, 0});
   Radio& b = add_radio(1, {10, 0});
   int received = 0;
-  b.set_receive_handler([&](const Reception&) { ++received; });
+  listen(b, [&](const Reception&) { ++received; });
   a.send(make_payload(1));
   b.set_powered(false);  // crashes while the frame is in flight
   sim_.run_to_completion();
@@ -176,7 +201,7 @@ TEST_F(ChannelFixture, DeliveryWithinOneHopBound) {
   Radio& a = add_radio(0, {0, 0});
   Radio& b = add_radio(1, {10, 0});
   SimTime arrival = SimTime::zero();
-  b.set_receive_handler([&](const Reception& r) {
+  listen(b, [&](const Reception& r) {
     arrival = sim_.now();
     EXPECT_EQ(r.sent_at, SimTime::zero());
   });
@@ -189,7 +214,7 @@ TEST_F(ChannelFixture, DeliveryWithinOneHopBound) {
 TEST_F(ChannelFixture, CountersTrackTraffic) {
   Radio& a = add_radio(0, {0, 0});
   Radio& b = add_radio(1, {10, 0});
-  b.set_receive_handler([](const Reception&) {});
+  listen(b, [](const Reception&) {});
   a.send(make_payload(1));
   a.send(make_payload(2));
   sim_.run_to_completion();
@@ -231,15 +256,16 @@ TEST(ChannelOrder, DeliverySequenceIsPinned) {
   NodeStore store;
   std::vector<std::unique_ptr<Radio>> radios;
   Rng placement(22);
+  Listeners listeners;
   std::uint64_t hash = 0xCBF29CE484222325ull;
   std::size_t deliveries = 0;
   for (std::uint32_t i = 0; i < 20; ++i) {
     const Vec2 pos{placement.uniform(0.0, 180.0),
                    placement.uniform(0.0, 180.0)};
-    const std::uint32_t slot = store.add(pos, 1e9);
+    const std::uint32_t slot = store.add(pos);
     radios.push_back(std::make_unique<Radio>(store, slot, NodeId{i}));
     channel.attach(*radios.back());
-    radios.back()->set_receive_handler([&, i](const Reception& r) {
+    listeners.listen(*radios.back(), [&, i](const Reception& r) {
       fnv_mix(hash, std::uint64_t(sim.now().as_micros()));
       fnv_mix(hash, i);
       fnv_mix(hash, r.sender.value());
@@ -264,8 +290,8 @@ TEST(ChannelOrderDeathTest, RadiosMustAttachInSlotOrder) {
   PerfectLinks loss;
   Channel channel(sim, loss, ChannelConfig{}, Rng(1));
   NodeStore store;
-  store.add({0, 0}, 1e9);
-  const std::uint32_t second = store.add({10, 0}, 1e9);
+  store.add({0, 0});
+  const std::uint32_t second = store.add({10, 0});
   Radio out_of_order(store, second, NodeId{1});
   EXPECT_DEATH(channel.attach(out_of_order), "slot order");
 }
@@ -487,7 +513,7 @@ TEST_F(ChannelFixture, SteadyStateBroadcastIsAllocationFreeRegardlessOfFanout) {
     // 100 m range of the sender at (50, 50).
     Radio& r = add_radio(i, {double((i - 1) % 8) * 10.0,
                              double((i - 1) / 8) * 10.0});
-    r.set_receive_handler([&received](const Reception&) { ++received; });
+    listen(r, [&received](const Reception&) { ++received; });
   }
   PayloadPtr payload = make_payload(7);
   for (int i = 0; i < 50; ++i) {  // warm up to steady state
