@@ -25,7 +25,7 @@ void AggregationAgent::send_measurement(std::uint64_t epoch) {
   measurement->sender = node_.id();
   measurement->marked = node_.marked();
   measurement->reading = service_.sensor()(node_.id(), epoch);
-  node_.radio().send(std::move(measurement));
+  node_.send(std::move(measurement));
 }
 
 void AggregationAgent::publish_cluster_aggregate(std::uint64_t epoch) {
@@ -52,7 +52,7 @@ void AggregationAgent::publish_cluster_aggregate(std::uint64_t epoch) {
       payload->toward = *hop;
     }
   }
-  node_.radio().send(std::move(payload));
+  node_.send(std::move(payload));
 }
 
 std::vector<Aggregate> AggregationAgent::aggregates_for(
@@ -110,7 +110,7 @@ void AggregationAgent::handle_cluster_aggregate(
       auto copy = std::make_shared<ClusterAggregatePayload>(*payload);
       copy->sender = node_.id();
       copy->toward = routing->next_hop(home).value_or(ClusterId::invalid());
-      if (copy->toward.is_valid()) node_.radio().send(std::move(copy));
+      if (copy->toward.is_valid()) node_.send(std::move(copy));
       return;
     }
     // Flooding mode: first sight of a foreign cluster's aggregate is
@@ -118,7 +118,7 @@ void AggregationAgent::handle_cluster_aggregate(
     if (relayed_.insert(key).second) {
       auto copy = std::make_shared<ClusterAggregatePayload>(*payload);
       copy->sender = node_.id();
-      node_.radio().send(std::move(copy));
+      node_.send(std::move(copy));
     }
     return;
   }
@@ -138,9 +138,9 @@ void AggregationAgent::handle_cluster_aggregate(
     if (!gw_carried_.insert({key.first, key.second, far_side}).second) return;
     auto copy = std::make_shared<ClusterAggregatePayload>(*payload);
     copy->sender = node_.id();
-    node_.radio().send(std::move(copy), from_neighbor
-                                            ? view_.cluster()->clusterhead
-                                            : link.neighbor_clusterhead);
+    node_.send(std::move(copy), from_neighbor
+                                    ? view_.cluster()->clusterhead
+                                    : link.neighbor_clusterhead);
   });
 }
 

@@ -22,7 +22,7 @@ void FloodAgent::originate(const std::vector<NodeId>& failed) {
   payload->failed = failed;
   seen_.insert(payload->id);
   for (NodeId f : failed) log_.record(f, {sim_.now(), 0, node_.id()});
-  node_.radio().send(std::move(payload));
+  node_.send(std::move(payload));
 }
 
 void FloodAgent::on_frame(const Reception& reception) {
@@ -36,7 +36,7 @@ void FloodAgent::on_frame(const Reception& reception) {
   auto copy = std::make_shared<FloodPayload>(*flood);
   copy->forwarder = node_.id();
   ++rebroadcasts_;
-  node_.radio().send(std::move(copy));
+  node_.send(std::move(copy));
 }
 
 FloodService::FloodService(Network& network) {

@@ -27,7 +27,7 @@ void GossipAgent::gossip_round() {
   for (const auto& [nid, entry] : table_) {
     payload->entries.emplace_back(nid, entry.counter);
   }
-  node_.radio().send(std::move(payload));
+  node_.send(std::move(payload));
 }
 
 void GossipAgent::on_frame(const Reception& reception) {

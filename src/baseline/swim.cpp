@@ -67,7 +67,7 @@ void SwimAgent::send_ping(NodeId target, NodeId requester) {
   ping->sequence = ++next_sequence_;
   ping->requester = requester;
   ping->dead_piggyback = piggyback();
-  node_.radio().send(std::move(ping), target);
+  node_.send(std::move(ping), target);
 }
 
 void SwimAgent::period() {
@@ -122,7 +122,7 @@ void SwimAgent::period() {
       request->helper = helpers[pick];
       request->target = target;
       request->sequence = probing_sequence_;
-      node_.radio().send(std::move(request), helpers[pick]);
+      node_.send(std::move(request), helpers[pick]);
       helpers.erase(helpers.begin() + std::ptrdiff_t(pick));
     }
   });
@@ -151,7 +151,7 @@ void SwimAgent::on_frame(const Reception& reception) {
     ack->target = ping->requester.is_valid() ? ping->requester : ping->origin;
     ack->sequence = ping->sequence;
     ack->dead_piggyback = piggyback();
-    node_.radio().send(std::move(ack), ack->target);
+    node_.send(std::move(ack), ack->target);
     return;
   }
 

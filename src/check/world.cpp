@@ -129,7 +129,9 @@ CheckWorld::CheckWorld(const CheckOptions& opts, ChoiceSink& sink)
   sched_upd_.assign(n, 0);
 
   // The pre-formed cluster every run starts from: CH = NID 0, everyone
-  // else a member, the lowest member NIDs ranked as deputies.
+  // else a member, the lowest member NIDs ranked as deputies. Every member
+  // adopts the one view object, as ClusterDirectory::install does; a
+  // view is copied only when its node changes it.
   ClusterView cluster;
   cluster.id = ClusterId{0};
   cluster.clusterhead = NodeId{0};
@@ -138,27 +140,26 @@ CheckWorld::CheckWorld(const CheckOptions& opts, ChoiceSink& sink)
     cluster.deputies.push_back(NodeId{i});
   }
 
+  const auto shared = std::make_shared<const ClusterView>(std::move(cluster));
   store_.reserve(n);
-  nodes_.reserve(n);
-  views_.reserve(n);
-  transports_.reserve(n);
-  agents_.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
-    nodes_.push_back(std::make_unique<Node>(store_, NodeId{i}, Vec2{}));
-    nodes_.back()->set_marked(true);
-    views_.push_back(std::make_unique<MembershipView>(NodeId{i}));
-    views_.back()->set_cluster(cluster);
-    transports_.push_back(std::make_unique<CheckTransport>(*this, *nodes_[i]));
-  }
-  for (std::uint32_t i = 0; i < n; ++i) {
-    agents_.push_back(std::make_unique<FdsAgent>(*nodes_[i], *views_[i],
-                                                 *transports_[i], timers_,
-                                                 opts_.t_hop, config_, hooks_));
+    members_.emplace_back(*this, NodeId{i}, shared);
   }
 
   drops_left_ = opts_.max_drops;
   crashes_left_ = opts_.max_crashes;
   recoveries_left_ = opts_.max_recoveries;
+}
+
+CheckWorld::Member::Member(CheckWorld& world, NodeId id,
+                           const MembershipView::ClusterViewPtr& cluster)
+    : node(world.store_, id, Vec2{}),
+      view(id),
+      transport(world, node),
+      agent(node, view, transport, world.timers_, world.opts_.t_hop,
+            world.config_, world.hooks_) {
+  node.set_marked(true);
+  view.set_cluster(cluster);
 }
 
 std::optional<Violation> CheckWorld::run() {
@@ -232,7 +233,7 @@ void CheckWorld::resolve_pool(std::uint64_t epoch, std::uint32_t barrier) {
     // and ordered independently; cross-receiver interleavings are never
     // enumerated (receivers share no state between crossings).
     for (std::uint32_t r = 0; r < opts_.nodes; ++r) {
-      if (!transports_[r]->powered()) continue;
+      if (!members_[r].transport.powered()) continue;
       deliver_.clear();
       for (std::uint32_t i = 0; i < std::uint32_t(batch_.size()); ++i) {
         if (batch_[i].sender.value() == r) continue;  // own broadcast
@@ -257,7 +258,9 @@ void CheckWorld::resolve_pool(std::uint64_t epoch, std::uint32_t barrier) {
   std::vector<Pair> pairs;
   for (std::uint32_t i = 0; i < std::uint32_t(batch_.size()); ++i) {
     for (std::uint32_t r = 0; r < opts_.nodes; ++r) {
-      if (batch_[i].sender.value() == r || !transports_[r]->powered()) continue;
+      if (batch_[i].sender.value() == r || !members_[r].transport.powered()) {
+        continue;
+      }
       if (drops_left_ > 0 && choose(2, ChoiceKind::kDrop, i, r) == 1) {
         --drops_left_;
         continue;
@@ -294,9 +297,9 @@ void CheckWorld::deliver_batch(std::vector<std::uint32_t>& indices,
 }
 
 void CheckWorld::deliver_to(const PoolMsg& msg, std::uint32_t receiver) {
-  CheckTransport& transport = *transports_[receiver];
+  CheckTransport& transport = members_[receiver].transport;
   if (!transport.powered()) return;  // crashed between resolution and here
-  FdsAgent& agent = *agents_[receiver];
+  FdsAgent& agent = members_[receiver].agent;
 
   // I-V4: a heartbeat on the air carries exactly the incarnation the world
   // has granted its sender (recover() bumps both).
@@ -369,7 +372,7 @@ void CheckWorld::note_evidence(std::uint32_t receiver, const PoolMsg& msg) {
   // just before its sender crashes is still in flight when the crash
   // lands, and stamping it would mark the genuinely dead sender as
   // "evidence delivered this epoch", flagging a CORRECT detection.
-  const FdsAgent& agent = *agents_[receiver];
+  const FdsAgent& agent = members_[receiver].agent;
   const std::uint64_t stamp = agent.current_epoch() + 1;
   switch (msg.payload->tag()) {
     case PayloadKind::kHeartbeat:
@@ -431,12 +434,12 @@ void CheckWorld::fault_point(std::uint64_t epoch, std::uint32_t barrier) {
   std::uint32_t options = 0;
   if (barrier == 0 && recoveries_left_ > 0) {
     for (std::uint32_t i = 0; i < opts_.nodes; ++i) {
-      if (!nodes_[i]->alive()) menu[options++] = {true, i};
+      if (!members_[i].node.alive()) menu[options++] = {true, i};
     }
   }
   if (crashes_left_ > 0) {
     for (std::uint32_t i = 0; i < opts_.nodes; ++i) {
-      if (nodes_[i]->alive()) menu[options++] = {false, i};
+      if (members_[i].node.alive()) menu[options++] = {false, i};
     }
   }
   if (options == 0) return;
@@ -445,11 +448,11 @@ void CheckWorld::fault_point(std::uint64_t epoch, std::uint32_t barrier) {
   if (c == 0) return;
   const Option& op = menu[c - 1];
   if (op.recover) {
-    nodes_[op.idx]->recover();
+    members_[op.idx].node.recover();
     ++recover_count_[op.idx];
     --recoveries_left_;
   } else {
-    nodes_[op.idx]->crash();
+    members_[op.idx].node.crash();
     --crashes_left_;
   }
   fault_events_.push_back(
@@ -461,7 +464,7 @@ void CheckWorld::round_actions(std::uint64_t epoch, std::uint32_t barrier) {
   // due then, over every agent in ascending NID order (agents guard on their
   // own liveness). Barrier 5 only resolves deliveries (requests, forwards).
   const auto all = [this](auto&& fn, bool /*everyone*/) {
-    for (auto& a : agents_) fn(*a);
+    for (Member& m : members_) fn(m.agent);
   };
   for (const RoundRow& row : kRoundTimetable) {
     if (row.hops == std::int64_t{barrier}) run_round_row(row, epoch, all);
@@ -472,8 +475,9 @@ void CheckWorld::check_invariants() {
   // On the live agents: no Snapshot is built, so a passing crossing
   // allocates nothing.
   for (std::uint32_t i = 0; i < opts_.nodes; ++i) {
-    if (!nodes_[i]->alive()) continue;
-    std::vector<InvariantViolation> found = check_view(*agents_[i], *nodes_[i]);
+    const Member& m = members_[i];
+    if (!m.node.alive()) continue;
+    std::vector<InvariantViolation> found = check_view(m.agent, m.node);
     if (!found.empty()) {
       flag(found.front().invariant, std::move(found.front().detail));
       return;
@@ -493,7 +497,7 @@ std::uint64_t CheckWorld::fingerprint(std::uint64_t epoch,
   h.mix(recoveries_left_);
   for (std::uint32_t i = 0; i < opts_.nodes; ++i) {
     h.mix(recover_count_[i]);
-    StateFingerprinter::mix_agent(h, *agents_[i]);
+    StateFingerprinter::mix_agent(h, members_[i].agent);
   }
   // In-flight pool, in send order (the canonical delivery order).
   h.mix(pool_.size());
@@ -513,7 +517,7 @@ std::uint64_t CheckWorld::fingerprint(std::uint64_t epoch,
   // equality with the decider's epoch); stale entries are normalized out
   // so equal protocol states merge.
   for (std::uint32_t r = 0; r < opts_.nodes; ++r) {
-    const std::uint64_t stamp = agents_[r]->current_epoch() + 1;
+    const std::uint64_t stamp = members_[r].agent.current_epoch() + 1;
     for (std::uint32_t s = 0; s < opts_.nodes; ++s) {
       h.mix(evid(r, s) == stamp ? 1U : 0U);
     }
@@ -539,13 +543,13 @@ void CheckWorld::flag(const char* invariant, std::string detail) {
 std::optional<std::string> CheckWorld::quiescence_defect() const {
   std::vector<std::uint32_t> alive;
   for (std::uint32_t i = 0; i < opts_.nodes; ++i) {
-    if (nodes_[i]->alive()) alive.push_back(i);
+    if (members_[i].node.alive()) alive.push_back(i);
   }
   if (alive.empty()) return std::nullopt;  // vacuously quiescent
 
   std::vector<std::uint32_t> heads;
   for (std::uint32_t i : alive) {
-    if (agents_[i]->view().is_clusterhead()) heads.push_back(i);
+    if (members_[i].agent.view().is_clusterhead()) heads.push_back(i);
   }
   if (heads.empty()) {
     // Full dissolution is a legitimate FDS-layer terminal state: when the
@@ -557,11 +561,11 @@ std::optional<std::string> CheckWorld::quiescence_defect() const {
     // dissolution is COMPLETE: a node still marked or affiliated while no
     // head exists is a zombie.
     for (std::uint32_t i : alive) {
-      if (nodes_[i]->marked()) {
+      if (members_[i].node.marked()) {
         return "no acting clusterhead but node " + std::to_string(i) +
                " is still marked";
       }
-      if (agents_[i]->view().affiliated()) {
+      if (members_[i].agent.view().affiliated()) {
         return "no acting clusterhead but node " + std::to_string(i) +
                " is still affiliated";
       }
@@ -572,30 +576,30 @@ std::optional<std::string> CheckWorld::quiescence_defect() const {
     return std::to_string(heads.size()) + " acting clusterheads among " +
            std::to_string(alive.size()) + " alive nodes";
   }
-  const FdsAgent& head = *agents_[heads.front()];
+  const FdsAgent& head = members_[heads.front()].agent;
   const ClusterView& c = *head.view().cluster();
 
   for (std::uint32_t i : alive) {
     const std::string who = "node " + std::to_string(i);
-    if (!nodes_[i]->marked()) return who + " unmarked";
-    if (!agents_[i]->view().affiliated()) return who + " unaffiliated";
+    if (!members_[i].node.marked()) return who + " unmarked";
+    if (!members_[i].agent.view().affiliated()) return who + " unaffiliated";
     if (i != heads.front() && !contains(c.members, NodeId{i})) {
       return who + " missing from the head's roster";
     }
     for (std::uint32_t j : alive) {
-      if (agents_[i]->log().knows(NodeId{j})) {
+      if (members_[i].agent.log().knows(NodeId{j})) {
         return who + " still records alive node " + std::to_string(j) +
                " as failed";
       }
     }
   }
   for (std::uint32_t i = 0; i < opts_.nodes; ++i) {
-    if (nodes_[i]->alive()) continue;
+    if (members_[i].node.alive()) continue;
     if (!head.log().knows(NodeId{i})) {
       return "dead node " + std::to_string(i) + " missing from the head's log";
     }
     for (std::uint32_t j : alive) {
-      const ClusterRef jc = agents_[j]->view().cluster();
+      const ClusterRef jc = members_[j].agent.view().cluster();
       if (jc && (contains(jc->members, NodeId{i}) ||
                  contains(jc->deputies, NodeId{i}))) {
         return "dead node " + std::to_string(i) + " still in node " +

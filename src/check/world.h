@@ -60,6 +60,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
@@ -177,7 +178,7 @@ class CheckTransport final : public Transport {
   CheckTransport(CheckWorld& world, Node& node) : world_(world), node_(node) {}
 
   void send(PayloadPtr payload, NodeId intended) override;
-  void add_receive_handler(RawReceiveHandler handler, void* ctx) override {
+  void add_frame_handler(RawFrameHandler handler, void* ctx) override {
     handlers_.push_back({handler, ctx});
   }
   void set_powered(bool on) override { powered_ = on; }
@@ -190,7 +191,7 @@ class CheckTransport final : public Transport {
 
  private:
   struct HandlerRef {
-    RawReceiveHandler fn;
+    RawFrameHandler fn;
     void* ctx;
   };
 
@@ -314,10 +315,23 @@ class CheckWorld {
   CheckTimerService timers_;
   /// Backing store for the barrier world's Node views (slot i == NID i).
   NodeStore store_;
-  std::vector<std::unique_ptr<Node>> nodes_;
-  std::vector<std::unique_ptr<MembershipView>> views_;
-  std::vector<std::unique_ptr<CheckTransport>> transports_;
-  std::vector<std::unique_ptr<FdsAgent>> agents_;
+
+  /// One node of the world and everything bound to it. The agent holds
+  /// references to the other three, so a member is built in place and
+  /// never moved.
+  struct Member {
+    /// Node `id`, marked, with `cluster` installed and its agent wired.
+    Member(CheckWorld& world, NodeId id,
+           const MembershipView::ClusterViewPtr& cluster);
+
+    Node node;
+    MembershipView view;
+    CheckTransport transport;
+    FdsAgent agent;
+  };
+  /// members_[i] is NID i. A deque: elements never move, and a world
+  /// costs one allocation per member instead of four.
+  std::deque<Member> members_;
 
   std::vector<PoolMsg> pool_;
   /// The frames resolve_pool is delivering, swapped out of pool_ so that

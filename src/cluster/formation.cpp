@@ -10,7 +10,7 @@ namespace cfds {
 
 FormationAgent::FormationAgent(Node& node, Transport& transport)
     : node_(node), transport_(transport), view_(node.id()) {
-  transport_.add_receive_handler(
+  transport_.add_frame_handler(
       [](void* self, const Reception& reception) {
         static_cast<FormationAgent*>(self)->on_frame(reception);
       },
@@ -285,8 +285,7 @@ void FormationAgent::on_frame(const Reception& reception) {
 
 FormationProtocol::FormationProtocol(Network& network) : network_(network) {
   for (Node* node : network_.nodes()) {
-    agents_.push_back(std::make_unique<FormationAgent>(
-        *node, network_.transport(node->id())));
+    agents_.push_back(std::make_unique<FormationAgent>(*node, *node));
   }
 }
 
@@ -300,8 +299,7 @@ std::vector<FormationAgent*> FormationProtocol::agents() {
 void FormationProtocol::adopt_new_nodes() {
   const auto& nodes = network_.nodes();
   for (std::size_t i = agents_.size(); i < nodes.size(); ++i) {
-    agents_.push_back(std::make_unique<FormationAgent>(
-        *nodes[i], network_.transport(nodes[i]->id())));
+    agents_.push_back(std::make_unique<FormationAgent>(*nodes[i], *nodes[i]));
   }
 }
 

@@ -53,9 +53,9 @@ namespace cfds {
 /// reference it after formation completes.
 class FormationAgent {
  public:
-  /// Frames flow only through `transport` (a SimTransport in simulation, a
-  /// real transport in service mode); `node` supplies identity, liveness,
-  /// and the marked flag.
+  /// Frames flow only through `transport` (the node itself in simulation,
+  /// a real transport in service mode); `node` supplies identity,
+  /// liveness, and the marked flag.
   FormationAgent(Node& node, Transport& transport);
 
   [[nodiscard]] MembershipView& view() { return view_; }

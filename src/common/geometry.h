@@ -15,6 +15,11 @@
 
 namespace cfds {
 
+/// The paper's transmission range R in metres, which is also the cluster
+/// radius of the per-cluster measures (Figures 5-7): the Monte-Carlo and
+/// full-stack estimators run at it, and runner rows record it.
+inline constexpr double kPaperRange = 100.0;
+
 /// A point or vector in the plane, in metres.
 struct Vec2 {
   double x = 0.0;

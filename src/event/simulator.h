@@ -189,13 +189,46 @@ class TimerHandle {
   std::uint32_t generation_ = 0;
 };
 
+/// Read-only clock. In simulation this is simulated time; in service mode
+/// it is the monotonic microsecond count since the process's epoch anchor
+/// (SimTime reused as the time type).
+class Clock {
+ public:
+  virtual ~Clock() = default;
+
+  Clock(const Clock&) = delete;
+  Clock& operator=(const Clock&) = delete;
+
+  [[nodiscard]] virtual SimTime now() const = 0;
+
+ protected:
+  Clock() = default;
+};
+
+/// Clock plus cancellable one-shot timers: the protocol agents' only clock
+/// and timer source, the time half of their seam (transport/transport.h
+/// has the frame half). EventFn and TimerHandle are the kernel's types,
+/// reused verbatim: a TimerHandle minted by a RealTimeScheduler cancels
+/// through the same slot/generation mechanism as one minted by the
+/// Simulator directly, so agent timer state (deputy_timer_,
+/// pending_forwards_, ...) is mode-independent. In simulation the agents
+/// are handed the Simulator itself.
+class TimerService : public Clock {
+ public:
+  virtual TimerHandle schedule_at(SimTime when, EventFn action) = 0;
+  virtual TimerHandle schedule_after(SimTime delay, EventFn action) = 0;
+};
+
 /// Which pending-queue implementation a Simulator uses. Both produce
 /// bit-identical firing order; kHeap exists as the calendar's property-test
 /// oracle and as the --no-calendar fallback.
 enum class QueueMode : std::uint8_t { kCalendar, kHeap };
 
-/// The event loop. Owns the pending-event queue and the simulated clock.
-class Simulator {
+/// The event loop. Owns the pending-event queue and the simulated clock,
+/// and is the simulation's TimerService. Final, so calls through a
+/// Simulator& bind directly; only calls through a TimerService& are
+/// virtual.
+class Simulator final : public TimerService {
  public:
   using Action = EventFn;
 
@@ -212,14 +245,14 @@ class Simulator {
   [[nodiscard]] QueueMode queue_mode() const { return mode_; }
 
   /// Current simulated time.
-  [[nodiscard]] SimTime now() const { return now_; }
+  [[nodiscard]] SimTime now() const override { return now_; }
 
   /// Schedules `action` to run at absolute time `when` (>= now).
   /// Returns a handle usable to cancel the event.
-  TimerHandle schedule_at(SimTime when, Action action);
+  TimerHandle schedule_at(SimTime when, Action action) override;
 
   /// Schedules `action` to run `delay` after the current time.
-  TimerHandle schedule_after(SimTime delay, Action action);
+  TimerHandle schedule_after(SimTime delay, Action action) override;
 
   // --- Batched fan-out scheduling (the channel's broadcast path) ---------
   //

@@ -6,8 +6,8 @@ FaultInjector::FaultInjector(Scenario& scenario)
     : scenario_(scenario),
       anchor_(scenario.next_epoch_time()),
       base_epoch_(scenario.epochs_run()),
-      timers_(scenario.network().simulator()),
-      runtime_(scenario.network().channel().drop_filter(), timers_,
+      runtime_(scenario.network().channel().drop_filter(),
+               scenario.network().simulator(),
                {.lifecycle =
                     [&network = scenario.network()](std::uint32_t node,
                                                     bool up) {

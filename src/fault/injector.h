@@ -2,7 +2,7 @@
 //
 // The injector is the simulator's binding of the plan runtime
 // (fault/plan_runtime.h): the runtime works over the channel's DropFilter
-// and a timer service on the network's simulator, crashes and recovers
+// and the network's simulator as its timer service, crashes and recovers
 // nodes through Network, drives the channel's loss override, and feeds the
 // FdsService skew provider. Everything is scheduled up front (install),
 // anchored at the scenario's next epoch boundary, so a plan replays
@@ -19,7 +19,6 @@
 #include "fault/fault_plan.h"
 #include "fault/plan_runtime.h"
 #include "sim/scenario.h"
-#include "transport/sim_transport.h"
 
 namespace cfds::fault {
 
@@ -46,7 +45,6 @@ class FaultInjector {
   Scenario& scenario_;
   SimTime anchor_;
   std::uint64_t base_epoch_;
-  SimTimerService timers_;
   PlanRuntime runtime_;
 };
 

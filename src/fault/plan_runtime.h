@@ -33,9 +33,9 @@
 
 #include "common/ids.h"
 #include "common/sim_time.h"
+#include "event/simulator.h"
 #include "fault/fault_plan.h"
 #include "transport/drop_filter.h"
-#include "transport/transport.h"
 
 namespace cfds::fault {
 

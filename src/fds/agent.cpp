@@ -49,7 +49,7 @@ FdsAgent::FdsAgent(Node& node, MembershipView& view, Transport& transport,
   if (config_.tolerate_epoch_skew) {
     skew_ = std::make_unique<SkewTolerance>();
   }
-  transport_.add_receive_handler(
+  transport_.add_frame_handler(
       [](void* self, const Reception& reception) {
         static_cast<FdsAgent*>(self)->on_frame(reception);
       },
@@ -953,7 +953,7 @@ void FdsAgent::restore_from_checkpoint() {
 
 FdsService::FdsService(Network& network, std::vector<MembershipView*> views,
                        FdsConfig config)
-    : network_(network), config_(config), timers_(network.simulator()) {
+    : network_(network), config_(config) {
   const SimTime t_hop = network_.channel().config().t_hop;
   config_.validate(t_hop);
   agents_.reserve(network_.nodes().size());
@@ -963,8 +963,8 @@ FdsService::FdsService(Network& network, std::vector<MembershipView*> views,
                     views[node->id().value()] != nullptr,
                 "missing membership view");
     agents_.push_back(std::make_unique<FdsAgent>(
-        *node, *views[node->id().value()], network_.transport(node->id()),
-        timers_, t_hop, config_, hooks_));
+        *node, *views[node->id().value()], *node, network_.simulator(), t_hop,
+        config_, hooks_));
     if (node->alive()) active_.push_back(std::uint32_t(agents_.size() - 1));
     watch_lifecycle(*node, agents_.size() - 1);
   }
@@ -1008,7 +1008,7 @@ FdsAgent& FdsService::agent_for(NodeId id) {
 
 FdsAgent& FdsService::adopt_node(Node& node, MembershipView& view) {
   agents_.push_back(std::make_unique<FdsAgent>(
-      node, view, network_.transport(node.id()), timers_,
+      node, view, node, network_.simulator(),
       network_.channel().config().t_hop, config_, hooks_));
   if (node.alive()) {
     active_.push_back(std::uint32_t(agents_.size() - 1));
@@ -1026,7 +1026,7 @@ void FdsService::schedule_epoch(std::uint64_t epoch, SimTime t) {
     // actions visit only active_, read at fire time: idle (dead) nodes cost
     // nothing per round, which is what keeps mostly-failed megascale worlds
     // cheap, and a node recovering between rounds rejoins mid-epoch.
-    schedule_execution(timers_, t, t_hop, epoch,
+    schedule_execution(network_.simulator(), t, t_hop, epoch,
                        [this](auto&& fn, bool everyone) {
                          if (everyone) {
                            for (auto& a : agents_) fn(*a);
@@ -1052,7 +1052,8 @@ void FdsService::schedule_epoch(std::uint64_t epoch, SimTime t) {
       const SimTime extra = skew_provider_(agent->id(), epoch);
       if (extra.as_micros() > 0) skew = skew + extra;
     }
-    schedule_execution(timers_, t + skew, t_hop, epoch, single_agent(*agent));
+    schedule_execution(network_.simulator(), t + skew, t_hop, epoch,
+                       single_agent(*agent));
   }
 }
 

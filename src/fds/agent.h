@@ -29,7 +29,6 @@
 #include "fds/messages.h"
 #include "net/network.h"
 #include "net/node.h"
-#include "transport/sim_transport.h"
 #include "transport/transport.h"
 
 namespace cfds {
@@ -86,9 +85,9 @@ class FdsAgent {
  public:
   /// The agent speaks to the outside world only through `transport` (frames)
   /// and `timers` (clock + cancellable timers): in simulation these are the
-  /// network's SimTransport and FdsService's SimTimerService; in service
-  /// mode a real transport and a RealTimeScheduler. `node` supplies
-  /// identity, liveness, marked state, and energy — never the radio.
+  /// node itself and the network's Simulator; in service mode a real
+  /// transport and a RealTimeScheduler. `node` supplies identity,
+  /// liveness, marked state, and energy — never the radio.
   FdsAgent(Node& node, MembershipView& view, Transport& transport,
            TimerService& timers, SimTime t_hop, const FdsConfig& config,
            FdsHooks& hooks);
@@ -419,10 +418,6 @@ class FdsService {
   FdsConfig config_;
   FdsHooks hooks_;
   SkewProvider skew_provider_;
-  /// The clock half of the simulation seam: one timer service over the
-  /// network's simulator, shared by every agent. Frames go through the
-  /// network's per-node SimTransport (Network::transport).
-  SimTimerService timers_;
   std::vector<std::unique_ptr<FdsAgent>> agents_;
 
   /// Unskewed-path bookkeeping: the round actions visit only `active_`

@@ -14,8 +14,8 @@
 #include <cstdint>
 
 #include "common/sim_time.h"
+#include "event/simulator.h"
 #include "fds/agent.h"
-#include "transport/transport.h"
 
 namespace cfds {
 

@@ -24,14 +24,18 @@ std::vector<NodeId> merged_failures(const HealthUpdatePayload& update) {
 }  // namespace
 
 ForwarderAgent::ForwarderAgent(Node& node, MembershipView& view, FdsAgent& fds,
-                               Transport& transport,
-                               ForwarderService& service)
+                               Transport& transport, TimerService& timers,
+                               SimTime t_hop, const ForwarderConfig& config,
+                               ForwarderStats& stats)
     : node_(node),
       view_(view),
       fds_(fds),
       transport_(transport),
-      service_(service) {
-  transport_.add_receive_handler(
+      timers_(timers),
+      t_hop_(t_hop),
+      config_(config),
+      stats_(stats) {
+  transport_.add_frame_handler(
       [](void* self, const Reception& reception) {
         static_cast<ForwarderAgent*>(self)->on_frame(reception);
       },
@@ -56,8 +60,8 @@ void ForwarderAgent::on_own_update_sent(
 void ForwarderAgent::arm_ch_watch(
     const std::shared_ptr<const HealthUpdatePayload>& update,
     ClusterId dest_cluster, int attempts_left) {
-  service_.timers().schedule_after(
-      2 * service_.t_hop(),
+  timers_.schedule_after(
+      2 * t_hop_,
       [this, update, dest_cluster, attempts_left] {
         if (!node_.alive()) return;
         // A recovery election may have cleared the view (or handed the
@@ -74,7 +78,7 @@ void ForwarderAgent::arm_ch_watch(
           if (l.neighbor_cluster == dest_cluster) link = &l;
         }
         if (link == nullptr || !link->gateway.is_valid()) return;
-        service_.stats().ch_retransmissions++;
+        stats_.ch_retransmissions++;
         transport_.send(update, link->gateway);
         arm_ch_watch(update, dest_cluster, attempts_left - 1);
       });
@@ -89,14 +93,14 @@ void ForwarderAgent::consider_link(
   if (rank == 0) {
     // The GW "will forward m immediately after receiving the message and
     // learning of the need to forward" (Section 4.3).
-    if (service_.config().ack_mode == AckMode::kExplicit) {
+    if (config_.ack_mode == AckMode::kExplicit) {
       auto ack = std::make_shared<ExplicitAckPayload>();
       ack->report = update->report;
       ack->sender = node_.id();
       ack->to = update->sender;
       ack->cluster = dest_cluster;
       ack->receipt = false;
-      service_.stats().explicit_acks++;
+      stats_.explicit_acks++;
       transport_.send(std::move(ack), update->sender);
     }
     forward_across(update, dest_cluster, dest_ch, rank, n_backups,
@@ -104,11 +108,11 @@ void ForwarderAgent::consider_link(
     return;
   }
 
-  if (!service_.config().bgw_assist) return;
+  if (!config_.bgw_assist) return;
   // BGW ranked k stands by for k * 2*Thop, then forwards itself unless the
   // destination CH's implicit acknowledgement was overheard meanwhile.
-  service_.timers().schedule_after(
-      std::int64_t(rank) * 2 * service_.t_hop(),
+  timers_.schedule_after(
+      std::int64_t(rank) * 2 * t_hop_,
       [this, update, rank, n_backups, dest_cluster, dest_ch] {
         if (!node_.alive()) return;
         if (acked(update->report, dest_cluster)) return;
@@ -133,19 +137,19 @@ void ForwarderAgent::forward_across(
 
   if (my_rank == 0) {
     if (attempts_left == kMaxGwRetries) {
-      service_.stats().reports_forwarded++;
+      stats_.reports_forwarded++;
     } else {
-      service_.stats().gw_retries++;
+      stats_.gw_retries++;
     }
   } else {
-    service_.stats().bgw_assists++;
+    stats_.bgw_assists++;
   }
   transport_.send(std::move(report), dest_ch);
 
   // Both the GW and an assisting BGW wait (n+1) * 2*Thop for the implicit
   // acknowledgement before re-forwarding.
-  service_.timers().schedule_after(
-      std::int64_t(n_backups + 1) * 2 * service_.t_hop(),
+  timers_.schedule_after(
+      std::int64_t(n_backups + 1) * 2 * t_hop_,
       [this, update, dest_cluster, dest_ch, my_rank, n_backups,
        attempts_left] {
         if (!node_.alive()) return;
@@ -200,16 +204,16 @@ void ForwarderAgent::on_report(const FailureReportPayload& report) {
 
   if (report.to_ch != node_.id()) return;
   if (!view_.affiliated() || !view_.is_clusterhead()) return;
-  service_.stats().reports_received++;
+  stats_.reports_received++;
 
-  if (service_.config().ack_mode == AckMode::kExplicit) {
+  if (config_.ack_mode == AckMode::kExplicit) {
     auto ack = std::make_shared<ExplicitAckPayload>();
     ack->report = report.report;
     ack->sender = node_.id();
     ack->to = report.forwarder;
     ack->cluster = view_.cluster()->id;
     ack->receipt = true;
-    service_.stats().explicit_acks++;
+    stats_.explicit_acks++;
     transport_.send(std::move(ack), report.forwarder);
   }
   // The relay informs the local cluster, triggers further forwarding on our
@@ -251,16 +255,12 @@ void ForwarderAgent::on_frame(const Reception& reception) {
 ForwarderService::ForwarderService(Network& network, FdsService& fds,
                                    std::vector<MembershipView*> views,
                                    ForwarderConfig config)
-    : network_(network), config_(config), timers_(network.simulator()) {
+    : network_(network), config_(config) {
   for (Node* node : network_.nodes()) {
     const std::size_t idx = node->id().value();
     CFDS_EXPECT(idx < views.size() && views[idx] != nullptr,
                 "missing membership view");
-    CFDS_EXPECT(idx == agents_.size(),
-                "forwarder requires densely numbered nodes");
-    agents_.push_back(std::make_unique<ForwarderAgent>(
-        *node, *views[idx], fds.agent_for(node->id()),
-        network_.transport(node->id()), *this));
+    adopt_node(*node, *views[idx], fds.agent_for(node->id()));
   }
   install_hook(fds);
 }
@@ -270,7 +270,8 @@ void ForwarderService::adopt_node(Node& node, MembershipView& view,
   CFDS_EXPECT(node.id().value() == agents_.size(),
               "forwarder requires densely numbered nodes");
   agents_.push_back(std::make_unique<ForwarderAgent>(
-      node, view, fds, network_.transport(node.id()), *this));
+      node, view, fds, node, network_.simulator(),
+      network_.channel().config().t_hop, config_, stats_));
 }
 
 void ForwarderService::install_hook(FdsService& fds) {

@@ -38,7 +38,6 @@
 #include "fds/agent.h"
 #include "intercluster/messages.h"
 #include "net/network.h"
-#include "transport/sim_transport.h"
 #include "transport/transport.h"
 
 namespace cfds {
@@ -69,16 +68,17 @@ struct ForwarderStats {
   std::uint64_t explicit_acks = 0;       ///< kExplicit mode only
 };
 
-class ForwarderService;
-
 /// Per-node participant in inter-cluster forwarding. Only nodes whose
 /// current view gives them a CH, GW, or BGW role ever act.
 class ForwarderAgent {
  public:
-  /// Frames and timers flow only through `transport` and the service's
-  /// TimerService; `node` supplies identity and liveness.
+  /// Built the way FdsAgent is: frames flow only through `transport` and
+  /// timers only through `timers`, acknowledgement watches are multiples of
+  /// `t_hop`, and `node` supplies identity and liveness. `config` and
+  /// `stats` are the layer's, shared by every agent.
   ForwarderAgent(Node& node, MembershipView& view, FdsAgent& fds,
-                 Transport& transport, ForwarderService& service);
+                 Transport& transport, TimerService& timers, SimTime t_hop,
+                 const ForwarderConfig& config, ForwarderStats& stats);
 
   [[nodiscard]] NodeId id() const { return node_.id(); }
 
@@ -113,7 +113,10 @@ class ForwarderAgent {
   MembershipView& view_;
   FdsAgent& fds_;
   Transport& transport_;
-  ForwarderService& service_;
+  TimerService& timers_;
+  SimTime t_hop_;
+  const ForwarderConfig& config_;
+  ForwarderStats& stats_;
 
   // Membership queries only: no iteration order can reach a frame or event.
   /// (report, acking cluster) pairs collected from overheard emissions,
@@ -127,7 +130,7 @@ class ForwarderAgent {
   FlatSet<std::pair<ReportId, ClusterId>> armed_;
 };
 
-/// Owns the per-node forwarder agents and the layer's counters.
+/// Owns the per-node forwarder agents, the layer's config and its counters.
 class ForwarderService {
  public:
   /// Wires itself into `fds.hooks().on_update_sent` (chaining any hook that
@@ -141,12 +144,6 @@ class ForwarderService {
   [[nodiscard]] const ForwarderStats& stats() const { return stats_; }
   [[nodiscard]] ForwarderStats& stats() { return stats_; }
   [[nodiscard]] const ForwarderConfig& config() const { return config_; }
-  [[nodiscard]] Simulator& simulator() { return network_.simulator(); }
-  /// The clock/timer source the agents schedule their watches on.
-  [[nodiscard]] TimerService& timers() { return timers_; }
-  [[nodiscard]] SimTime t_hop() const {
-    return network_.channel().config().t_hop;
-  }
 
  private:
   void install_hook(FdsService& fds);
@@ -154,7 +151,6 @@ class ForwarderService {
   Network& network_;
   ForwarderConfig config_;
   ForwarderStats stats_;
-  SimTimerService timers_;
   std::vector<std::unique_ptr<ForwarderAgent>> agents_;
 };
 

@@ -16,7 +16,6 @@ Node& Network::add_node(Vec2 position) {
   const NodeId id{next_nid_++};
   Node& node = nodes_.emplace_back(store_, id, position);
   channel_.attach(node.radio());
-  transports_.emplace_back(node);
   node_ptrs_.push_back(&node);
   const_node_ptrs_.push_back(&node);
   return node;
@@ -34,11 +33,6 @@ Node& Network::node(NodeId id) {
 const Node& Network::node(NodeId id) const {
   CFDS_EXPECT(id.value() < nodes_.size(), "unknown node id");
   return nodes_[id.value()];
-}
-
-SimTransport& Network::transport(NodeId id) {
-  CFDS_EXPECT(id.value() < transports_.size(), "unknown node id");
-  return transports_[id.value()];
 }
 
 bool Network::has_node(NodeId id) const {

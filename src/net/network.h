@@ -20,7 +20,6 @@
 #include "net/node_store.h"
 #include "radio/channel.h"
 #include "radio/loss_model.h"
-#include "transport/sim_transport.h"
 
 namespace cfds {
 
@@ -63,9 +62,6 @@ class Network {
   }
   [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
 
-  /// The node's one simulated transport, shared by every protocol layer on
-  /// it (formation, FDS, forwarding). Pointer-stable across add_node.
-  [[nodiscard]] SimTransport& transport(NodeId id);
   [[nodiscard]] std::size_t alive_count() const;
 
   /// Immediately crashes the node (fail-stop until recover()).
@@ -106,8 +102,6 @@ class Network {
   /// contiguous blocks, and NIDs are sequential so nodes_[id.value()] is
   /// the lookup — no hash index.
   std::deque<Node> nodes_;
-  /// transports_[i] wraps nodes_[i]; a deque for the same reason.
-  std::deque<SimTransport> transports_;
   // Pointer caches backing nodes(); appended in lockstep by add_node.
   std::vector<Node*> node_ptrs_;
   std::vector<const Node*> const_node_ptrs_;

@@ -15,16 +15,6 @@ Node::Node(NodeStore& store, NodeId id, Vec2 position)
       this);
 }
 
-void Node::add_frame_handler(FrameHandler handler) {
-  boxed_frame_handlers_.push_back(
-      std::make_unique<FrameHandler>(std::move(handler)));
-  add_frame_handler(
-      [](void* boxed, const Reception& reception) {
-        (*static_cast<FrameHandler*>(boxed))(reception);
-      },
-      boxed_frame_handlers_.back().get());
-}
-
 void Node::add_frame_handler(RawFrameHandler handler, void* ctx) {
   if (handler_count_ < kInlineHandlers) {
     inline_handlers_[handler_count_] = HandlerRef{handler, ctx};

@@ -18,7 +18,6 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -26,6 +25,7 @@
 #include "common/ids.h"
 #include "net/node_store.h"
 #include "radio/channel.h"
+#include "transport/transport.h"
 
 namespace cfds {
 
@@ -34,20 +34,15 @@ namespace cfds {
 /// dense arrays, next to the world's energy budget; the Node itself carries
 /// only the radio view and the per-node handler tables. The energy model and RadioCounters are
 /// defined in net/node_store.h alongside the arrays they meter.
-class Node {
+///
+/// The node is also its protocol layers' Transport: send and power go to
+/// its Radio, and every registered frame handler hears every frame the
+/// radio hears. Final, so calls through a Node& bind directly.
+class Node final : public Transport {
  public:
-  using FrameHandler = std::function<void(const Reception&)>;
-  /// Allocation-free handler form for the per-delivery hot path: raw
-  /// function pointer plus opaque context (protocol agents register with
-  /// this; the std::function overload boxes into it).
-  using RawFrameHandler = void (*)(void* ctx, const Reception& reception);
-
   /// Appends a fresh slot to `store` and wraps it. For network-owned nodes
   /// the slot equals id.value(); standalone hosts may use any id.
   Node(NodeStore& store, NodeId id, Vec2 position);
-
-  Node(const Node&) = delete;
-  Node& operator=(const Node&) = delete;
 
   [[nodiscard]] NodeId id() const { return radio_.id(); }
   [[nodiscard]] Vec2 position() const { return radio_.position(); }
@@ -55,12 +50,17 @@ class Node {
   [[nodiscard]] Radio& radio() { return radio_; }
   [[nodiscard]] const Radio& radio() const { return radio_; }
 
-  /// Registers a protocol layer's frame handler. Handlers run in
-  /// registration order for every frame the radio hears.
-  void add_frame_handler(FrameHandler handler);
-  /// Raw-pointer variant: one predictable indirect call per frame, no
-  /// std::function wrapper on the delivery hot path.
-  void add_frame_handler(RawFrameHandler handler, void* ctx);
+  void send(PayloadPtr payload, NodeId intended = NodeId::invalid()) override {
+    radio_.send(std::move(payload), intended);
+  }
+
+  /// Registers a protocol layer's frame handler: one predictable indirect
+  /// call per frame. Handlers run in registration order for every frame
+  /// the radio hears.
+  void add_frame_handler(RawFrameHandler handler, void* ctx) override;
+
+  void set_powered(bool on) override { radio_.set_powered(on); }
+  [[nodiscard]] bool powered() const override { return radio_.powered(); }
 
   /// Invoked with `true` on recover() and `false` on crash(), in
   /// registration order. Protocol layers use the crash edge to cancel
@@ -115,14 +115,10 @@ class Node {
   /// buffer. The overflow vector keeps registration unbounded (tests).
   static constexpr std::size_t kInlineHandlers = 6;
   /// All frame handlers in registration order: the first kInlineHandlers
-  /// live in inline_handlers_, the rest in overflow_handlers_;
-  /// std::function handlers point into boxed_frame_handlers_.
+  /// live in inline_handlers_, the rest in overflow_handlers_.
   std::array<HandlerRef, kInlineHandlers> inline_handlers_{};
   std::uint32_t handler_count_ = 0;
   std::vector<HandlerRef> overflow_handlers_;
-  /// Owns the boxed std::function handlers (stable addresses — handlers_
-  /// keeps raw pointers to the boxes).
-  std::vector<std::unique_ptr<FrameHandler>> boxed_frame_handlers_;
   std::vector<LifecycleHandler> lifecycle_handlers_;
 };
 

@@ -32,7 +32,7 @@ std::vector<NodeId> DutyCycleScheduler::begin_window(SimTime now,
     if (config_.announce) {
       agent.announce_sleep(config_.sleep_epochs);
     } else {
-      network_.node(candidate).radio().set_powered(false);
+      network_.node(candidate).set_powered(false);
     }
     ++asleep_;
     // Wake shortly before the first execution after the window, so the

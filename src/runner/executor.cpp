@@ -30,7 +30,6 @@ ProportionEstimator run_shard(const ExperimentSpec& spec,
     FastMcConfig config;
     config.n = point.n;
     config.p = point.p;
-    config.range = point.range;
     config.rule_mode = spec.rule_mode;
     config.peer_forwarding = spec.peer_forwarding;
     Rng rng(seed);
@@ -46,7 +45,6 @@ ProportionEstimator run_shard(const ExperimentSpec& spec,
   SingleClusterConfig config;
   config.n = point.n;
   config.p = point.p;
-  config.range = point.range;
   config.seed = seed;
   config.rule_mode = spec.rule_mode;
   config.peer_forwarding = spec.peer_forwarding;

@@ -53,11 +53,11 @@ ExperimentSpec ExperimentSpec::for_kind(EstimatorKind kind) {
 }
 
 std::vector<GridPoint> make_grid(const std::vector<int>& ns,
-                                 const std::vector<double>& ps, double range) {
+                                 const std::vector<double>& ps) {
   std::vector<GridPoint> grid;
   grid.reserve(ns.size() * ps.size());
   for (int n : ns) {
-    for (double p : ps) grid.push_back(GridPoint{n, p, range});
+    for (double p : ps) grid.push_back(GridPoint{n, p});
   }
   return grid;
 }

@@ -32,12 +32,11 @@ enum class EstimatorKind {
 [[nodiscard]] const char* estimator_kind_name(EstimatorKind kind);
 [[nodiscard]] bool is_full_stack(EstimatorKind kind);
 
-/// One point of the parameter grid: cluster population N, loss probability
-/// p, transmission range R.
+/// One point of the parameter grid: cluster population N and loss
+/// probability p. The transmission range R is kPaperRange everywhere.
 struct GridPoint {
   int n = 100;
   double p = 0.3;
-  double range = 100.0;
 };
 
 struct ExperimentSpec {
@@ -70,7 +69,6 @@ struct ExperimentSpec {
 /// Cross product helper: one GridPoint per (n, p) pair, in row-major order
 /// (all p for the first n, then the next n, ...).
 [[nodiscard]] std::vector<GridPoint> make_grid(const std::vector<int>& ns,
-                                               const std::vector<double>& ps,
-                                               double range = 100.0);
+                                               const std::vector<double>& ps);
 
 }  // namespace cfds::runner

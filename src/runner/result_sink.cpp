@@ -1,5 +1,6 @@
 #include "runner/result_sink.h"
 
+#include "common/geometry.h"
 #include "common/jsonl.h"
 
 namespace cfds::runner {
@@ -13,7 +14,7 @@ std::string to_jsonl(const PointRecord& record, bool include_wall_time) {
       "\"trials\":%lld,\"successes\":%lld,\"mean\":%.17g,\"ci99\":%.17g,"
       "\"wilson_lo\":%.17g,\"wilson_hi\":%.17g,\"seed\":%llu,\"shards\":%ld",
       estimator_kind_name(record.kind), record.point.n, record.point.p,
-      record.point.range, static_cast<long long>(record.trials),
+      kPaperRange, static_cast<long long>(record.trials),
       static_cast<long long>(record.successes), record.mean, record.ci99,
       record.wilson.lo, record.wilson.hi,
       static_cast<unsigned long long>(record.seed), record.shards);

@@ -72,7 +72,7 @@ ServiceAgent::ServiceAgent(const ServiceConfig& config, NodeId self,
   // orphan adoption when that block's head is gone — see admit_thunk).
   fds_config_.admit_filter = &ServiceAgent::admit_thunk;
   fds_config_.admit_filter_ctx = this;
-  filtered_.add_receive_handler(&ServiceAgent::overhear_thunk, this);
+  filtered_.add_frame_handler(&ServiceAgent::overhear_thunk, this);
   view_.set_cluster(
       directory_cluster(self, config.node_count, config.cluster_size));
   node_.set_marked(true);  // directory admission: no formation handshake

@@ -17,6 +17,7 @@
 #include "cluster/membership.h"
 #include "common/ids.h"
 #include "common/sim_time.h"
+#include "event/simulator.h"
 #include "fault/fault_plan.h"
 #include "fault/plan_runtime.h"
 #include "fds/agent.h"

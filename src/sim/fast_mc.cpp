@@ -21,7 +21,7 @@ ProportionEstimator mc_false_detection(const FastMcConfig& config, long trials,
                                        Rng& rng) {
   CFDS_EXPECT(config.n >= 2, "need a CH and the watched node");
   ProportionEstimator estimator;
-  const double r = config.range;
+  const double r = kPaperRange;
   const Vec2 v{r, 0.0};  // worst case: on the circumference
   for (long t = 0; t < trials; ++t) {
     // Rule condition C1: both direct indicators lost.
@@ -83,7 +83,7 @@ ProportionEstimator mc_incompleteness(const FastMcConfig& config, long trials,
                                       Rng& rng) {
   CFDS_EXPECT(config.n >= 2, "need a CH and the watched node");
   ProportionEstimator estimator;
-  const double r = config.range;
+  const double r = kPaperRange;
   const Vec2 v{r, 0.0};
   for (long t = 0; t < trials; ++t) {
     if (!rng.bernoulli(config.p)) {  // update arrived directly

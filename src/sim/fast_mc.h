@@ -11,6 +11,7 @@
 
 #pragma once
 
+#include "common/geometry.h"
 #include "common/rng.h"
 #include "common/statistics.h"
 #include "fds/detector.h"
@@ -18,9 +19,8 @@
 namespace cfds {
 
 struct FastMcConfig {
-  int n = 100;          ///< cluster population including the CH
-  double p = 0.3;       ///< message-loss probability
-  double range = 100.0; ///< transmission range R (also the cluster radius)
+  int n = 100;     ///< cluster population including the CH
+  double p = 0.3;  ///< message-loss probability
   RuleMode rule_mode = RuleMode::kFull;
   bool peer_forwarding = true;  ///< incompleteness estimator only
 };

@@ -13,7 +13,7 @@ SingleClusterExperiment::SingleClusterExperiment(SingleClusterConfig config)
   CFDS_EXPECT(config_.n >= 4, "need CH, DCH, and at least two members");
 
   NetworkConfig net_config;
-  net_config.channel.range = config_.range;
+  net_config.channel.range = kPaperRange;
   net_config.seed = config_.seed ^ 0xA11CE;
   network_ = std::make_unique<Network>(
       net_config, config_.loss_factory
@@ -62,7 +62,7 @@ void SingleClusterExperiment::run_one_trial() {
   // experiment's pinned positions applied on top.
   network_->node(clusterhead()).radio().set_position({0.0, 0.0});
   for (int i = 1; i < config_.n; ++i) {
-    const double rad = config_.range * std::sqrt(rng_.uniform());
+    const double rad = kPaperRange * std::sqrt(rng_.uniform());
     const double theta = rng_.uniform(0.0, 2.0 * M_PI);
     network_->node(NodeId{std::uint32_t(i)})
         .radio()
@@ -76,7 +76,7 @@ void SingleClusterExperiment::run_one_trial() {
     // cos/sin round-trip rounds the node outside the CH's range in ~9% of
     // draws, which would disconnect it outright instead of modelling the
     // paper's worst-case *member*.
-    const double rad = config_.range * (1.0 - 1e-9);
+    const double rad = kPaperRange * (1.0 - 1e-9);
     const double theta = rng_.uniform(0.0, 2.0 * M_PI);
     network_->node(edge_node())
         .radio()

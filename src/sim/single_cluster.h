@@ -31,7 +31,6 @@ namespace cfds {
 struct SingleClusterConfig {
   int n = 75;
   double p = 0.3;
-  double range = 100.0;
   /// Optional override of the loss model (defaults to BernoulliLoss(p),
   /// the paper's model). Used by the robustness bench to swap in bursty
   /// (Gilbert-Elliott) and distance-dependent models.

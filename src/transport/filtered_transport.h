@@ -48,14 +48,14 @@ class FilteredTransport final : public Transport {
         rng_(seed),
         position_(position),
         position_ctx_(position_ctx) {
-    inner_.add_receive_handler(&FilteredTransport::on_inner_frame, this);
+    inner_.add_frame_handler(&FilteredTransport::on_inner_frame, this);
   }
 
   void send(PayloadPtr payload, NodeId intended) override {
     inner_.send(std::move(payload), intended);
   }
 
-  void add_receive_handler(RawReceiveHandler handler, void* ctx) override {
+  void add_frame_handler(RawFrameHandler handler, void* ctx) override {
     CFDS_EXPECT(handler_count_ < kMaxHandlers,
                 "filtered transport handler table full");
     handlers_[handler_count_++] = Handler{handler, ctx};
@@ -98,7 +98,7 @@ class FilteredTransport final : public Transport {
   void* position_ctx_;
 
   struct Handler {
-    RawReceiveHandler fn = nullptr;
+    RawFrameHandler fn = nullptr;
     void* ctx = nullptr;
   };
   Handler handlers_[kMaxHandlers];

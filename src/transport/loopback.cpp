@@ -49,8 +49,7 @@ void LoopbackTransport::send(PayloadPtr payload, NodeId intended) {
   }
 }
 
-void LoopbackTransport::add_receive_handler(RawReceiveHandler handler,
-                                            void* ctx) {
+void LoopbackTransport::add_frame_handler(RawFrameHandler handler, void* ctx) {
   CFDS_EXPECT(handler_count_ < kMaxHandlers, "loopback handler table full");
   handlers_[handler_count_++] = Handler{handler, ctx};
 }

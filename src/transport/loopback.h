@@ -74,7 +74,7 @@ class LoopbackTransport final : public Transport {
 
   // --- Transport (owning thread) ---------------------------------------
   void send(PayloadPtr payload, NodeId intended) override;
-  void add_receive_handler(RawReceiveHandler handler, void* ctx) override;
+  void add_frame_handler(RawFrameHandler handler, void* ctx) override;
   void set_powered(bool on) override;
   [[nodiscard]] bool powered() const override;
 
@@ -97,7 +97,7 @@ class LoopbackTransport final : public Transport {
   LoopbackNet::Endpoint& self_;
 
   struct Handler {
-    RawReceiveHandler fn = nullptr;
+    RawFrameHandler fn = nullptr;
     void* ctx = nullptr;
   };
   Handler handlers_[kMaxHandlers];

@@ -11,32 +11,31 @@
 //                 promiscuous delivery included — every implementation
 //                 hands overheard frames to the handlers too, because the
 //                 protocol's redundancy argument (Section 4) depends on it.
-//   TimerService  the protocol's only clock and timer source. SimTime is
-//                 reused as the time type in service mode: there it means
-//                 "microseconds since this process's epoch anchor" rather
-//                 than simulated time, and EventFn/TimerHandle are reused
-//                 verbatim so agent timer state is identical in both modes.
+//   TimerService  the protocol's only clock and timer source, declared with
+//                 Clock next to the kernel in src/event/simulator.h.
 //
 // Implementations:
-//   SimTransport / SimTimerService   adapter over Radio/Channel/Simulator —
-//                                    byte-identical to the pre-abstraction
-//                                    direct path (src/transport/sim_transport.h)
-//   LoopbackTransport                in-process queues between threads
-//                                    (src/transport/loopback.h)
-//   UdpTransport                     nonblocking UDP sockets on loopback
-//                                    (src/transport/udp.h)
-//   RealTimeScheduler                TimerService over the monotonic clock,
-//                                    embedding a Simulator as its timer
-//                                    wheel (src/transport/real_time.h)
-//   FilteredTransport                fault-injection decorator applying a
-//                                    DropFilter + seeded loss to any inner
-//                                    transport (src/transport/filtered_transport.h)
+//   Node                  the simulated host itself: send and power go to
+//                         its Radio on the simulated Channel, handlers join
+//                         its frame dispatch table (src/net/node.h)
+//   Simulator             the discrete-event kernel is the simulation's
+//                         TimerService (src/event/simulator.h)
+//   LoopbackTransport     in-process queues between threads
+//                         (src/transport/loopback.h)
+//   UdpTransport          nonblocking UDP sockets on loopback
+//                         (src/transport/udp.h)
+//   RealTimeScheduler     TimerService over the monotonic clock, embedding
+//                         a Simulator as its timer wheel
+//                         (src/transport/real_time.h)
+//   FilteredTransport     fault-injection decorator applying a DropFilter +
+//                         seeded loss to any inner transport
+//                         (src/transport/filtered_transport.h)
+//   CheckTransport /      the model checker's in-flight pool and tracked
+//   CheckTimerService     timers (src/check/world.h)
 
 #pragma once
 
 #include "common/ids.h"
-#include "common/sim_time.h"
-#include "event/simulator.h"
 #include "transport/reception.h"
 
 namespace cfds {
@@ -46,9 +45,8 @@ namespace cfds {
 class Transport {
  public:
   /// Per-delivery handler: a raw function pointer plus an opaque context,
-  /// matching Radio::RawReceiveHandler so agents register the same
-  /// trampolines in simulation and in service mode.
-  using RawReceiveHandler = void (*)(void* ctx, const Reception& reception);
+  /// the same trampoline in simulation and in service mode.
+  using RawFrameHandler = void (*)(void* ctx, const Reception& reception);
 
   virtual ~Transport() = default;
 
@@ -62,7 +60,7 @@ class Transport {
 
   /// Registers a receive handler. Handlers are permanent (agents live as
   /// long as their transport) and fire in registration order.
-  virtual void add_receive_handler(RawReceiveHandler handler, void* ctx) = 0;
+  virtual void add_frame_handler(RawFrameHandler handler, void* ctx) = 0;
 
   /// A powered-off endpoint neither sends nor receives (fail-stop crash,
   /// sleep mode). Mirrors Radio::set_powered.
@@ -71,32 +69,6 @@ class Transport {
 
  protected:
   Transport() = default;
-};
-
-/// Read-only clock. In simulation this is simulated time; in service mode
-/// it is the monotonic microsecond count since the process's epoch anchor.
-class Clock {
- public:
-  virtual ~Clock() = default;
-
-  Clock(const Clock&) = delete;
-  Clock& operator=(const Clock&) = delete;
-
-  [[nodiscard]] virtual SimTime now() const = 0;
-
- protected:
-  Clock() = default;
-};
-
-/// Clock plus cancellable one-shot timers. EventFn and TimerHandle are the
-/// simulator kernel's types, reused verbatim: a TimerHandle minted by a
-/// RealTimeScheduler cancels through the same slot/generation mechanism as
-/// one minted by the Simulator directly, so agent timer state
-/// (deputy_timer_, pending_forwards_, ...) is mode-independent.
-class TimerService : public Clock {
- public:
-  virtual TimerHandle schedule_at(SimTime when, EventFn action) = 0;
-  virtual TimerHandle schedule_after(SimTime delay, EventFn action) = 0;
 };
 
 }  // namespace cfds

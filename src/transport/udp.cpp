@@ -115,7 +115,7 @@ void UdpTransport::send(PayloadPtr payload, NodeId intended) {
   }
 }
 
-void UdpTransport::add_receive_handler(RawReceiveHandler handler, void* ctx) {
+void UdpTransport::add_frame_handler(RawFrameHandler handler, void* ctx) {
   CFDS_EXPECT(handler_count_ < kMaxHandlers, "udp handler table full");
   handlers_[handler_count_++] = Handler{handler, ctx};
 }

@@ -45,7 +45,7 @@ class UdpTransport final : public Transport {
 
   // --- Transport --------------------------------------------------------
   void send(PayloadPtr payload, NodeId intended) override;
-  void add_receive_handler(RawReceiveHandler handler, void* ctx) override;
+  void add_frame_handler(RawFrameHandler handler, void* ctx) override;
   void set_powered(bool on) override;
   [[nodiscard]] bool powered() const override { return powered_; }
 
@@ -71,7 +71,7 @@ class UdpTransport final : public Transport {
   bool powered_ = true;
 
   struct Handler {
-    RawReceiveHandler fn = nullptr;
+    RawFrameHandler fn = nullptr;
     void* ctx = nullptr;
   };
   Handler handlers_[kMaxHandlers];

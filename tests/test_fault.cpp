@@ -22,7 +22,6 @@
 #include "radio/payload.h"
 #include "sim/scenario.h"
 #include "transport/drop_filter.h"
-#include "transport/sim_transport.h"
 
 namespace cfds::fault {
 namespace {
@@ -378,7 +377,7 @@ TEST(FaultInjectorTest, CrashMidRoundCancelsPendingTimers) {
 // ---------------------------------------------------------------------------
 // One plan, two deployments. The simulator binding (FaultInjector over a
 // Scenario) and the service binding (a runtime over a bare DropFilter and a
-// SimTimerService on a private Simulator) must open and close the same
+// private Simulator as its timer service) must open and close the same
 // windows at the same instants. The plan, as offsets from the fault phase's
 // start:
 //
@@ -505,9 +504,8 @@ TEST(FaultRuntimeTest, WindowsMatchAcrossDeployments) {
   // Service binding: ServiceAgent's seam (only its own crash and recovery,
   // no loss stage) over a bare DropFilter.
   Simulator service_sim;
-  SimTimerService timers(service_sim);
   DropFilter filter;
-  PlanRuntime runtime(filter, timers,
+  PlanRuntime runtime(filter, service_sim,
                       {.lifecycle =
                            [](std::uint32_t, bool) {
                              ADD_FAILURE() << "the plan has no crash";

@@ -378,5 +378,74 @@ TEST(Forwarder, MultiHopPropagation) {
   EXPECT_EQ(forwarder.stats().reports_forwarded, 2u);  // A->B and B->C
 }
 
+/// A ForwarderAgent stands alone, as an FdsAgent does: a network node as
+/// its transport, the simulator as its timer service, Thop, and a local
+/// config and stats sink; no ForwarderService anywhere.
+TEST(ForwarderAgent, ForwardsAnUpdateWithoutAService) {
+  NetworkConfig net_config;
+  net_config.seed = 5;
+  Network network(net_config, std::make_unique<PerfectLinks>());
+  Node& ch_a = network.add_node({0.0, 0.0});    // 0: CH A
+  Node& ch_b = network.add_node({160.0, 0.0});  // 1: CH B
+  Node& gw = network.add_node({80.0, 0.0});     // 2: A's GW, hears both
+
+  ClusterView a;
+  a.id = ClusterId{0};
+  a.clusterhead = NodeId{0};
+  a.members = {NodeId{2}};
+  GatewayLink ab;
+  ab.neighbor_cluster = ClusterId{1};
+  ab.neighbor_clusterhead = NodeId{1};
+  ab.gateway = NodeId{2};
+  a.links.push_back(ab);
+  MembershipView view(NodeId{2});
+  view.set_cluster(a);
+  gw.set_marked(true);
+
+  Simulator& sim = network.simulator();
+  const SimTime t_hop = network.channel().config().t_hop;
+  const FdsConfig fds_config;
+  FdsHooks hooks;
+  FdsAgent fds(gw, view, gw, sim, t_hop, fds_config, hooks);
+  const ForwarderConfig config;
+  ForwarderStats stats;
+  ForwarderAgent agent(gw, view, fds, gw, sim, t_hop, config, stats);
+
+  std::vector<Reception> reports;  // what CH B hears
+  ch_b.add_frame_handler(
+      [](void* ctx, const Reception& reception) {
+        if (payload_cast<FailureReportPayload>(reception.payload)) {
+          static_cast<std::vector<Reception>*>(ctx)->push_back(reception);
+        }
+      },
+      &reports);
+
+  auto update = std::make_shared<HealthUpdatePayload>();
+  update->cluster = ClusterId{0};
+  update->sender = NodeId{0};
+  update->newly_failed = {NodeId{7}};
+  update->report = ReportId{42};
+  ch_a.send(update);
+  sim.run_until(SimTime::seconds(1));
+
+  // CH B runs no agent, so no implicit acknowledgement ever comes: the GW
+  // forwards once and re-forwards kMaxGwRetries times, 2 * Thop apart.
+  EXPECT_EQ(stats.reports_forwarded, 1u);
+  EXPECT_EQ(stats.gw_retries, std::uint64_t(kMaxGwRetries));
+  ASSERT_EQ(reports.size(), std::size_t(1 + kMaxGwRetries));
+  for (std::size_t i = 0; i < reports.size(); ++i) {
+    const auto* report = payload_cast<FailureReportPayload>(reports[i].payload);
+    EXPECT_EQ(reports[i].sender, NodeId{2});
+    EXPECT_EQ(reports[i].intended, NodeId{1});
+    EXPECT_EQ(report->report, ReportId{42});
+    EXPECT_EQ(report->from_cluster, ClusterId{0});
+    EXPECT_EQ(report->to_ch, NodeId{1});
+    EXPECT_EQ(report->failed, std::vector<NodeId>{NodeId{7}});
+    if (i > 0) {
+      EXPECT_EQ(reports[i].sent_at - reports[i - 1].sent_at, 2 * t_hop);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace cfds

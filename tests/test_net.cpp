@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <limits>
+#include <memory>
+#include <utility>
+#include <vector>
 
 #include "common/statistics.h"
 #include "net/graph.h"
@@ -18,6 +22,25 @@ NetworkConfig small_config() {
   config.seed = 3;
   return config;
 }
+
+/// Owns test callbacks and registers each on a node through the raw
+/// (function, context) handler form.
+class Listeners {
+ public:
+  using Callback = std::function<void(const Reception&)>;
+
+  void listen(Node& node, Callback callback) {
+    callbacks_.push_back(std::make_unique<Callback>(std::move(callback)));
+    node.add_frame_handler(
+        [](void* ctx, const Reception& reception) {
+          (*static_cast<Callback*>(ctx))(reception);
+        },
+        callbacks_.back().get());
+  }
+
+ private:
+  std::vector<std::unique_ptr<Callback>> callbacks_;
+};
 
 TEST(Node, EnergyAccountingFollowsTraffic) {
   Network net(small_config(), std::make_unique<PerfectLinks>());
@@ -40,7 +63,8 @@ TEST(Node, CrashIsFailStop) {
   Network net(small_config(), std::make_unique<PerfectLinks>());
   Node& a = net.add_node({0, 0});
   int frames = 0;
-  a.add_frame_handler([&](const Reception&) { ++frames; });
+  Listeners listeners;
+  listeners.listen(a, [&](const Reception&) { ++frames; });
   EXPECT_TRUE(a.alive());
   a.crash();
   EXPECT_FALSE(a.alive());
@@ -53,8 +77,9 @@ TEST(Node, HandlersRunInRegistrationOrder) {
   Node& a = net.add_node({0, 0});
   Node& b = net.add_node({10, 0});
   std::vector<int> order;
-  b.add_frame_handler([&](const Reception&) { order.push_back(1); });
-  b.add_frame_handler([&](const Reception&) { order.push_back(2); });
+  Listeners listeners;
+  listeners.listen(b, [&](const Reception&) { order.push_back(1); });
+  listeners.listen(b, [&](const Reception&) { order.push_back(2); });
   struct P final : Payload {
     P() : Payload(PayloadKind::kTest) {}
     [[nodiscard]] std::string_view kind() const override { return "p"; }
@@ -227,11 +252,11 @@ TEST(ChannelGrid, MovedRadiosReachExactlyTheirUnitDiskNeighbours) {
     Network net(small_config(), std::make_unique<PerfectLinks>());
     net.add_nodes(uniform_rect(kNodes, 700.0, 450.0, rng));
     std::vector<std::vector<std::uint32_t>> heard(kNodes);
+    Listeners listeners;
     for (std::uint32_t i = 0; i < kNodes; ++i) {
-      net.node(NodeId{i}).add_frame_handler(
-          [&heard, i](const Reception& r) {
-            heard[i].push_back(r.sender.value());
-          });
+      listeners.listen(net.node(NodeId{i}), [&heard, i](const Reception& r) {
+        heard[i].push_back(r.sender.value());
+      });
     }
     // Interleave bursts of moves with oracle checks, so later moves run
     // against cell-block caches the earlier broadcasts filled. Short

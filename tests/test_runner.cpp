@@ -194,7 +194,7 @@ TEST(Executor, Fig5JsonlMatchesPrePrGoldenAtAnyThreadCount) {
   for (int i = 0; i < analysis::sweep_points(); ++i) {
     ps.push_back(analysis::sweep_p(i));
   }
-  spec.grid = make_grid({20, 30}, ps, 100.0);
+  spec.grid = make_grid({20, 30}, ps);
   spec.trials = 4000;
   spec.seed = 7;
 
@@ -280,7 +280,7 @@ TEST(ResultSink, JsonlLineHasTheDocumentedFields) {
   PointRecord record;
   record.experiment = "probe";
   record.kind = EstimatorKind::kMcIncompleteness;
-  record.point = GridPoint{50, 0.25, 100.0};
+  record.point = GridPoint{50, 0.25};
   record.trials = 1000;
   record.successes = 250;
   record.mean = 0.25;
@@ -312,7 +312,7 @@ PointRecord pinned_point() {
   PointRecord record;
   record.experiment = "fig5_false_detection";
   record.kind = EstimatorKind::kMcFalseDetection;
-  record.point = GridPoint{50, 0.3, 100.0};
+  record.point = GridPoint{50, 0.3};
   record.trials = 400000;
   record.successes = 1234;
   record.mean = 0.003085;

@@ -16,13 +16,13 @@
 #include "common/flags.h"
 #include "common/ids.h"
 #include "common/sim_time.h"
+#include "event/simulator.h"
 #include "fds/messages.h"
 #include "radio/payload.h"
 #include "service/config.h"
 #include "transport/loopback.h"
 #include "transport/real_time.h"
 #include "transport/reception.h"
-#include "transport/sim_transport.h"
 
 namespace cfds {
 namespace {
@@ -104,17 +104,23 @@ TEST(RealTimeScheduler, NextDeadlineReflectsPendingTimers) {
   EXPECT_EQ(sched.pending_timers(), 1u);
 }
 
-// --- SimTimerService ------------------------------------------------------
+// --- Simulator as the TimerService ----------------------------------------
 
-TEST(SimTimerService, DelegatesToSimulator) {
+TEST(SimulatorTimerService, SchedulesAndCancelsThroughTheInterface) {
   Simulator sim;
-  SimTimerService timers(sim);
+  TimerService& timers = sim;
   std::vector<int> order;
   timers.schedule_after(SimTime::seconds(2), [&] { order.push_back(2); });
+  TimerHandle cancelled =
+      timers.schedule_at(SimTime::millis(1500), [&] { order.push_back(3); });
   timers.schedule_at(SimTime::seconds(1), [&] { order.push_back(1); });
+  EXPECT_TRUE(cancelled.pending());
+  cancelled.cancel();
+  EXPECT_FALSE(cancelled.pending());
   sim.run_until(SimTime::seconds(3));
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
   EXPECT_EQ(timers.now(), sim.now());
+  EXPECT_EQ(timers.now(), SimTime::seconds(3));
 }
 
 // --- Loopback medium ------------------------------------------------------
@@ -126,8 +132,8 @@ TEST(Loopback, BroadcastReachesEveryOtherEndpoint) {
   LoopbackTransport c(net, NodeId{3});
   Sink sb;
   Sink sc;
-  b.add_receive_handler(&Sink::thunk, &sb);
-  c.add_receive_handler(&Sink::thunk, &sc);
+  b.add_frame_handler(&Sink::thunk, &sb);
+  c.add_frame_handler(&Sink::thunk, &sc);
 
   a.send(heartbeat(NodeId{1}), NodeId::invalid());
 
@@ -151,8 +157,8 @@ TEST(Loopback, AddressedFramesAreStillOverheard) {
   LoopbackTransport c(net, NodeId{3});
   Sink sb;
   Sink sc;
-  b.add_receive_handler(&Sink::thunk, &sb);
-  c.add_receive_handler(&Sink::thunk, &sc);
+  b.add_frame_handler(&Sink::thunk, &sb);
+  c.add_frame_handler(&Sink::thunk, &sc);
 
   a.send(heartbeat(NodeId{1}), NodeId{2});
 
@@ -178,8 +184,8 @@ TEST(Loopback, HandlersFireInRegistrationOrder) {
     auto* tag = static_cast<Tag*>(ctx);
     tag->order->push_back(tag->id);
   };
-  b.add_receive_handler(record, &first);
-  b.add_receive_handler(record, &second);
+  b.add_frame_handler(record, &first);
+  b.add_frame_handler(record, &second);
 
   a.send(heartbeat(NodeId{1}), NodeId::invalid());
   ASSERT_EQ(b.drain(SimTime::zero()), 1u);
@@ -191,7 +197,7 @@ TEST(Loopback, DarkRadioNeitherSendsNorReceives) {
   LoopbackTransport a(net, NodeId{1});
   LoopbackTransport b(net, NodeId{2});
   Sink sink;
-  b.add_receive_handler(&Sink::thunk, &sink);
+  b.add_frame_handler(&Sink::thunk, &sink);
 
   // Unpowered receiver: frames sent while dark are never queued.
   b.set_powered(false);
@@ -213,7 +219,7 @@ TEST(Loopback, PowerDownLosesUndrainedFrames) {
   LoopbackTransport a(net, NodeId{1});
   LoopbackTransport b(net, NodeId{2});
   Sink sink;
-  b.add_receive_handler(&Sink::thunk, &sink);
+  b.add_frame_handler(&Sink::thunk, &sink);
 
   a.send(heartbeat(NodeId{1}), NodeId::invalid());
   // Queued but not yet drained: a crash between reception and processing
@@ -245,7 +251,7 @@ TEST(Loopback, TwoThreadsExchangeFrames) {
   const auto worker = [](LoopbackTransport& mine, NodeId self,
                          std::atomic<int>& received) {
     Sink sink;
-    mine.add_receive_handler(&Sink::thunk, &sink);
+    mine.add_frame_handler(&Sink::thunk, &sink);
     for (int i = 0; i < kFrames; ++i) mine.send(heartbeat(self), NodeId::invalid());
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(10);

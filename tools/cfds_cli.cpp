@@ -18,6 +18,7 @@
 #include "common/flags.h"
 #include "event/simulator.h"
 #include "net/mobility.h"
+#include "radio/channel.h"
 #include "radio/tracer.h"
 #include "sim/scenario.h"
 
@@ -62,6 +63,17 @@ CliOptions parse(int argc, char** argv) {
   flags.add_flag("--no-calendar", &no_calendar,
                  "use the binary-heap event queue (calendar-queue oracle)");
   flags.parse_all_or_exit(argc, argv, 2);
+  // Values the library would reject with an abort are usage errors here.
+  const double range = options.scenario.range;
+  const double loss = options.scenario.loss_p;
+  if (const char* error =
+          options.scenario.fds.violation(ChannelConfig{}.t_hop)) {
+    flags.usage_error(argv[0], error, 2);
+  }
+  if (!(range > 0.0)) flags.usage_error(argv[0], "--range must be positive", 2);
+  if (!(loss >= 0.0 && loss <= 1.0)) {
+    flags.usage_error(argv[0], "--loss must be in [0, 1]", 2);
+  }
   // Before the scenario constructs its Simulator.
   if (no_calendar) Simulator::set_default_queue_mode(QueueMode::kHeap);
   return options;

@@ -38,6 +38,9 @@ expect_help(${CFDS_CLI} --nodes --width --height --range --loss --epochs
             --csv --trace --seed --no-calendar)
 expect_status(2 ${CFDS_CLI} --nodes x)
 expect_status(2 ${CFDS_CLI} --fault-plan plan.jsonl)
+expect_status(2 ${CFDS_CLI} --interval-ms 100)
+expect_status(2 ${CFDS_CLI} --range 0)
+expect_status(2 ${CFDS_CLI} --loss 1.5)
 
 expect_help(${CFDS_CHECK} --nodes --deputies --epochs --perm-max --adaptive
             --checkpoint --checkpoint-interval --no-reduction --quiesce-max
